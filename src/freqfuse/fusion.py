@@ -235,8 +235,9 @@ def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
 def gradient_check(dim: int, positions: int, seed: int, tol: float = 1e-4):
     """Compare analytic gradients with central differences on a random instance.
 
-    Returns (passed, worst relative error). Entries below 1e-7 in both views
-    are compared absolutely. Used by the CLI self-check.
+    Returns (passed, worst relative error). Errors are relative to the larger
+    view floored at 1e-3: at the default tol an entry fails only when off by
+    over 1e-7 absolute and 1e-4 relative. Used by the CLI self-check.
     """
     if dim < 1 or positions < 1:
         raise ValueError("dim and positions must be >= 1")
@@ -271,6 +272,6 @@ def gradient_check(dim: int, positions: int, seed: int, tol: float = 1e-4):
             expected = grad.ravel()[i]
             err = abs(numeric - expected)
             denom = max(abs(numeric), abs(expected))
-            rel = err / denom if denom > 1e-7 else err
+            rel = err / max(denom, 1e-3)
             worst = max(worst, rel)
     return worst < tol, worst

@@ -246,10 +246,7 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (ImageError, DataFormatError, TokenFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError) as exc:
+    except (ImageError, DataFormatError, TokenFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -133,14 +133,12 @@ def _png_chunk(kind, payload) -> bytes:
 def _encode_png(pixels) -> bytes:
     h, w, _ = pixels.shape
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    rows = bytearray()
-    for r in range(h):
-        rows.append(0)
-        rows += pixels[r].tobytes()
+    # every scanline uses filter type 0 (None): a zero byte, then the row
+    rows = np.hstack([np.zeros((h, 1), np.uint8), pixels.reshape(h, -1)]).tobytes()
     return (
         PNG_SIGNATURE
         + _png_chunk(b"IHDR", ihdr)
-        + _png_chunk(b"IDAT", zlib.compress(bytes(rows), 9))
+        + _png_chunk(b"IDAT", zlib.compress(rows, 9))
         + _png_chunk(b"IEND", b"")
     )
 

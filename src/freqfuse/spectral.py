@@ -1,12 +1,11 @@
 """Frequency-domain decomposition of RGB images.
 
-An image is an (h, w, 3) float array with intensities in [0, 1]. Each channel
-is transformed with an unnormalized forward 2-D DFT (so F[0,0] is the plain
-pixel sum), center-shifted, weighted by a Gaussian low- or high-pass mask,
-shifted back, and inverted with the 1/(h*w)-normalized inverse transform.
-The low and high masks are exact complements, so the two output components
-sum back to the original image. Outputs are intentionally not clamped to
-[0, 1]; clamping happens only when an image is exported.
+An image is an (h, w, 3) float array with intensities in [0, 1]. One real
+forward transform (rfft2) covers all three channels; each branch weights that
+half spectrum by a Gaussian low- or high-pass mask on the centered frequency
+grid, times an optional damping gain, and returns through one normalized
+inverse (irfft2). The masks are exact complements, so undamped components sum
+back to the image. Outputs are not clamped to [0, 1]; export clamps.
 """
 
 from dataclasses import dataclass
@@ -33,6 +32,10 @@ class AttenuationSpec:
         instead of independent draws per branch.
     per_channel: draw a fresh matrix per RGB channel instead of sharing
         one matrix across the three channels of a branch.
+
+    Branches stay real, so the damping that takes effect at frequency k is
+    the mean of mask * draw at k and -k: two U(0, gamma) draws averaged, not
+    one draw, except at frequencies that are their own mirror such as DC.
     """
 
     gamma: float = DEFAULT_GAMMA
@@ -112,8 +115,26 @@ def gaussian_masks(h: int, w: int, cutoff: float):
     return low, high
 
 
-def _filter_channel(shifted_spectrum, mask):
-    return idft2d(np.fft.ifftshift(shifted_spectrum * mask))
+def _split(arr, cutoff, low_gain, high_gain):
+    """(low, high) of a validated image, all channels at once.
+
+    Gains are scalars or centered (h, w, 1) / (h, w, 3) arrays. Each weight
+    mask * gain is made Hermitian, (g(k) + g(-k)) / 2, the filter that the
+    real part of a complex inverse applies, so irfft2 gives it exactly.
+    """
+    h, w, _ = arr.shape
+    half = w // 2 + 1
+    rows = -np.arange(h) % h
+    cols = -np.arange(half) % w
+    weights = []
+    for mask, gain in zip(gaussian_masks(h, w, cutoff), (low_gain, high_gain)):
+        g = np.fft.ifftshift(mask[:, :, None] * gain, axes=(0, 1))
+        weights.append((g[:, :half] + g[rows[:, None], cols]) / 2.0)
+    # the spectrum after the smaller weights: over many calls this order
+    # fragments the heap less, so peak RSS stays lower
+    spectrum = np.fft.rfft2(arr, axes=(0, 1))
+    return tuple(np.fft.irfft2(spectrum * weight, s=(h, w), axes=(0, 1))
+                 for weight in weights)
 
 
 def decompose(image, cutoff: float = DEFAULT_CUTOFF):
@@ -122,33 +143,21 @@ def decompose(image, cutoff: float = DEFAULT_CUTOFF):
     Returns (low, high) as (h, w, 3) float arrays satisfying
     low + high == image up to transform round-off. Not clamped.
     """
-    arr = validate_image(image)
-    h, w, _ = arr.shape
-    low_mask, high_mask = gaussian_masks(h, w, cutoff)
-    low = np.empty_like(arr)
-    high = np.empty_like(arr)
-    for c in range(3):
-        shifted = np.fft.fftshift(dft2d(arr[:, :, c]))
-        low[:, :, c] = _filter_channel(shifted, low_mask)
-        high[:, :, c] = _filter_channel(shifted, high_mask)
-    return low, high
+    return _split(validate_image(image), cutoff, 1.0, 1.0)
+
+
+def _draw_gains(h, w, spec, count):
+    if spec.mode == MODE_CONSTANT:
+        return np.full((count, h, w), spec.gamma)
+    rng = np.random.default_rng(spec.seed)
+    return rng.uniform(0.0, spec.gamma, size=(count, h, w))
 
 
 def attenuation_matrix(h: int, w: int, spec: AttenuationSpec) -> np.ndarray:
     """Damping matrix per the spec: U(0, gamma) draws or the constant gamma."""
     if h < 1 or w < 1:
         raise ValueError(f"matrix dimensions must be positive, got {h}x{w}")
-    if spec.mode == MODE_CONSTANT:
-        return np.full((h, w), spec.gamma)
-    rng = np.random.default_rng(spec.seed)
-    return rng.uniform(0.0, spec.gamma, size=(h, w))
-
-
-def _attenuation_draws(h, w, spec, count):
-    if spec.mode == MODE_CONSTANT:
-        return [np.full((h, w), spec.gamma) for _ in range(count)]
-    rng = np.random.default_rng(spec.seed)
-    return [rng.uniform(0.0, spec.gamma, size=(h, w)) for _ in range(count)]
+    return _draw_gains(h, w, spec, 1)[0]
 
 
 def decompose_attenuated(image, cutoff: float, spec: AttenuationSpec):
@@ -160,20 +169,9 @@ def decompose_attenuated(image, cutoff: float, spec: AttenuationSpec):
     """
     arr = validate_image(image)
     h, w, _ = arr.shape
-    low_mask, high_mask = gaussian_masks(h, w, cutoff)
-
-    n_branch = 1 if spec.share_branches else 2
     per_branch = 3 if spec.per_channel else 1
-    draws = _attenuation_draws(h, w, spec, n_branch * per_branch)
-    low_draws = draws[:per_branch]
-    high_draws = draws[:per_branch] if spec.share_branches else draws[per_branch:]
-
-    low = np.empty_like(arr)
-    high = np.empty_like(arr)
-    for c in range(3):
-        shifted = np.fft.fftshift(dft2d(arr[:, :, c]))
-        g_low = low_draws[c if spec.per_channel else 0]
-        g_high = high_draws[c if spec.per_channel else 0]
-        low[:, :, c] = _filter_channel(shifted, low_mask * g_low)
-        high[:, :, c] = _filter_channel(shifted, high_mask * g_high)
-    return low, high
+    n_branch = 1 if spec.share_branches else 2
+    # (h, w, draw): draw c damps channel c, or every channel when there is
+    # one; the high branch takes the last draws, the low branch's if shared
+    draws = np.moveaxis(_draw_gains(h, w, spec, n_branch * per_branch), 0, -1)
+    return _split(arr, cutoff, draws[:, :, :per_branch], draws[:, :, -per_branch:])

@@ -66,18 +66,29 @@ def naive_gaussian_low_mask(h, w, cutoff):
     return mask
 
 
-def naive_decompose(image, cutoff):
-    """Full filter pipeline built only from the naive pieces above."""
+def naive_decompose(image, cutoff, low_gain=None, high_gain=None):
+    """Full filter pipeline built only from the naive pieces above.
+
+    low_gain / high_gain optionally damp a branch: an (h, w, 3) array on the
+    centered grid whose channel c multiplies that branch's mask for channel
+    c. Each channel keeps only the real part of its inverse transform.
+    """
     image = np.asarray(image, dtype=float)
     h, w, _ = image.shape
     low_mask = naive_gaussian_low_mask(h, w, cutoff)
     high_mask = 1.0 - low_mask
+    if low_gain is None:
+        low_gain = np.ones((h, w, 3))
+    if high_gain is None:
+        high_gain = np.ones((h, w, 3))
     low = np.empty_like(image)
     high = np.empty_like(image)
     for c in range(3):
         spec = naive_center_shift(naive_dft2d(image[:, :, c]))
-        low[:, :, c] = naive_idft2d(naive_center_unshift(spec * low_mask))
-        high[:, :, c] = naive_idft2d(naive_center_unshift(spec * high_mask))
+        low_w = low_mask * low_gain[:, :, c]
+        high_w = high_mask * high_gain[:, :, c]
+        low[:, :, c] = naive_idft2d(naive_center_unshift(spec * low_w))
+        high[:, :, c] = naive_idft2d(naive_center_unshift(spec * high_w))
     return low, high
 
 

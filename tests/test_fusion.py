@@ -232,6 +232,14 @@ def test_gradient_check_helper():
     assert ok and worst < 1e-4
 
 
+@pytest.mark.parametrize("seed", [1058, 944133698])
+def test_gradient_check_accepts_tiny_gradients(seed):
+    # each instance's worst entry is a ~3e-7 gradient whose central
+    # difference carries ~6e-11 of rounding: within 1e-7 absolute
+    ok, worst = gradient_check(8, 4, seed)
+    assert ok and worst < 1e-4
+
+
 # fit_demo
 
 

@@ -291,3 +291,50 @@ def test_decompose_determinism_bit_identical():
     a = decompose(img, 30.0)
     b = decompose(img, 30.0)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def documented_gains(h, w, spec):
+    """Centered (h, w, 3) low/high gains built from the draw order the spec
+    documents: draws come from one PCG64 stream, the low branch's first, one
+    per channel when per_channel, else one shared by all three channels."""
+    rng = np.random.default_rng(spec.seed)
+    per_branch = 3 if spec.per_channel else 1
+
+    def branch():
+        draws = [rng.uniform(0.0, spec.gamma, size=(h, w)) for _ in range(per_branch)]
+        return np.stack([draws[c % per_branch] for c in range(3)], axis=-1)
+
+    low = branch()
+    high = low if spec.share_branches else branch()
+    return low, high
+
+
+@pytest.mark.parametrize("share_branches", [False, True])
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("h, w", [(6, 6), (5, 7)])
+def test_attenuated_matches_naive_pipeline(h, w, share_branches, per_channel):
+    img = random_image(np.random.default_rng(14), h, w)
+    spec = AttenuationSpec(gamma=0.7, seed=31, share_branches=share_branches,
+                           per_channel=per_channel)
+    low, high = decompose_attenuated(img, 2.0, spec)
+    naive_low, naive_high = naive_decompose(img, 2.0, *documented_gains(h, w, spec))
+    assert np.abs(low - naive_low).max() < 1e-9
+    assert np.abs(high - naive_high).max() < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.integers(min_value=1, max_value=16),
+    w=st.integers(min_value=1, max_value=16),
+    share_branches=st.booleans(),
+    per_channel=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_attenuated_naive_oracle_property(h, w, share_branches, per_channel, seed):
+    img = random_image(np.random.default_rng(seed), h, w)
+    spec = AttenuationSpec(gamma=1.0, seed=seed, share_branches=share_branches,
+                           per_channel=per_channel)
+    low, high = decompose_attenuated(img, 3.0, spec)
+    naive_low, naive_high = naive_decompose(img, 3.0, *documented_gains(h, w, spec))
+    assert np.abs(low - naive_low).max() < 1e-9
+    assert np.abs(high - naive_high).max() < 1e-9
