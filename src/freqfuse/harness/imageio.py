@@ -234,12 +234,19 @@ def _decode_png(data):
         raise UnsupportedImageError("interlaced PNG is not supported")
     if not idat:
         raise ImageDecodeError("PNG has no IDAT data")
+    expected = h * (w * 3 + 1)
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        # one byte past the image is enough to tell that the stream is too long
+        raw = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise ImageDecodeError(f"PNG deflate stream is corrupt: {exc}") from None
-    if len(raw) != h * (w * 3 + 1):
+    if len(raw) > expected or inflater.unconsumed_tail:
+        raise ImageDecodeError(f"PNG pixel data exceeds the {expected} bytes expected")
+    if not inflater.eof:
+        raise ImageDecodeError("PNG deflate stream is corrupt: truncated")
+    if len(raw) != expected:
         raise ImageDecodeError(
-            f"PNG pixel data has {len(raw)} bytes, expected {h * (w * 3 + 1)}"
+            f"PNG pixel data has {len(raw)} bytes, expected {expected}"
         )
     return _unfilter(raw, h, w), h, w

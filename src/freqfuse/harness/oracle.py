@@ -3,15 +3,18 @@
 An oracle is any child process speaking line-delimited JSON on stdio:
 request {"id": ..., "image": absolute path, "prompt": ...} in, response
 {"id": ..., "caption": ...} out, one JSON object per line, answered in any
-order. The process is spawned once per batch. The bundled mock modes give
-the sweep deterministic stand-ins for a real captioning model.
+order. One process may serve any number of batches, so a reply must
+depend only on its request: the sweep starts one per run and resends the
+same ids at every cutoff. The bundled mock modes give the sweep
+deterministic stand-ins for a real captioning model.
 """
 
+import collections
 import json
-import queue
 import shlex
 import subprocess
 import threading
+import time
 from pathlib import Path
 
 from .imageio import load_image
@@ -32,7 +35,7 @@ class OracleSpawnError(OracleError):
 
 
 class OracleTimeoutError(OracleError):
-    """No response arrived within the per-request timeout."""
+    """No response arrived within the timeout of the batch send or last reply."""
 
 
 class OracleProtocolError(OracleError):
@@ -40,7 +43,7 @@ class OracleProtocolError(OracleError):
 
 
 class CaptionOracle:
-    """One spawned oracle process handling any number of requests."""
+    """One spawned oracle process handling any number of batches."""
 
     def __init__(
         self,
@@ -57,24 +60,35 @@ class CaptionOracle:
                 argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
             )
         except OSError as exc:
             raise OracleSpawnError(f"cannot start oracle {argv[0]!r}: {exc}") from None
         self._timeout = timeout
         self._prompt = prompt
         self._grace = shutdown_grace
-        self._lines = queue.Queue()
+        # lines the child has written and nobody has consumed yet
+        self._lines = collections.deque()
+        self._eof = False
+        self._arrived = threading.Condition()
         self._line_no = 0
-        self._answered = set()
         self._counter = 0
         reader = threading.Thread(target=self._pump, daemon=True)
         reader.start()
 
     def _pump(self):
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
+        # all lines of one read land together, so a reply the child wrote
+        # along with an earlier one is visible as soon as that one is
+        tail = b""
+        while chunk := self._proc.stdout.read1():
+            *lines, tail = (tail + chunk).split(b"\n")
+            with self._arrived:
+                self._lines.extend(lines)
+                self._arrived.notify()
+        with self._arrived:
+            if tail:
+                self._lines.append(tail)
+            self._eof = True
+            self._arrived.notify()
 
     def __enter__(self):
         return self
@@ -101,27 +115,44 @@ class CaptionOracle:
             "prompt": self._prompt,
         }
         try:
-            self._proc.stdin.write(json.dumps(payload) + "\n")
+            self._proc.stdin.write(json.dumps(payload).encode() + b"\n")
             self._proc.stdin.flush()
         except (OSError, ValueError) as exc:
             raise OracleProtocolError(f"oracle stdin closed early: {exc}") from None
 
-    def _next_response(self, outstanding):
+    def _take_line(self):
+        # the caller holds self._arrived and has seen a line waiting
+        self._line_no += 1
+        return self._lines.popleft().decode("utf-8", "replace").strip()
+
+    def _reject_stray_replies(self):
+        with self._arrived:
+            while self._lines:
+                line = self._take_line()
+                if line:
+                    raise OracleProtocolError(
+                        f"oracle line {self._line_no}: reply with no request "
+                        f"outstanding: {line[:120]!r}"
+                    )
+
+    def _next_response(self, outstanding, answered, deadline):
+        """Next valid reply to an outstanding id; blank lines keep the deadline."""
         while True:
-            try:
-                line = self._lines.get(timeout=self._timeout)
-            except queue.Empty:
-                waiting = ", ".join(sorted(outstanding))
-                raise OracleTimeoutError(
-                    f"no oracle response within {self._timeout:g}s; "
-                    f"waiting for: {waiting}"
-                ) from None
-            if line is None:
-                raise OracleProtocolError(
-                    f"oracle exited with {len(outstanding)} request(s) unanswered"
-                )
-            self._line_no += 1
-            line = line.strip()
+            with self._arrived:
+                remaining = max(deadline - time.monotonic(), 0.0)
+                if not self._arrived.wait_for(
+                    lambda: self._lines or self._eof, timeout=remaining
+                ):
+                    waiting = ", ".join(sorted(outstanding))
+                    raise OracleTimeoutError(
+                        f"no oracle response within {self._timeout:g}s; "
+                        f"waiting for: {waiting}"
+                    )
+                if not self._lines:
+                    raise OracleProtocolError(
+                        f"oracle exited with {len(outstanding)} request(s) unanswered"
+                    )
+                line = self._take_line()
             if not line:
                 continue
             try:
@@ -141,7 +172,7 @@ class CaptionOracle:
                     f"string 'id' and 'caption': {line[:120]!r}"
                 )
             rid = reply["id"]
-            if rid in self._answered:
+            if rid in answered:
                 raise OracleProtocolError(
                     f"oracle line {self._line_no}: duplicate response id {rid!r}"
                 )
@@ -149,23 +180,28 @@ class CaptionOracle:
                 raise OracleProtocolError(
                     f"oracle line {self._line_no}: unknown response id {rid!r}"
                 )
-            self._answered.add(rid)
             return rid, reply["caption"]
 
     def caption_batch(self, requests) -> dict:
-        """Pipeline (id, image path) pairs; returns {id: caption}."""
+        """Pipeline (id, image path) pairs; returns {id: caption}.
+
+        Ids must be unique within the batch, and may recur in later batches.
+        """
         requests = list(requests)
         ids = [rid for rid, _ in requests]
         if len(set(ids)) != len(ids):
             raise ValueError("request ids must be unique within a batch")
+        self._reject_stray_replies()
         for rid, path in requests:
             self._send(rid, path)
         outstanding = set(ids)
         results = {}
+        deadline = time.monotonic() + self._timeout
         while outstanding:
-            rid, caption = self._next_response(outstanding)
+            rid, caption = self._next_response(outstanding, results, deadline)
             outstanding.discard(rid)
             results[rid] = caption
+            deadline = time.monotonic() + self._timeout
         return results
 
     def caption(self, image_path) -> str:

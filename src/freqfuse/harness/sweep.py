@@ -2,8 +2,9 @@
 
 For each cutoff the batch of images is decomposed, one frequency branch is
 exported (clamped to 8-bit), captioned by the oracle process, and scored
-against ground truth. One CSV row per cutoff; results are all-or-nothing,
-a failure anywhere emits no partial rows.
+against ground truth. One oracle process serves the whole sweep, so each
+image id is sent once per cutoff. One CSV row per cutoff; results are
+all-or-nothing, a failure anywhere emits no partial rows.
 """
 
 import dataclasses
@@ -138,7 +139,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     branch = 0 if config.mode == MODE_LOW else 1
 
     rows = []
-    with tempfile.TemporaryDirectory(prefix="freqfuse-sweep-") as tmp:
+    # the oracle starts up while the first cutoff is decomposed and exported
+    with (
+        tempfile.TemporaryDirectory(prefix="freqfuse-sweep-") as tmp,
+        CaptionOracle(
+            config.oracle, timeout=config.timeout, prompt=config.prompt
+        ) as oracle,
+    ):
         for cutoff in config.cutoffs:
             batch = []
             for image_id, image in zip(ids, originals):
@@ -146,10 +153,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 out_path = Path(tmp) / f"{image_id}-{cutoff:g}.ppm"
                 save_image(filtered, out_path)
                 batch.append((image_id, out_path))
-            with CaptionOracle(
-                config.oracle, timeout=config.timeout, prompt=config.prompt
-            ) as oracle:
-                captions = oracle.caption_batch(batch)
+            captions = oracle.caption_batch(batch)
             records = [
                 CaptionRecord(
                     id=image_id,

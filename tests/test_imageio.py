@@ -1,6 +1,7 @@
 """Image codec tests: PPM and PNG, including hand-filtered PNG streams."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -212,6 +213,47 @@ def test_png_rejects_corrupt_deflate(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(ImageDecodeError, match="deflate"):
         load_image(path)
+
+
+def test_png_rejects_truncated_deflate(tmp_path):
+    pixels = (random_image(9, 2, 2) * 255).astype(np.uint8)
+    blob = build_png(pixels, [0, 0])
+    ihdr = blob[len(PNG_SIGNATURE) + 8 : len(PNG_SIGNATURE) + 21]
+    raw = b"".join(b"\x00" + pixels[r].tobytes() for r in range(2))
+    path = tmp_path / "short.png"
+    # every pixel byte is there, only the stream's adler32 trailer is missing
+    path.write_bytes(
+        PNG_SIGNATURE
+        + png_chunk(b"IHDR", ihdr)
+        + png_chunk(b"IDAT", zlib.compress(raw)[:-4])
+        + png_chunk(b"IEND", b"")
+    )
+    with pytest.raises(ImageDecodeError, match="deflate"):
+        load_image(path)
+
+
+def test_png_inflate_is_capped_by_the_header(tmp_path):
+    # a 1x1 header over 64 MiB of deflated zeros: about 64 KB on disk
+    deflater = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    idat = b"".join(deflater.compress(zeros) for _ in range(64)) + deflater.flush()
+    ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0)
+    path = tmp_path / "bomb.png"
+    path.write_bytes(
+        PNG_SIGNATURE
+        + png_chunk(b"IHDR", ihdr)
+        + png_chunk(b"IDAT", idat)
+        + png_chunk(b"IEND", b"")
+    )
+    del idat, zeros
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageDecodeError, match="exceeds"):
+            load_image(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_missing_file_raises_oserror(tmp_path):

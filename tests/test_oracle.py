@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -75,6 +76,33 @@ PROMPT_ECHO = """
 import sys, json
 r = json.loads(sys.stdin.readline())
 print(json.dumps({"id": r["id"], "caption": r["prompt"]}), flush=True)
+"""
+
+BLANK_LINES_FOREVER = """
+import sys, time
+sys.stdin.readline()
+while True:
+    print(flush=True)
+    time.sleep(0.1)
+"""
+
+DUPLICATE_IN_SECOND_BATCH = """
+import sys, json
+r = json.loads(sys.stdin.readline())
+print(json.dumps({"id": r["id"], "caption": "first"}), flush=True)
+reqs = [json.loads(sys.stdin.readline()) for _ in range(2)]
+line = json.dumps({"id": reqs[0]["id"], "caption": "again"})
+print(line, flush=True)
+print(line, flush=True)
+"""
+
+# both copies of the reply go out in one write, so they arrive together
+REPLY_TWICE = """
+import sys, json
+for request in sys.stdin:
+    line = json.dumps({"id": json.loads(request)["id"], "caption": "c"}) + "\\n"
+    sys.stdout.write(line + line)
+    sys.stdout.flush()
 """
 
 BLANK_LINES = """
@@ -157,6 +185,37 @@ def test_spawn_failure():
 def test_blank_lines_tolerated():
     with CaptionOracle(child(BLANK_LINES)) as oracle:
         assert oracle.caption("x.ppm") == "after blank"
+
+
+def test_blank_lines_do_not_extend_the_timeout():
+    start = time.monotonic()
+    with CaptionOracle(child(BLANK_LINES_FOREVER), timeout=0.5, shutdown_grace=0.2) as oracle:
+        with pytest.raises(OracleTimeoutError, match="0.5"):
+            oracle.caption("x.ppm")
+    assert time.monotonic() - start < 3.0
+
+
+def test_one_oracle_answers_repeated_batches(tmp_path):
+    batch = [("a", tmp_path / "x.ppm"), ("b", tmp_path / "y.ppm")]
+    with CaptionOracle(child(ECHO_IMAGE)) as oracle:
+        first = oracle.caption_batch(batch)
+        second = oracle.caption_batch(batch)
+    assert first == second
+    assert first["a"].endswith("x.ppm") and first["b"].endswith("y.ppm")
+
+
+def test_duplicate_response_id_rejected_in_a_later_batch():
+    with CaptionOracle(child(DUPLICATE_IN_SECOND_BATCH)) as oracle:
+        assert oracle.caption_batch([("a", "x.ppm")]) == {"a": "first"}
+        with pytest.raises(OracleProtocolError, match="duplicate response id 'a'"):
+            oracle.caption_batch([("a", "x.ppm"), ("b", "y.ppm")])
+
+
+def test_stray_reply_rejected_when_the_next_batch_starts():
+    with CaptionOracle(child(REPLY_TWICE)) as oracle:
+        assert oracle.caption_batch([("a", "x.ppm")]) == {"a": "c"}
+        with pytest.raises(OracleProtocolError, match="line 2: reply with no request"):
+            oracle.caption_batch([("a", "x.ppm")])
 
 
 def test_duplicate_request_ids_rejected_locally():

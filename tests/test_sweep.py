@@ -160,6 +160,37 @@ def test_energy_sweep_rate_rises_with_cutoff(tmp_path):
     assert all(b >= a for a, b in zip(chair_i, chair_i[1:]))
 
 
+def test_one_oracle_process_serves_the_whole_sweep(tmp_path):
+    paths = small_images(tmp_path, ["a", "b"])
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    starts = tmp_path / "starts.log"
+    # the captioner logs its start-up, then serves the gt mock
+    script = (
+        "import sys\n"
+        f"open({str(starts)!r}, 'a').write('start\\n')\n"
+        "from freqfuse.harness.cli import main\n"
+        f"sys.exit(main(['mock-oracle', '--mode', 'gt', '--ground-truth', {gt!r}]))\n"
+    )
+    config = SweepConfig(
+        mode="high",
+        cutoffs=(1, 5, 30),
+        images=paths,
+        oracle=[sys.executable, "-c", script],
+        ground_truth=gt,
+    )
+    csv = run_sweep(config).to_csv()
+    assert starts.read_text() == "start\n"
+    assert csv == (
+        "cutoff,chair_i,chair_s,n\n"
+        "1,0.000000,0.000000,2\n"
+        "5,0.000000,0.000000,2\n"
+        "30,0.000000,0.000000,2\n"
+    )
+
+
 def test_missing_ground_truth_id_fails_before_captioning(tmp_path):
     paths = small_images(tmp_path, ["a"])
     gt = write_jsonl(tmp_path / "gt.jsonl", [{"id": "other", "ground_truth": []}])
