@@ -23,12 +23,15 @@ from .metrics import (
 )
 from .spectral import (
     AttenuationSpec,
+    ImageSpectrum,
     attenuation_matrix,
     decompose,
     decompose_attenuated,
     dft2d,
+    filter_branch,
     gaussian_masks,
     idft2d,
+    image_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -41,6 +44,7 @@ __all__ = [
     "FusionGradients",
     "FusionParams",
     "FusionTrace",
+    "ImageSpectrum",
     "PopeRecord",
     "SynonymTable",
     "attenuation_matrix",
@@ -49,6 +53,7 @@ __all__ = [
     "decompose_attenuated",
     "dft2d",
     "extract_objects",
+    "filter_branch",
     "fit_demo",
     "fuse_backward",
     "fuse_sequence",
@@ -56,6 +61,7 @@ __all__ = [
     "gaussian_masks",
     "gradient_check",
     "idft2d",
+    "image_spectrum",
     "init_params",
     "patch_tokens",
     "pope_f1",

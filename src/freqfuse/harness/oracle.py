@@ -11,6 +11,7 @@ deterministic stand-ins for a real captioning model.
 
 import collections
 import json
+import queue
 import shlex
 import subprocess
 import threading
@@ -72,8 +73,12 @@ class CaptionOracle:
         self._arrived = threading.Condition()
         self._line_no = 0
         self._counter = 0
+        # request lines for the writer; None asks it to close stdin
+        self._outbox = queue.Queue()
         reader = threading.Thread(target=self._pump, daemon=True)
         reader.start()
+        self._writer = threading.Thread(target=self._drain, daemon=True)
+        self._writer.start()
 
     def _pump(self):
         # all lines of one read land together, so a reply the child wrote
@@ -90,6 +95,22 @@ class CaptionOracle:
             self._eof = True
             self._arrived.notify()
 
+    def _drain(self):
+        # a child that stops reading stdin stalls this thread, not the
+        # batch, whose reply deadline still fires
+        stdin = self._proc.stdin
+        try:
+            while (line := self._outbox.get()) is not None:
+                stdin.write(line)
+                if self._outbox.empty():
+                    stdin.flush()
+        except OSError:
+            pass  # the child closed stdin; its unanswered requests show as EOF or timeout
+        try:
+            stdin.close()
+        except OSError:
+            pass
+
     def __enter__(self):
         return self
 
@@ -97,13 +118,13 @@ class CaptionOracle:
         self.close()
 
     def close(self):
-        if self._proc.stdin and not self._proc.stdin.closed:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
+        """Close stdin once every queued request is written, and give the
+        child the grace period, in all, to take them and exit; then kill it."""
+        deadline = time.monotonic() + self._grace
+        self._outbox.put(None)
+        self._writer.join(self._grace)
         try:
-            self._proc.wait(timeout=self._grace)
+            self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
@@ -114,11 +135,7 @@ class CaptionOracle:
             "image": str(Path(image_path).resolve()),
             "prompt": self._prompt,
         }
-        try:
-            self._proc.stdin.write(json.dumps(payload).encode() + b"\n")
-            self._proc.stdin.flush()
-        except (OSError, ValueError) as exc:
-            raise OracleProtocolError(f"oracle stdin closed early: {exc}") from None
+        self._outbox.put(json.dumps(payload).encode() + b"\n")
 
     def _take_line(self):
         # the caller holds self._arrived and has seen a line waiting

@@ -1,10 +1,11 @@
 """Cutoff-frequency sweep: caption filtered images, score hallucinations.
 
-For each cutoff the batch of images is decomposed, one frequency branch is
-exported (clamped to 8-bit), captioned by the oracle process, and scored
-against ground truth. One oracle process serves the whole sweep, so each
-image id is sent once per cutoff. One CSV row per cutoff; results are
-all-or-nothing, a failure anywhere emits no partial rows.
+Each image is loaded and transformed once; the sweep keeps its spectrum, not
+its pixels. For each cutoff only the branch the mode names is inverted from
+that spectrum, exported (clamped to 8-bit), captioned by the oracle process,
+and scored against ground truth. One oracle process serves the whole sweep,
+so each image id is sent once per cutoff. One CSV row per cutoff; results
+are all-or-nothing, a failure anywhere emits no partial rows.
 """
 
 import dataclasses
@@ -14,13 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..metrics import CaptionRecord, SynonymTable, chair, extract_objects
-from ..spectral import decompose
+from ..spectral import BRANCHES, filter_branch, image_spectrum
 from .formats import DataFormatError, bundled_synonyms_path, load_ground_truth
 from .imageio import load_image, save_image
 from .oracle import DEFAULT_PROMPT, DEFAULT_TIMEOUT, CaptionOracle
-
-MODE_LOW = "low"
-MODE_HIGH = "high"
 
 
 @dataclass(frozen=True)
@@ -31,13 +29,12 @@ class SweepConfig:
     oracle: str
     ground_truth: str
     synonyms: str = None
-    seed: int = 0
     timeout: float = DEFAULT_TIMEOUT
     prompt: str = DEFAULT_PROMPT
 
     def __post_init__(self):
-        if self.mode not in (MODE_LOW, MODE_HIGH):
-            raise ValueError(f"mode must be '{MODE_LOW}' or '{MODE_HIGH}', got {self.mode!r}")
+        if self.mode not in BRANCHES:
+            raise ValueError(f"mode must be 'low' or 'high', got {self.mode!r}")
         cutoffs = tuple(float(c) for c in self.cutoffs)
         if not cutoffs:
             raise ValueError("cutoffs must be non-empty")
@@ -135,11 +132,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             canonical.add(target)
         ground_truth[image_id] = canonical
 
-    originals = [load_image(p) for p in config.images]
-    branch = 0 if config.mode == MODE_LOW else 1
+    spectra = [image_spectrum(load_image(p)) for p in config.images]
 
     rows = []
-    # the oracle starts up while the first cutoff is decomposed and exported
+    # the oracle starts up while the first cutoff is filtered and exported
     with (
         tempfile.TemporaryDirectory(prefix="freqfuse-sweep-") as tmp,
         CaptionOracle(
@@ -148,8 +144,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     ):
         for cutoff in config.cutoffs:
             batch = []
-            for image_id, image in zip(ids, originals):
-                filtered = decompose(image, cutoff)[branch]
+            for image_id, spectrum in zip(ids, spectra):
+                filtered = filter_branch(spectrum, cutoff, config.mode)
                 out_path = Path(tmp) / f"{image_id}-{cutoff:g}.ppm"
                 save_image(filtered, out_path)
                 batch.append((image_id, out_path))

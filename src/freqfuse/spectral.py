@@ -1,11 +1,15 @@
 """Frequency-domain decomposition of RGB images.
 
-An image is an (h, w, 3) float array with intensities in [0, 1]. One real
-forward transform (rfft2) covers all three channels; each branch weights that
-half spectrum by a Gaussian low- or high-pass mask on the centered frequency
-grid, times an optional damping gain, and returns through one normalized
-inverse (irfft2). The masks are exact complements, so undamped components sum
-back to the image. Outputs are not clamped to [0, 1]; export clamps.
+An image is an (h, w, 3) float array with intensities in [0, 1]. The split
+has two steps. image_spectrum validates the image and takes one real forward
+transform (rfft2) over all three channels. filter_branch weights that half
+spectrum by a Gaussian low- or high-pass mask on the centered frequency grid
+and returns through one normalized inverse (irfft2); it leaves the spectrum
+as it was, so a sweep transforms each image once for all its cutoffs.
+decompose returns both branches from one forward transform, and
+decompose_attenuated also multiplies each mask by a damping gain. The masks
+are exact complements, so undamped components sum back to the image.
+Outputs are not clamped to [0, 1]; export clamps.
 """
 
 from dataclasses import dataclass
@@ -14,6 +18,8 @@ import numpy as np
 
 DEFAULT_CUTOFF = 30.0
 DEFAULT_GAMMA = 0.23
+
+BRANCHES = ("low", "high")
 
 MODE_RANDOM = "random"
 MODE_CONSTANT = "constant"
@@ -115,26 +121,67 @@ def gaussian_masks(h: int, w: int, cutoff: float):
     return low, high
 
 
-def _split(arr, cutoff, low_gain, high_gain):
-    """(low, high) of a validated image, all channels at once.
+@dataclass(frozen=True)
+class ImageSpectrum:
+    """Half spectrum of a validated image: rfft2 over the two pixel axes.
 
-    Gains are scalars or centered (h, w, 1) / (h, w, 3) arrays. Each weight
-    mask * gain is made Hermitian, (g(k) + g(-k)) / 2, the filter that the
-    real part of a complex inverse applies, so irfft2 gives it exactly.
+    half: complex (h, w // 2 + 1, 3) array, all channels at once.
+    shape: (h, w) of the image, which irfft2 needs back for odd widths.
     """
-    h, w, _ = arr.shape
+
+    half: np.ndarray
+    shape: tuple
+
+
+def image_spectrum(image) -> ImageSpectrum:
+    """Validate an (h, w, 3) image and take its forward transform once."""
+    return _forward(validate_image(image))
+
+
+def _forward(arr):
+    return ImageSpectrum(np.fft.rfft2(arr, axes=(0, 1)), arr.shape[:2])
+
+
+def _weight(mask, gain):
+    """Hermitian weight of one branch on the unshifted half grid.
+
+    mask is centered (h, w); gain is a scalar or a centered (h, w, 1) /
+    (h, w, 3) array. mask * gain is made Hermitian, (g(k) + g(-k)) / 2, the
+    filter that the real part of a complex inverse applies, so irfft2 gives
+    it exactly.
+    """
+    h, w = mask.shape
     half = w // 2 + 1
-    rows = -np.arange(h) % h
-    cols = -np.arange(half) % w
-    weights = []
-    for mask, gain in zip(gaussian_masks(h, w, cutoff), (low_gain, high_gain)):
-        g = np.fft.ifftshift(mask[:, :, None] * gain, axes=(0, 1))
-        weights.append((g[:, :half] + g[rows[:, None], cols]) / 2.0)
-    # the spectrum after the smaller weights: over many calls this order
-    # fragments the heap less, so peak RSS stays lower
-    spectrum = np.fft.rfft2(arr, axes=(0, 1))
-    return tuple(np.fft.irfft2(spectrum * weight, s=(h, w), axes=(0, 1))
-                 for weight in weights)
+    g = np.fft.ifftshift(mask[:, :, None] * gain, axes=(0, 1))
+    return (g[:, :half] + g[(-np.arange(h) % h)[:, None], -np.arange(half) % w]) / 2.0
+
+
+def _inverse(spectrum, weight):
+    return np.fft.irfft2(spectrum.half * weight, s=spectrum.shape, axes=(0, 1))
+
+
+def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndarray:
+    """One branch, "low" or "high", of the image behind spectrum at cutoff.
+
+    Bit-identical to the matching output of decompose(image, cutoff), from
+    one inverse transform. The spectrum is not modified, so one spectrum
+    serves any number of cutoffs.
+    """
+    if which not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}, got {which!r}")
+    mask = gaussian_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
+    return _inverse(spectrum, _weight(mask, 1.0))
+
+
+def _split(arr, cutoff, low_gain, high_gain):
+    """(low, high) of a validated image from one forward transform."""
+    masks = gaussian_masks(*arr.shape[:2], cutoff)
+    weights = [_weight(mask, gain) for mask, gain in zip(masks, (low_gain, high_gain))]
+    # the spectrum after the smaller weights, and the masks held until the
+    # inverses are done: over many calls this order fragments the heap
+    # least, so peak RSS stays lower
+    spectrum = _forward(arr)
+    return tuple(_inverse(spectrum, weight) for weight in weights)
 
 
 def decompose(image, cutoff: float = DEFAULT_CUTOFF):

@@ -251,7 +251,6 @@ def test_sweep_determinism(tmp_path):
             images=paths,
             oracle=mock_command("--mode", "gt", "--ground-truth", gt),
             ground_truth=gt,
-            seed=7,
         )
         first = run_sweep(config).to_csv().encode()
         second = run_sweep(config).to_csv().encode()

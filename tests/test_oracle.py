@@ -105,6 +105,11 @@ for request in sys.stdin:
     sys.stdout.flush()
 """
 
+NEVER_READS = """
+import time
+time.sleep(30)
+"""
+
 BLANK_LINES = """
 import sys, json
 r = json.loads(sys.stdin.readline())
@@ -193,6 +198,16 @@ def test_blank_lines_do_not_extend_the_timeout():
         with pytest.raises(OracleTimeoutError, match="0.5"):
             oracle.caption("x.ppm")
     assert time.monotonic() - start < 3.0
+
+
+def test_child_that_never_reads_stdin_times_out():
+    # 2000 requests fill the stdin pipe long before they are all written
+    batch = [(f"r{i}", f"image-{i:04d}.ppm") for i in range(2000)]
+    start = time.monotonic()
+    with CaptionOracle(child(NEVER_READS), timeout=1, shutdown_grace=0.2) as oracle:
+        with pytest.raises(OracleTimeoutError, match="within 1s"):
+            oracle.caption_batch(batch)
+    assert time.monotonic() - start < 4.0
 
 
 def test_one_oracle_answers_repeated_batches(tmp_path):

@@ -11,8 +11,10 @@ from freqfuse.spectral import (
     decompose,
     decompose_attenuated,
     dft2d,
+    filter_branch,
     gaussian_masks,
     idft2d,
+    image_spectrum,
     validate_image,
 )
 from oracles import (
@@ -200,6 +202,53 @@ def test_decompose_matches_naive_pipeline():
     naive_low, naive_high = naive_decompose(img, 2.0)
     assert np.abs(low - naive_low).max() < 1e-8
     assert np.abs(high - naive_high).max() < 1e-8
+
+
+# spectrum reuse: image_spectrum once, filter_branch per cutoff
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.integers(min_value=1, max_value=16),
+    w=st.integers(min_value=1, max_value=16),
+    cutoff=st.floats(min_value=0.5, max_value=20.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_filter_branch_naive_oracle_property(h, w, cutoff, seed):
+    img = random_image(np.random.default_rng(seed), h, w)
+    spectrum = image_spectrum(img)
+    for got, want in zip((filter_branch(spectrum, cutoff, "low"),
+                          filter_branch(spectrum, cutoff, "high")),
+                         naive_decompose(img, cutoff)):
+        assert np.abs(got - want).max() < 1e-9
+
+
+@pytest.mark.parametrize("h, w", [(224, 224), (375, 500), (1, 1)])
+def test_filter_branch_bit_identical_to_decompose(h, w):
+    img = random_image(np.random.default_rng(h + w), h, w)
+    spectrum = image_spectrum(img)
+    for cutoff in (1.0, 30.0, 120.0):
+        for which, want in zip(("low", "high"), decompose(img, cutoff)):
+            assert np.array_equal(filter_branch(spectrum, cutoff, which), want)
+
+
+def test_filter_branch_leaves_the_spectrum_alone():
+    spectrum = image_spectrum(random_image(np.random.default_rng(15), 9, 10))
+    before = spectrum.half.copy()
+    for which in ("low", "high", "low"):
+        filter_branch(spectrum, 4.0, which)
+    assert np.array_equal(spectrum.half, before)
+    assert spectrum.shape == (9, 10)
+
+
+def test_spectrum_and_branch_reject_bad_input():
+    with pytest.raises(ValueError, match="intensities"):
+        image_spectrum(np.full((2, 2, 3), 1.5))
+    spectrum = image_spectrum(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="branch"):
+        filter_branch(spectrum, 5.0, "both")
+    with pytest.raises(ValueError, match="cutoff"):
+        filter_branch(spectrum, 0.0, "low")
 
 
 def test_validate_image_rejects_bad_input():

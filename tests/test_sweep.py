@@ -3,6 +3,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from freqfuse.harness.formats import DataFormatError
@@ -88,6 +89,9 @@ def test_config_from_json_rejects_unknown_and_missing_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"mode": "low", "bogus": 1}))
     with pytest.raises(DataFormatError, match="unknown config keys"):
+        SweepConfig.from_json(path)
+    path.write_text(json.dumps({"mode": "low", "seed": 0}))
+    with pytest.raises(DataFormatError, match=r"unknown config keys \['seed'\]"):
         SweepConfig.from_json(path)
     path.write_text(json.dumps({"mode": "low"}))
     with pytest.raises(DataFormatError, match="missing config keys"):
@@ -183,6 +187,43 @@ def test_one_oracle_process_serves_the_whole_sweep(tmp_path):
     )
     csv = run_sweep(config).to_csv()
     assert starts.read_text() == "start\n"
+    assert csv == (
+        "cutoff,chair_i,chair_s,n\n"
+        "1,0.000000,0.000000,2\n"
+        "5,0.000000,0.000000,2\n"
+        "30,0.000000,0.000000,2\n"
+    )
+
+
+def test_one_forward_transform_per_image(tmp_path, monkeypatch):
+    paths = small_images(tmp_path, ["a", "b"])
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    calls = {"rfft2": 0, "irfft2": 0}
+
+    def counted(name):
+        original = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    config = SweepConfig(
+        mode="high",
+        cutoffs=(1, 5, 30),
+        images=paths,
+        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    csv = run_sweep(config).to_csv()
+    # 2 images: one forward transform each, one inverse per image per cutoff
+    assert calls == {"rfft2": 2, "irfft2": 6}
     assert csv == (
         "cutoff,chair_i,chair_s,n\n"
         "1,0.000000,0.000000,2\n"
