@@ -82,28 +82,6 @@ def stable_softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_vector(name, value, dim):
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (dim,):
-        raise ValueError(f"{name} must have length {dim}, got shape {arr.shape}")
-    return arr
-
-
-def fuse_token(v_o, v_l, v_h, params: FusionParams):
-    """Fuse one position. Returns (fused vector, FusionTrace)."""
-    dim = params.dim
-    v_o = _check_vector("v_o", v_o, dim)
-    v_l = _check_vector("v_l", v_l, dim)
-    v_h = _check_vector("v_h", v_h, dim)
-
-    q = v_o @ params.w_q
-    scores = np.array([q @ (v_l @ params.w_k), q @ (v_h @ params.w_k)])
-    scores /= np.sqrt(dim)
-    weights = stable_softmax(scores)
-    pre = weights[0] * (v_l @ params.w_v) + weights[1] * (v_h @ params.w_v)
-    return pre + v_o, FusionTrace(scores=scores, weights=weights, pre_residual=pre)
-
-
 def _check_sequence(name, value, dim):
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != dim:
@@ -134,7 +112,19 @@ def _forward(v_o, v_l, v_h, params):
     vals_l = v_l @ params.w_v
     vals_h = v_h @ params.w_v
     pre = weights[:, :1] * vals_l + weights[:, 1:] * vals_h
-    return q, k_l, k_h, weights, vals_l, vals_h, pre
+    return q, k_l, k_h, scores, weights, vals_l, vals_h, pre
+
+
+def fuse_token(v_o, v_l, v_h, params: FusionParams):
+    """Fuse one position, as fuse_sequence with L = 1. Returns (fused, FusionTrace)."""
+    # a leading axis makes a (dim,) vector a one-position sequence; any
+    # other shape then fails the (L, dim) check
+    v_o, v_l, v_h = _check_triple(
+        *(np.asarray(v, dtype=float)[None] for v in (v_o, v_l, v_h)), params
+    )
+    _, _, _, scores, weights, _, _, pre = _forward(v_o, v_l, v_h, params)
+    trace = FusionTrace(scores=scores[0], weights=weights[0], pre_residual=pre[0])
+    return pre[0] + v_o[0], trace
 
 
 def fuse_sequence(v_o, v_l, v_h, params: FusionParams) -> np.ndarray:
@@ -153,7 +143,7 @@ def fuse_backward(v_o, v_l, v_h, params: FusionParams, upstream) -> FusionGradie
             f"upstream has {g.shape[0]} positions, inputs have {v_o.shape[0]}"
         )
     scale = 1.0 / np.sqrt(params.dim)
-    q, k_l, k_h, weights, vals_l, vals_h, _ = _forward(v_o, v_l, v_h, params)
+    q, k_l, k_h, _, weights, vals_l, vals_h, _ = _forward(v_o, v_l, v_h, params)
 
     # value path
     d_weights = np.stack([(g * vals_l).sum(axis=1), (g * vals_h).sum(axis=1)], axis=1)

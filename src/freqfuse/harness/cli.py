@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(parser, flag, value):
-    if value <= 0:
+    if not value > 0:  # NaN too
         parser.error(f"{flag} must be positive, got {value:g}")
 
 
@@ -151,7 +151,7 @@ def cmd_sweep(parser, args):
 
 
 def cmd_mock_oracle(parser, args):
-    if args.threshold < 0:
+    if not args.threshold >= 0:
         parser.error(f"--threshold must be non-negative, got {args.threshold:g}")
     objects = tuple(o.strip() for o in args.objects.split(",") if o.strip())
     ground_truth = load_ground_truth(args.ground_truth) if args.ground_truth else None

@@ -41,18 +41,16 @@ def _require(record, key, kind, path, line_no):
     return value
 
 
-def _canonical_set(names, table, path, line_no):
+def canonical_set(names, table, where):
+    """Canonical classes of ground-truth names; errors start with `where`."""
     out = set()
     for name in names:
         if not isinstance(name, str):
-            raise DataFormatError(
-                f"{path}:{line_no}: ground-truth entries must be strings"
-            )
+            raise DataFormatError(f"{where}: ground-truth entries must be strings")
         canonical = table.canonicalize(name)
         if canonical is None:
             raise DataFormatError(
-                f"{path}:{line_no}: unknown object class {name!r} "
-                "(not in the synonym table)"
+                f"{where}: unknown object class {name!r} (not in the synonym table)"
             )
         out.add(canonical)
     return out
@@ -61,8 +59,8 @@ def _canonical_set(names, table, path, line_no):
 def load_caption_records(path, table):
     """Captions JSONL {"id","caption","ground_truth":[...]} -> CaptionRecords.
 
-    Captions go through synonym extraction; ground-truth names must resolve
-    to canonical classes in the table.
+    Captions go through synonym extraction; each ground-truth name must be a
+    surface form in the table and is stored as its canonical class.
     """
     records = []
     for line_no, record in _iter_jsonl(path):
@@ -73,7 +71,7 @@ def load_caption_records(path, table):
             CaptionRecord(
                 id=rid,
                 mentioned=extract_objects(caption, table),
-                ground_truth=_canonical_set(gt_names, table, path, line_no),
+                ground_truth=canonical_set(gt_names, table, f"{path}:{line_no}"),
             )
         )
     if not records:

@@ -72,11 +72,10 @@ class CaptionOracle:
         self._eof = False
         self._arrived = threading.Condition()
         self._line_no = 0
-        self._counter = 0
         # request lines for the writer; None asks it to close stdin
         self._outbox = queue.Queue()
-        reader = threading.Thread(target=self._pump, daemon=True)
-        reader.start()
+        self._reader = threading.Thread(target=self._pump, daemon=True)
+        self._reader.start()
         self._writer = threading.Thread(target=self._drain, daemon=True)
         self._writer.start()
 
@@ -94,6 +93,7 @@ class CaptionOracle:
                 self._lines.append(tail)
             self._eof = True
             self._arrived.notify()
+        self._proc.stdout.close()  # not left open for the garbage collector
 
     def _drain(self):
         # a child that stops reading stdin stalls this thread, not the
@@ -119,7 +119,8 @@ class CaptionOracle:
 
     def close(self):
         """Close stdin once every queued request is written, and give the
-        child the grace period, in all, to take them and exit; then kill it."""
+        child the grace period, in all, to take them and exit; then kill it.
+        The reader closes stdout at its end, awaited up to the same deadline."""
         deadline = time.monotonic() + self._grace
         self._outbox.put(None)
         self._writer.join(self._grace)
@@ -128,6 +129,7 @@ class CaptionOracle:
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
+        self._reader.join(max(deadline - time.monotonic(), 0.0))
 
     def _send(self, request_id, image_path):
         payload = {
@@ -220,18 +222,6 @@ class CaptionOracle:
             results[rid] = caption
             deadline = time.monotonic() + self._timeout
         return results
-
-    def caption(self, image_path) -> str:
-        """Single-image convenience around caption_batch."""
-        self._counter += 1
-        rid = f"req-{self._counter}"
-        return self.caption_batch([(rid, image_path)])[rid]
-
-
-def oracle_caption(command, image_path, timeout=DEFAULT_TIMEOUT, prompt=DEFAULT_PROMPT):
-    """Spawn, ask for one caption, and shut the oracle down."""
-    with CaptionOracle(command, timeout=timeout, prompt=prompt) as oracle:
-        return oracle.caption(image_path)
 
 
 def object_sentence(objects) -> str:

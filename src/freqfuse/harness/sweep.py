@@ -10,15 +10,49 @@ are all-or-nothing, a failure anywhere emits no partial rows.
 
 import dataclasses
 import json
+import math
+import numbers
+import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..metrics import CaptionRecord, SynonymTable, chair, extract_objects
 from ..spectral import BRANCHES, filter_branch, image_spectrum
-from .formats import DataFormatError, bundled_synonyms_path, load_ground_truth
+from .formats import (
+    DataFormatError,
+    bundled_synonyms_path,
+    canonical_set,
+    load_ground_truth,
+)
 from .imageio import load_image, save_image
 from .oracle import DEFAULT_PROMPT, DEFAULT_TIMEOUT, CaptionOracle
+
+
+def _number(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _path(x):
+    return isinstance(x, (str, os.PathLike))
+
+
+def _list_of(ok):
+    return lambda x: isinstance(x, (list, tuple)) and all(map(ok, x))
+
+
+# (field, test, what the test asks for) for every field but mode
+_FIELD_TYPES = (
+    ("cutoffs", _list_of(_number), "a list of numbers"),
+    ("images", _list_of(_path), "a list of paths"),
+    ("oracle", lambda x: isinstance(x, str) or _list_of(_path)(x),
+     "a command string or a list of arguments"),
+    ("ground_truth", _path, "a path"),
+    ("synonyms", lambda x: x is None or _path(x), "a path"),
+    ("timeout", lambda x: _number(x) and 0 < x < math.inf,
+     "a positive, finite number of seconds"),
+    ("prompt", lambda x: isinstance(x, str), "a string"),
+)
 
 
 @dataclass(frozen=True)
@@ -33,12 +67,17 @@ class SweepConfig:
     prompt: str = DEFAULT_PROMPT
 
     def __post_init__(self):
+        # every field is checked here, before any file is read or the oracle starts
         if self.mode not in BRANCHES:
             raise ValueError(f"mode must be 'low' or 'high', got {self.mode!r}")
+        for key, ok, expected in _FIELD_TYPES:
+            value = getattr(self, key)
+            if not ok(value):
+                raise ValueError(f"{key} must be {expected}, got {value!r}")
         cutoffs = tuple(float(c) for c in self.cutoffs)
         if not cutoffs:
             raise ValueError("cutoffs must be non-empty")
-        if any(c <= 0 for c in cutoffs):
+        if not all(c > 0 for c in cutoffs):  # NaN too
             raise ValueError(f"cutoffs must be positive, got {list(cutoffs)}")
         if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
             raise ValueError(f"cutoffs must be strictly increasing, got {list(cutoffs)}")
@@ -65,15 +104,17 @@ class SweepConfig:
         missing = {"mode", "cutoffs", "images", "oracle", "ground_truth"} - set(raw)
         if missing:
             raise DataFormatError(f"{path}: missing config keys {sorted(missing)}")
-        base = path.parent
-        raw["images"] = [str(base / p) for p in raw["images"]]
-        raw["ground_truth"] = str(base / raw["ground_truth"])
-        if raw.get("synonyms") is not None:
-            raw["synonyms"] = str(base / raw["synonyms"])
         try:
-            return cls(**raw)
+            config = cls(**raw)
         except ValueError as exc:
             raise DataFormatError(f"{path}: {exc}") from None
+        base = path.parent
+        return dataclasses.replace(
+            config,
+            images=tuple(str(base / p) for p in config.images),
+            ground_truth=str(base / config.ground_truth),
+            synonyms=None if config.synonyms is None else str(base / config.synonyms),
+        )
 
 
 @dataclass(frozen=True)
@@ -121,16 +162,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             raise DataFormatError(
                 f"{config.ground_truth}: no ground truth for image {image_id!r}"
             )
-        canonical = set()
-        for name in gt_raw[image_id]:
-            target = table.canonicalize(name)
-            if target is None:
-                raise DataFormatError(
-                    f"{config.ground_truth}: unknown object class {name!r} "
-                    f"for image {image_id!r}"
-                )
-            canonical.add(target)
-        ground_truth[image_id] = canonical
+        ground_truth[image_id] = canonical_set(
+            gt_raw[image_id], table, f"{config.ground_truth}: image {image_id!r}"
+        )
 
     spectra = [image_spectrum(load_image(p)) for p in config.images]
 

@@ -65,16 +65,6 @@ class SynonymTable:
             raise ValueError(f"{path}: synonym file must map strings to strings")
         return cls(mapping)
 
-    @classmethod
-    def from_groups(cls, groups):
-        """Build from {canonical: [surface, ...]} groups."""
-        mapping = {}
-        for target, surfaces in groups.items():
-            mapping[target] = target
-            for surface in surfaces:
-                mapping[surface] = target
-        return cls(mapping)
-
     @property
     def canonical_classes(self) -> frozenset:
         return self._canonical
@@ -83,25 +73,22 @@ class SynonymTable:
         """Canonical class for one surface form, or None if unknown."""
         return self._by_tokens.get(_tokenize(name))
 
-    def extract(self, caption: str) -> set:
-        tokens = _tokenize(caption)
-        found = set()
-        i = 0
-        while i < len(tokens):
-            for n in range(min(self._max_len, len(tokens) - i), 0, -1):
-                target = self._by_tokens.get(tokens[i : i + n])
-                if target is not None:
-                    found.add(target)
-                    i += n
-                    break
-            else:
-                i += 1
-        return found
-
 
 def extract_objects(caption: str, table: SynonymTable) -> set:
     """Canonical classes mentioned in a caption, longest surface match first."""
-    return table.extract(caption)
+    tokens = _tokenize(caption)
+    found = set()
+    i = 0
+    while i < len(tokens):
+        for n in range(min(table._max_len, len(tokens) - i), 0, -1):
+            target = table._by_tokens.get(tokens[i : i + n])
+            if target is not None:
+                found.add(target)
+                i += n
+                break
+        else:
+            i += 1
+    return found
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ def gaussian_masks(h: int, w: int, cutoff: float):
     """
     if h < 1 or w < 1:
         raise ValueError(f"mask dimensions must be positive, got {h}x{w}")
-    if cutoff <= 0:
+    if not cutoff > 0:  # NaN too
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     du = np.arange(h) - h // 2
     dv = np.arange(w) - w // 2

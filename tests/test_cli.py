@@ -50,6 +50,22 @@ def test_decompose_negative_cutoff_is_usage_error(tmp_path, capsys):
     assert "--cutoff" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--input", "x.ppm", "--cutoff", "nan",
+         "--out-low", "l.ppm", "--out-high", "h.ppm"),
+        ("fuse-demo", "--input", "x.ppm", "--cutoff", "nan", "--out", "t.bin"),
+        ("gradcheck", "--tol", "nan"),
+        ("mock-oracle", "--mode", "echo", "--threshold", "nan"),
+    ],
+)
+def test_nan_is_a_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "nan" in err
+
+
 def test_decompose_missing_input_is_data_error(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -87,6 +87,15 @@ def test_fuse_token_rejects_mismatched_lengths():
         fuse_token(np.zeros(3), np.zeros(2), np.zeros(3), params)
 
 
+@pytest.mark.parametrize("shape", [(1, 3), ()])
+def test_fuse_token_rejects_non_vectors(shape):
+    params = init_params(3, 0)
+    with pytest.raises(ValueError, match="shape"):
+        fuse_token(np.zeros(shape), np.zeros(3), np.zeros(3), params)
+    with pytest.raises(ValueError, match="shape"):
+        fuse_token(np.zeros(3), np.zeros(3), np.zeros(shape), params)
+
+
 def test_trace_weights_sum_to_one():
     rng = np.random.default_rng(19)
     params = init_params(4, 7)

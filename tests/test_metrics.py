@@ -73,11 +73,6 @@ def test_rejects_conflicting_surfaces():
         SynonymTable({"hot dog": "hot_dog", "hot  dog": "dog"})
 
 
-def test_from_groups():
-    table = SynonymTable.from_groups({"car": ["sports car", "automobile"]})
-    assert extract_objects("an automobile", table) == {"car"}
-
-
 def test_bundled_table_loads():
     path = importlib.resources.files("freqfuse") / "data" / "synonyms.json"
     table = SynonymTable.from_json(str(path))

@@ -17,13 +17,18 @@ from freqfuse.harness.oracle import (
     OracleTimeoutError,
     mock_oracle_loop,
     object_sentence,
-    oracle_caption,
 )
 from util import random_image, write_jsonl
 
 
 def child(script):
     return [sys.executable, "-c", script]
+
+
+def caption_one(command, image_path, **kwargs):
+    """Start an oracle, caption one image through caption_batch, and close it."""
+    with CaptionOracle(command, **kwargs) as oracle:
+        return oracle.caption_batch([("req-1", image_path)])["req-1"]
 
 
 ECHO_IMAGE = """
@@ -126,16 +131,15 @@ def test_batch_round_trip(tmp_path):
 
 
 def test_image_path_is_made_absolute():
-    with CaptionOracle(child(ECHO_IMAGE)) as oracle:
-        caption = oracle.caption("relative.ppm")
+    caption = caption_one(child(ECHO_IMAGE), "relative.ppm")
     assert caption.startswith("saw /")
 
 
 def test_prompt_is_sent():
-    with CaptionOracle(child(PROMPT_ECHO)) as oracle:
-        assert oracle.caption("x.ppm") == DEFAULT_PROMPT
-    with CaptionOracle(child(PROMPT_ECHO), prompt="count the cats") as oracle:
-        assert oracle.caption("x.ppm") == "count the cats"
+    assert caption_one(child(PROMPT_ECHO), "x.ppm") == DEFAULT_PROMPT
+    assert caption_one(child(PROMPT_ECHO), "x.ppm", prompt="count the cats") == (
+        "count the cats"
+    )
 
 
 def test_out_of_order_responses_are_matched():
@@ -151,33 +155,28 @@ def test_duplicate_response_id_rejected():
 
 
 def test_unknown_response_id_rejected():
-    with CaptionOracle(child(UNKNOWN_ID)) as oracle:
-        with pytest.raises(OracleProtocolError, match="unknown response id"):
-            oracle.caption("x.ppm")
+    with pytest.raises(OracleProtocolError, match="unknown response id"):
+        caption_one(child(UNKNOWN_ID), "x.ppm")
 
 
 def test_invalid_json_names_line_number():
-    with CaptionOracle(child(BAD_JSON)) as oracle:
-        with pytest.raises(OracleProtocolError, match="line 1"):
-            oracle.caption("x.ppm")
+    with pytest.raises(OracleProtocolError, match="line 1"):
+        caption_one(child(BAD_JSON), "x.ppm")
 
 
 def test_non_string_caption_rejected():
-    with CaptionOracle(child(BAD_SHAPE)) as oracle:
-        with pytest.raises(OracleProtocolError, match="caption"):
-            oracle.caption("x.ppm")
+    with pytest.raises(OracleProtocolError, match="caption"):
+        caption_one(child(BAD_SHAPE), "x.ppm")
 
 
 def test_timeout(tmp_path):
-    with CaptionOracle(child(SLEEPER), timeout=0.3, shutdown_grace=0.2) as oracle:
-        with pytest.raises(OracleTimeoutError, match="0.3"):
-            oracle.caption(tmp_path / "x.ppm")
+    with pytest.raises(OracleTimeoutError, match="0.3"):
+        caption_one(child(SLEEPER), tmp_path / "x.ppm", timeout=0.3, shutdown_grace=0.2)
 
 
 def test_early_exit_reported():
-    with CaptionOracle(child("pass")) as oracle:
-        with pytest.raises(OracleProtocolError, match="unanswered"):
-            oracle.caption("x.ppm")
+    with pytest.raises(OracleProtocolError, match="unanswered"):
+        caption_one(child("pass"), "x.ppm")
 
 
 def test_spawn_failure():
@@ -188,15 +187,13 @@ def test_spawn_failure():
 
 
 def test_blank_lines_tolerated():
-    with CaptionOracle(child(BLANK_LINES)) as oracle:
-        assert oracle.caption("x.ppm") == "after blank"
+    assert caption_one(child(BLANK_LINES), "x.ppm") == "after blank"
 
 
 def test_blank_lines_do_not_extend_the_timeout():
     start = time.monotonic()
-    with CaptionOracle(child(BLANK_LINES_FOREVER), timeout=0.5, shutdown_grace=0.2) as oracle:
-        with pytest.raises(OracleTimeoutError, match="0.5"):
-            oracle.caption("x.ppm")
+    with pytest.raises(OracleTimeoutError, match="0.5"):
+        caption_one(child(BLANK_LINES_FOREVER), "x.ppm", timeout=0.5, shutdown_grace=0.2)
     assert time.monotonic() - start < 3.0
 
 
@@ -208,6 +205,12 @@ def test_child_that_never_reads_stdin_times_out():
         with pytest.raises(OracleTimeoutError, match="within 1s"):
             oracle.caption_batch(batch)
     assert time.monotonic() - start < 4.0
+
+
+def test_close_closes_both_pipes():
+    with CaptionOracle(child(ECHO_IMAGE)) as oracle:
+        oracle.caption_batch([("a", "x.ppm")])
+    assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
 
 
 def test_one_oracle_answers_repeated_batches(tmp_path):
@@ -239,11 +242,6 @@ def test_duplicate_request_ids_rejected_locally():
             oracle.caption_batch([("a", "x.ppm"), ("a", "y.ppm")])
 
 
-def test_oracle_caption_convenience():
-    caption = oracle_caption(child(ECHO_IMAGE), "img.ppm")
-    assert caption.startswith("saw ")
-
-
 # bundled mock, exercised through the real CLI subprocess
 
 
@@ -254,14 +252,14 @@ def mock_command(*extra):
 def test_echo_mode_subprocess(tmp_path):
     path = tmp_path / "scene.ppm"
     save_image(random_image(1, 4, 4), path)
-    caption = oracle_caption(mock_command("--mode", "echo"), path)
+    caption = caption_one(mock_command("--mode", "echo"), path)
     assert str(path) in caption
 
 
 def test_energy_mode_zero_image_hallucinates(tmp_path):
     path = tmp_path / "black.ppm"
     save_image(np.zeros((8, 8, 3)), path)
-    caption = oracle_caption(mock_command("--mode", "energy", "--threshold", "0.01"), path)
+    caption = caption_one(mock_command("--mode", "energy", "--threshold", "0.01"), path)
     assert "unicorn" in caption and "dragon" in caption
 
 
@@ -269,11 +267,11 @@ def test_energy_mode_bright_image_stays_clean(tmp_path):
     path = tmp_path / "bright.ppm"
     save_image(np.full((8, 8, 3), 0.9), path)
     gt = write_jsonl(tmp_path / "gt.jsonl", [{"id": "bright", "ground_truth": ["dog"]}])
-    caption = oracle_caption(
+    caption = caption_one(
         mock_command("--mode", "energy", "--threshold", "0.01", "--ground-truth", gt),
         path,
     )
-    # the id of a one-shot request is generated, not "bright": expect empty
+    # the request id is "req-1", not "bright": expect empty
     assert caption == ""
 
 
@@ -289,7 +287,7 @@ def test_gt_mode_batch(tmp_path):
 def test_fixed_mode(tmp_path):
     img = tmp_path / "pic.ppm"
     save_image(random_image(3, 4, 4), img)
-    caption = oracle_caption(mock_command("--mode", "fixed", "--objects", "ghost"), img)
+    caption = caption_one(mock_command("--mode", "fixed", "--objects", "ghost"), img)
     assert caption == "The image shows a ghost."
 
 

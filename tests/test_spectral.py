@@ -149,6 +149,8 @@ def test_mask_rejects_bad_cutoff():
         gaussian_masks(4, 4, 0.0)
     with pytest.raises(ValueError):
         gaussian_masks(4, 4, -5.0)
+    with pytest.raises(ValueError, match="positive"):
+        gaussian_masks(4, 4, float("nan"))
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
 from freqfuse.harness.imageio import save_image
 from freqfuse.harness.sweep import SweepConfig, SweepResult, SweepRow, run_sweep
@@ -57,6 +58,8 @@ def test_config_rejects_bad_cutoffs():
         SweepConfig(cutoffs=(5, 5), **base)
     with pytest.raises(ValueError, match="strictly increasing"):
         SweepConfig(cutoffs=(30, 5), **base)
+    with pytest.raises(ValueError, match="positive"):
+        SweepConfig(cutoffs=(5, float("nan")), **base)
 
 
 def test_config_rejects_empty_images():
@@ -101,6 +104,39 @@ def test_config_from_json_rejects_unknown_and_missing_keys(tmp_path):
         SweepConfig.from_json(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("timeout", "60"),
+        ("timeout", -1),
+        ("timeout", 0),
+        ("cutoffs", 5),
+        ("cutoffs", ["5"]),
+        ("cutoffs", [float("nan")]),
+        ("images", "a.ppm"),
+        ("oracle", 5),
+        ("synonyms", 5),
+        ("ground_truth", 5),
+        ("prompt", 5),
+    ],
+)
+def test_config_from_json_rejects_bad_field_types(tmp_path, key, value):
+    raw = {
+        "mode": "low",
+        "cutoffs": [5],
+        "images": ["a.ppm"],
+        "oracle": "definitely-not-spawned",
+        "ground_truth": "gt.jsonl",
+        key: value,
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataFormatError, match=f"{path}: {key} must be"):
+        SweepConfig.from_json(path)
+    # the CLI reports it as a data error before any oracle starts
+    assert main(["sweep", "--config", str(path)]) == 2
+
+
 # sweep runs
 
 
@@ -143,6 +179,21 @@ def test_always_wrong_oracle_scores_one_everywhere(tmp_path):
     result = run_sweep(config)
     assert [row.chair_i for row in result.rows] == [1.0, 1.0]
     assert [row.chair_s for row in result.rows] == [1.0, 1.0]
+
+
+def test_ground_truth_may_name_a_synonym(tmp_path):
+    # "man" is a surface form of the canonical class "person"
+    paths = small_images(tmp_path, ["a"])
+    gt = write_jsonl(tmp_path / "gt.jsonl", [{"id": "a", "ground_truth": ["man"]}])
+    config = SweepConfig(
+        mode="low",
+        cutoffs=(5,),
+        images=paths,
+        oracle=mock_command("--mode", "fixed", "--objects", "person"),
+        ground_truth=gt,
+    )
+    result = run_sweep(config)
+    assert [row.chair_i for row in result.rows] == [0.0]
 
 
 def test_energy_sweep_rate_rises_with_cutoff(tmp_path):
