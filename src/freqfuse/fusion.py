@@ -181,7 +181,7 @@ def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
         raise ValueError("dataset is empty")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if lr < 0:
+    if not lr >= 0:  # NaN too
         raise ValueError(f"lr must be >= 0, got {lr}")
     samples = []
     n_entries = 0

@@ -4,6 +4,13 @@ Loading scales byte values to [0, 1]; saving clamps to [0, 1] and rounds
 half-up to 0..255, so a save/load round trip only quantizes. The format is
 chosen by magic bytes on load and by file extension on save. Only what the
 package needs is supported: maxval-255 PPM and non-interlaced 8-bit RGB PNG.
+
+PNG rows are unfiltered in numpy where the filter allows it: None is a copy,
+Sub is a per-channel cumsum in uint8 (which wraps mod 256, as the filter
+does) over every Sub row at once, and Up is a wrapping add of the row above.
+Average and Paeth stay sequential along each channel of a row, in a loop over
+Python ints: each byte's predictor needs the decoded byte to its left, and
+neither predictor is an associative operation that numpy could scan.
 """
 
 import struct
@@ -160,51 +167,59 @@ def _iter_chunks(data):
         i += 12 + length
 
 
-def _paeth(a, b, c):
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
-
-
 def _unfilter(raw, h, w):
     stride = w * 3
-    out = bytearray(h * stride)
-    prior = bytes(stride)
-    pos = 0
-    for r in range(h):
-        if pos >= len(raw):
-            raise ImageDecodeError("PNG pixel data truncated")
-        filter_type = raw[pos]
-        row = bytearray(raw[pos + 1 : pos + 1 + stride])
-        if len(row) != stride:
-            raise ImageDecodeError("PNG pixel data truncated")
-        pos += 1 + stride
-        if filter_type == 0:
-            pass
-        elif filter_type == 1:
-            for i in range(3, stride):
-                row[i] = (row[i] + row[i - 3]) & 0xFF
-        elif filter_type == 2:
-            for i in range(stride):
-                row[i] = (row[i] + prior[i]) & 0xFF
-        elif filter_type == 3:
-            for i in range(stride):
-                left = row[i - 3] if i >= 3 else 0
-                row[i] = (row[i] + (left + prior[i]) // 2) & 0xFF
-        elif filter_type == 4:
-            for i in range(stride):
-                left = row[i - 3] if i >= 3 else 0
-                upleft = prior[i - 3] if i >= 3 else 0
-                row[i] = (row[i] + _paeth(left, prior[i], upleft)) & 0xFF
-        else:
-            raise ImageDecodeError(f"unknown PNG filter type {filter_type}")
-        out[r * stride : (r + 1) * stride] = row
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride + 1)
+    kinds = lines[:, 0]
+    if kinds.max() > 4:
+        raise ImageDecodeError(f"unknown PNG filter type {kinds[kinds > 4][0]}")
+    out = lines[:, 1:].copy()  # None rows are done
+    # Sub rows need no other row: all at once, a per-channel cumsum that wraps
+    sub = kinds == 1
+    out[sub] = np.cumsum(
+        out[sub].reshape(-1, w, 3), axis=1, dtype=np.uint8
+    ).reshape(-1, stride)
+    prior = np.zeros(stride, np.uint8)
+    for row, kind in zip(out, kinds.tolist()):
+        if kind == 2:
+            row += prior  # uint8 wraps
+        elif kind > 2:
+            predict = _average if kind == 3 else _paeth
+            up = prior.tolist()
+            for ch in range(3):
+                row[ch::3] = predict(row[ch::3].tolist(), up[ch::3])
         prior = row
-    return bytes(out)
+    return out.tobytes()
+
+
+# Average and Paeth predict from the decoded byte to the left, so each runs
+# along one channel of one row: xs are its filtered bytes, ups the decoded
+# bytes above; a is the decoded byte to the left and c the decoded byte above a.
+
+
+def _average(xs, ups):
+    a = 0
+    res = []
+    append = res.append
+    for x, b in zip(xs, ups):
+        a = (x + ((a + b) >> 1)) & 0xFF
+        append(a)
+    return res
+
+
+def _paeth(xs, ups):
+    a = c = 0
+    res = []
+    append = res.append
+    for x, b in zip(xs, ups):
+        p = a + b - c
+        pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+        if pa > pb or pa > pc:  # ties go to a, then b, then c
+            a = b if pb <= pc else c
+        a = (x + a) & 0xFF
+        append(a)
+        c = b
+    return res
 
 
 def _decode_png(data):

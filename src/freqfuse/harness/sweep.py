@@ -2,10 +2,11 @@
 
 Each image is loaded and transformed once; the sweep keeps its spectrum, not
 its pixels. For each cutoff only the branch the mode names is inverted from
-that spectrum, exported (clamped to 8-bit), captioned by the oracle process,
-and scored against ground truth. One oracle process serves the whole sweep,
-so each image id is sent once per cutoff. One CSV row per cutoff; results
-are all-or-nothing, a failure anywhere emits no partial rows.
+that spectrum, through one branch weight per image shape, then exported
+(clamped to 8-bit), captioned by the oracle process, and scored against
+ground truth. One oracle process serves the whole sweep, so each image id
+is sent once per cutoff. One CSV row per cutoff; results are all-or-nothing,
+a failure anywhere emits no partial rows.
 """
 
 import dataclasses
@@ -178,8 +179,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     ):
         for cutoff in config.cutoffs:
             batch = []
+            weights = {}  # one branch weight per image shape at this cutoff
             for image_id, spectrum in zip(ids, spectra):
-                filtered = filter_branch(spectrum, cutoff, config.mode)
+                filtered = filter_branch(spectrum, cutoff, config.mode, weights)
                 out_path = Path(tmp) / f"{image_id}-{cutoff:g}.ppm"
                 save_image(filtered, out_path)
                 batch.append((image_id, out_path))

@@ -1,15 +1,12 @@
-"""Self-describing binary container for token sequences and fusion params.
+"""Self-describing binary container for token sequences.
 
 Layout, all little-endian: magic b"TOKF", version u32, rows u64, cols u64,
-then rows*cols float64 values row-major. Fusion parameters travel in the
-same container as the (3*dim, dim) stack W_q over W_k over W_v.
+then rows*cols float64 values row-major.
 """
 
 import struct
 
 import numpy as np
-
-from ..fusion import FusionParams
 
 MAGIC = b"TOKF"
 VERSION = 1
@@ -48,16 +45,3 @@ def read_tokens(path) -> np.ndarray:
     values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
     return values.reshape(rows, cols).copy()
 
-
-def write_params(params: FusionParams, path) -> None:
-    write_tokens(np.vstack([params.w_q, params.w_k, params.w_v]), path)
-
-
-def read_params(path) -> FusionParams:
-    stack = read_tokens(path)
-    rows, dim = stack.shape
-    if rows != 3 * dim:
-        raise TokenFileError(
-            f"{path}: parameter stack must be (3*dim, dim), got {rows}x{dim}"
-        )
-    return FusionParams(w_q=stack[:dim], w_k=stack[dim : 2 * dim], w_v=stack[2 * dim :])

@@ -160,17 +160,26 @@ def _inverse(spectrum, weight):
     return np.fft.irfft2(spectrum.half * weight, s=spectrum.shape, axes=(0, 1))
 
 
-def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndarray:
+def filter_branch(
+    spectrum: ImageSpectrum, cutoff: float, which: str, weights: dict = None
+) -> np.ndarray:
     """One branch, "low" or "high", of the image behind spectrum at cutoff.
 
     Bit-identical to the matching output of decompose(image, cutoff), from
     one inverse transform. The spectrum is not modified, so one spectrum
-    serves any number of cutoffs.
+    serves any number of cutoffs. weights, if given, is a dict the caller
+    owns: the branch weight is kept there under (shape, cutoff, which), so
+    images of one shape share one weight.
     """
     if which not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {which!r}")
-    mask = gaussian_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
-    return _inverse(spectrum, _weight(mask, 1.0))
+    if weights is None:
+        weights = {}
+    key = (spectrum.shape, cutoff, which)
+    if key not in weights:
+        mask = gaussian_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
+        weights[key] = _weight(mask, 1.0)
+    return _inverse(spectrum, weights[key])
 
 
 def _split(arr, cutoff, low_gain, high_gain):

@@ -5,6 +5,8 @@ counting) and shares no code with the package under test.
 """
 
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -145,3 +147,114 @@ def recount_pope(pairs):
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     accuracy = (tp + tn) / len(pairs) if pairs else 0.0
     return precision, recall, f1, accuracy
+
+
+# PNG scanline filters (https://www.w3.org/TR/png/, Filtering), byte by byte
+
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+def png_chunk(kind, payload):
+    return (
+        struct.pack(">I", len(payload))
+        + kind
+        + payload
+        + struct.pack(">I", zlib.crc32(kind + payload))
+    )
+
+
+def naive_paeth(a, b, c):
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    if pb <= pc:
+        return b
+    return c
+
+
+def filter_row(filter_type, row, prior):
+    """One filtered scanline (encode direction): the type byte, then the row."""
+    out = bytearray([filter_type])
+    for i in range(len(row)):
+        left = row[i - 3] if i >= 3 else 0
+        up = prior[i]
+        upleft = prior[i - 3] if i >= 3 else 0
+        if filter_type == 0:
+            pred = 0
+        elif filter_type == 1:
+            pred = left
+        elif filter_type == 2:
+            pred = up
+        elif filter_type == 3:
+            pred = (left + up) // 2
+        else:
+            pred = naive_paeth(left, up, upleft)
+        out.append((row[i] - pred) & 0xFF)
+    return bytes(out)
+
+
+def filter_rows(pixels, filter_types):
+    """The inflated PNG stream of an (h, w, 3) uint8 image, one type per row."""
+    h, w, _ = pixels.shape
+    raw = bytearray()
+    prior = bytes(w * 3)
+    for r in range(h):
+        row = pixels[r].tobytes()
+        raw += filter_row(filter_types[r], row, prior)
+        prior = row
+    return bytes(raw)
+
+
+def wrap_png(raw, h, w, depth=8, color=2, interlace=0):
+    """A PNG file around an inflated scanline stream."""
+    ihdr = struct.pack(">IIBBBBB", w, h, depth, color, 0, 0, interlace)
+    return (
+        PNG_SIGNATURE
+        + png_chunk(b"IHDR", ihdr)
+        + png_chunk(b"IDAT", zlib.compress(raw))
+        + png_chunk(b"IEND", b"")
+    )
+
+
+def build_png(pixels, filter_types, **header):
+    h, w, _ = pixels.shape
+    return wrap_png(filter_rows(pixels, filter_types), h, w, **header)
+
+
+def naive_unfilter(raw, h, w):
+    """Decode an inflated 8-bit RGB PNG stream one byte at a time."""
+    stride = w * 3
+    out = bytearray(h * stride)
+    prior = bytes(stride)
+    pos = 0
+    for r in range(h):
+        if pos >= len(raw):
+            raise ValueError("PNG pixel data truncated")
+        filter_type = raw[pos]
+        row = bytearray(raw[pos + 1 : pos + 1 + stride])
+        if len(row) != stride:
+            raise ValueError("PNG pixel data truncated")
+        pos += 1 + stride
+        if filter_type == 0:
+            pass
+        elif filter_type == 1:
+            for i in range(3, stride):
+                row[i] = (row[i] + row[i - 3]) & 0xFF
+        elif filter_type == 2:
+            for i in range(stride):
+                row[i] = (row[i] + prior[i]) & 0xFF
+        elif filter_type == 3:
+            for i in range(stride):
+                left = row[i - 3] if i >= 3 else 0
+                row[i] = (row[i] + (left + prior[i]) // 2) & 0xFF
+        elif filter_type == 4:
+            for i in range(stride):
+                left = row[i - 3] if i >= 3 else 0
+                upleft = prior[i - 3] if i >= 3 else 0
+                row[i] = (row[i] + naive_paeth(left, prior[i], upleft)) & 0xFF
+        else:
+            raise ValueError(f"unknown PNG filter type {filter_type}")
+        out[r * stride : (r + 1) * stride] = row
+        prior = row
+    return bytes(out)

@@ -294,3 +294,10 @@ def test_fit_zero_lr_keeps_params():
 def test_fit_rejects_empty_dataset():
     with pytest.raises(ValueError):
         fit_demo([], init_params(2, 0), steps=1, lr=0.1)
+
+
+@pytest.mark.parametrize("lr", [-0.1, float("nan")])
+def test_fit_rejects_bad_lr(lr):
+    dataset = make_teacher_problem(2, 3, 44)
+    with pytest.raises(ValueError, match="lr"):
+        fit_demo(dataset, init_params(2, 45), steps=2, lr=lr)

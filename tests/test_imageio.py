@@ -6,13 +6,23 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from freqfuse.harness.cli import main
 from freqfuse.harness.imageio import (
-    PNG_SIGNATURE,
     ImageDecodeError,
     UnsupportedImageError,
     load_image,
     save_image,
+)
+from oracles import (
+    PNG_SIGNATURE,
+    build_png,
+    filter_rows,
+    naive_unfilter,
+    png_chunk,
+    wrap_png,
 )
 from util import random_image
 
@@ -105,66 +115,55 @@ def test_save_rejects_unknown_extension(tmp_path):
 # hand-built PNG streams
 
 
-def png_chunk(kind, payload):
-    return (
-        struct.pack(">I", len(payload))
-        + kind
-        + payload
-        + struct.pack(">I", zlib.crc32(kind + payload))
-    )
-
-
-def filter_row(filter_type, row, prior):
-    # reference implementation of the PNG row filters (encode direction)
-    out = bytearray([filter_type])
-    for i in range(len(row)):
-        left = row[i - 3] if i >= 3 else 0
-        up = prior[i]
-        upleft = prior[i - 3] if i >= 3 else 0
-        if filter_type == 0:
-            pred = 0
-        elif filter_type == 1:
-            pred = left
-        elif filter_type == 2:
-            pred = up
-        elif filter_type == 3:
-            pred = (left + up) // 2
-        else:
-            p = left + up - upleft
-            pa, pb, pc = abs(p - left), abs(p - up), abs(p - upleft)
-            if pa <= pb and pa <= pc:
-                pred = left
-            elif pb <= pc:
-                pred = up
-            else:
-                pred = upleft
-        out.append((row[i] - pred) & 0xFF)
-    return bytes(out)
-
-
-def build_png(pixels, filter_types, depth=8, color=2, interlace=0):
-    h, w, _ = pixels.shape
-    ihdr = struct.pack(">IIBBBBB", w, h, depth, color, 0, 0, interlace)
-    raw = bytearray()
-    prior = bytes(w * 3)
-    for r in range(h):
-        row = pixels[r].tobytes()
-        raw += filter_row(filter_types[r], row, prior)
-        prior = row
-    return (
-        PNG_SIGNATURE
-        + png_chunk(b"IHDR", ihdr)
-        + png_chunk(b"IDAT", zlib.compress(bytes(raw)))
-        + png_chunk(b"IEND", b"")
-    )
-
-
 def test_png_all_filter_types_decode(tmp_path):
     pixels = (random_image(4, 5, 6) * 255).astype(np.uint8)
     path = tmp_path / "filters.png"
     path.write_bytes(build_png(pixels, filter_types=[0, 1, 2, 3, 4]))
     back = (load_image(path) * 255).astype(np.uint8)
     assert np.array_equal(back, pixels)
+
+
+@st.composite
+def filtered_images(draw):
+    h = draw(st.integers(min_value=1, max_value=12))
+    w = draw(st.integers(min_value=1, max_value=12))
+    data = draw(st.binary(min_size=h * w * 3, max_size=h * w * 3))
+    pixels = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
+    kinds = draw(st.lists(st.integers(0, 4), min_size=h, max_size=h))
+    return pixels, kinds
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=filtered_images())
+def test_png_filters_match_the_naive_codec(tmp_path, case):
+    pixels, kinds = case
+    h, w, _ = pixels.shape
+    path = tmp_path / "case.png"
+    path.write_bytes(build_png(pixels, kinds))
+    got = load_image(path)
+    naive = naive_unfilter(filter_rows(pixels, kinds), h, w)
+    assert naive == pixels.tobytes()
+    assert np.array_equal(got, pixels / 255.0)
+
+
+@pytest.mark.parametrize("bad", [5, 255])
+def test_png_rejects_unknown_filter_type_on_a_later_row(tmp_path, capsys, bad):
+    pixels = (random_image(10, 4, 3) * 255).astype(np.uint8)
+    raw = bytearray(filter_rows(pixels, [1, 2, 3, 4]))
+    raw[2 * (3 * 3 + 1)] = bad  # the filter byte of row 2
+    path = tmp_path / "bad.png"
+    path.write_bytes(wrap_png(bytes(raw), 4, 3))
+    with pytest.raises(ImageDecodeError, match=f"filter type {bad}"):
+        load_image(path)
+    code = main(["decompose", "--input", str(path), "--cutoff", "5",
+                 "--out-low", str(tmp_path / "l.ppm"),
+                 "--out-high", str(tmp_path / "h.ppm")])
+    assert code == 2
+    assert f"filter type {bad}" in capsys.readouterr().err
 
 
 def test_png_rejects_bad_crc(tmp_path):

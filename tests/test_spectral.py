@@ -234,6 +234,21 @@ def test_filter_branch_bit_identical_to_decompose(h, w):
             assert np.array_equal(filter_branch(spectrum, cutoff, which), want)
 
 
+
+def test_filter_branch_shared_weights_bit_identical():
+    # widths 4 and 5 have the same half-spectrum width, 3
+    images = [random_image(np.random.default_rng(s), 6, w)
+              for s, w in enumerate((4, 5, 4))]
+    spectra = [image_spectrum(img) for img in images]
+    weights = {}
+    for cutoff in (1.0, 2.5):
+        for which in ("low", "high"):
+            for img, spectrum in zip(images, spectra):
+                want = decompose(img, cutoff)[("low", "high").index(which)]
+                got = filter_branch(spectrum, cutoff, which, weights)
+                assert np.array_equal(got, want)
+    assert len(weights) == 2 * 2 * 2  # shapes x cutoffs x branches
+
 def test_filter_branch_leaves_the_spectrum_alone():
     spectrum = image_spectrum(random_image(np.random.default_rng(15), 9, 10))
     before = spectrum.half.copy()

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from freqfuse import spectral
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
 from freqfuse.harness.imageio import save_image
@@ -282,6 +283,32 @@ def test_one_forward_transform_per_image(tmp_path, monkeypatch):
         "30,0.000000,0.000000,2\n"
     )
 
+
+
+def test_one_weight_per_shape_and_cutoff(tmp_path, monkeypatch):
+    paths = small_images(tmp_path, ["a", "b"])
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    built = []
+    original = spectral._weight
+
+    def counted(mask, gain):
+        built.append(mask.shape)
+        return original(mask, gain)
+
+    monkeypatch.setattr(spectral, "_weight", counted)
+    config = SweepConfig(
+        mode="low",
+        cutoffs=(1, 5, 30),
+        images=paths,
+        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    run_sweep(config)
+    # 2 images of one shape x 3 cutoffs: one weight per cutoff, not per image
+    assert built == [(16, 16)] * 3
 
 def test_missing_ground_truth_id_fails_before_captioning(tmp_path):
     paths = small_images(tmp_path, ["a"])

@@ -5,13 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from freqfuse.fusion import init_params
 from freqfuse.harness.tokenfile import (
     MAGIC,
     TokenFileError,
-    read_params,
     read_tokens,
-    write_params,
     write_tokens,
 )
 
@@ -27,16 +24,6 @@ def test_empty_sequence_round_trip(tmp_path):
     path = tmp_path / "empty.tok"
     write_tokens(np.zeros((0, 4)), path)
     assert read_tokens(path).shape == (0, 4)
-
-
-def test_params_round_trip(tmp_path):
-    params = init_params(6, 11)
-    path = tmp_path / "p.tok"
-    write_params(params, path)
-    back = read_params(path)
-    assert np.array_equal(back.w_q, params.w_q)
-    assert np.array_equal(back.w_k, params.w_k)
-    assert np.array_equal(back.w_v, params.w_v)
 
 
 def test_rejects_bad_magic(tmp_path):
@@ -64,13 +51,6 @@ def test_rejects_truncation(tmp_path):
     tiny.write_bytes(b"TO")
     with pytest.raises(TokenFileError, match="too short"):
         read_tokens(tiny)
-
-
-def test_rejects_non_param_stack(tmp_path):
-    path = tmp_path / "odd.tok"
-    write_tokens(np.ones((5, 4)), path)
-    with pytest.raises(TokenFileError, match="3\\*dim"):
-        read_params(path)
 
 
 def test_write_rejects_non_2d():
