@@ -56,7 +56,14 @@ def _positive(parser, flag, value):
         parser.error(f"{flag} must be positive, got {value:g}")
 
 
+def _at_least(parser, low, **flags):
+    for name, value in flags.items():
+        if value < low:
+            parser.error(f"--{name} must be at least {low}, got {value}")
+
+
 def cmd_decompose(parser, args):
+    _at_least(parser, 0, seed=args.seed)
     _positive(parser, "--cutoff", args.cutoff)
     if args.gamma is not None and not 0.0 <= args.gamma <= 1.0:
         parser.error(f"--gamma must lie in [0, 1], got {args.gamma:g}")
@@ -78,9 +85,8 @@ def cmd_decompose(parser, args):
 
 
 def cmd_gradcheck(parser, args):
-    for flag, value in (("--dim", args.dim), ("--positions", args.positions)):
-        if value < 1:
-            parser.error(f"{flag} must be at least 1, got {value}")
+    _at_least(parser, 0, seed=args.seed)
+    _at_least(parser, 1, dim=args.dim, positions=args.positions)
     _positive(parser, "--tol", args.tol)
     ok, worst = gradient_check(args.dim, args.positions, args.seed, args.tol)
     print(f"gradcheck: worst relative error {worst:.3e} (tol {args.tol:g})")
@@ -91,10 +97,9 @@ def cmd_gradcheck(parser, args):
 
 
 def cmd_fuse_demo(parser, args):
+    _at_least(parser, 0, seed=args.seed)
     _positive(parser, "--cutoff", args.cutoff)
-    for flag, value in (("--patch", args.patch), ("--dim", args.dim)):
-        if value < 1:
-            parser.error(f"{flag} must be at least 1, got {value}")
+    _at_least(parser, 1, patch=args.patch, dim=args.dim)
     image = load_image(args.input)
     low, high = decompose(image, args.cutoff)
     cfg = EncoderConfig(patch_size=args.patch, dim=args.dim, projection_seed=args.seed)

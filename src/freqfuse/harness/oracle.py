@@ -2,19 +2,19 @@
 
 An oracle is any child process speaking line-delimited JSON on stdio:
 request {"id": ..., "image": absolute path, "prompt": ...} in, response
-{"id": ..., "caption": ...} out, one JSON object per line, answered in any
-order. One process may serve any number of batches, so a reply must
-depend only on its request: the sweep starts one per run and resends the
-same ids at every cutoff. The bundled mock modes give the sweep
-deterministic stand-ins for a real captioning model.
+{"id": ..., "caption": ...} out, answered in any order. One process may
+serve any number of batches, so a reply must depend only on its request:
+the sweep starts one per run and resends the same ids at every cutoff.
+The harness does its I/O on the calling thread with a selector: POSIX only.
+Mock modes give the sweep deterministic stand-ins for a captioning model.
 """
 
 import collections
 import json
-import queue
+import os
+import selectors
 import shlex
 import subprocess
-import threading
 import time
 from pathlib import Path
 
@@ -44,7 +44,13 @@ class OracleProtocolError(OracleError):
 
 
 class CaptionOracle:
-    """One spawned oracle process handling any number of batches."""
+    """One spawned oracle process handling any number of batches.
+
+    All I/O happens on the calling thread. Requests wait in a byte buffer;
+    each wait for a reply writes what the child will take of it and reads
+    what the child has written, so a child that stops reading its stdin
+    still hits the reply deadline.
+    """
 
     def __init__(
         self,
@@ -64,52 +70,42 @@ class CaptionOracle:
             )
         except OSError as exc:
             raise OracleSpawnError(f"cannot start oracle {argv[0]!r}: {exc}") from None
+        os.set_blocking(self._proc.stdin.fileno(), False)
         self._timeout = timeout
         self._prompt = prompt
         self._grace = shutdown_grace
+        self._unsent = bytearray()  # request bytes the child has not taken yet
         # lines the child has written and nobody has consumed yet
         self._lines = collections.deque()
+        self._tail = b""  # the child's last line, until its newline arrives
         self._eof = False
-        self._arrived = threading.Condition()
         self._line_no = 0
-        # request lines for the writer; None asks it to close stdin
-        self._outbox = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
-        self._writer = threading.Thread(target=self._drain, daemon=True)
-        self._writer.start()
 
-    def _pump(self):
-        # all lines of one read land together, so a reply the child wrote
-        # along with an earlier one is visible as soon as that one is
-        tail = b""
-        while chunk := self._proc.stdout.read1():
-            *lines, tail = (tail + chunk).split(b"\n")
-            with self._arrived:
+    def _poll(self, timeout):
+        """Wait up to timeout seconds for either pipe, then write what the
+        child will take and read what it has written."""
+        with selectors.DefaultSelector() as selector:
+            if not self._eof:
+                selector.register(self._proc.stdout, selectors.EVENT_READ)
+            if self._unsent:
+                selector.register(self._proc.stdin, selectors.EVENT_WRITE)
+            ready = selector.select(timeout)
+        for key, _ in ready:
+            if key.fileobj is self._proc.stdin:
+                try:
+                    del self._unsent[: os.write(key.fd, self._unsent)]
+                except BrokenPipeError:
+                    # the child closed stdin: its requests end in EOF or timeout
+                    self._unsent.clear()
+            else:
+                # all lines of one read land together, so a reply the child
+                # wrote along with an earlier one is visible as soon as that one is
+                chunk = os.read(key.fd, 1 << 16)
+                *lines, self._tail = (self._tail + chunk).split(b"\n")
                 self._lines.extend(lines)
-                self._arrived.notify()
-        with self._arrived:
-            if tail:
-                self._lines.append(tail)
-            self._eof = True
-            self._arrived.notify()
-        self._proc.stdout.close()  # not left open for the garbage collector
-
-    def _drain(self):
-        # a child that stops reading stdin stalls this thread, not the
-        # batch, whose reply deadline still fires
-        stdin = self._proc.stdin
-        try:
-            while (line := self._outbox.get()) is not None:
-                stdin.write(line)
-                if self._outbox.empty():
-                    stdin.flush()
-        except OSError:
-            pass  # the child closed stdin; its unanswered requests show as EOF or timeout
-        try:
-            stdin.close()
-        except OSError:
-            pass
+                self._eof = not chunk
+                if self._eof and self._tail:
+                    self._lines.append(self._tail)
 
     def __enter__(self):
         return self
@@ -118,18 +114,21 @@ class CaptionOracle:
         self.close()
 
     def close(self):
-        """Close stdin once every queued request is written, and give the
-        child the grace period, in all, to take them and exit; then kill it.
-        The reader closes stdout at its end, awaited up to the same deadline."""
+        """Write what is left of the requests, close stdin and read stdout to
+        EOF; the child gets the grace period, in all, for this and to exit,
+        and is killed past it. Both pipes end up closed."""
         deadline = time.monotonic() + self._grace
-        self._outbox.put(None)
-        self._writer.join(self._grace)
+        while not self._eof and (remaining := deadline - time.monotonic()) > 0:
+            if not self._unsent:
+                self._proc.stdin.close()
+            self._poll(remaining)
+        self._proc.stdin.close()
+        self._proc.stdout.close()
         try:
             self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-        self._reader.join(max(deadline - time.monotonic(), 0.0))
 
     def _send(self, request_id, image_path):
         payload = {
@@ -137,41 +136,40 @@ class CaptionOracle:
             "image": str(Path(image_path).resolve()),
             "prompt": self._prompt,
         }
-        self._outbox.put(json.dumps(payload).encode() + b"\n")
+        self._unsent += json.dumps(payload).encode() + b"\n"
 
     def _take_line(self):
-        # the caller holds self._arrived and has seen a line waiting
+        # the caller has seen a line waiting
         self._line_no += 1
         return self._lines.popleft().decode("utf-8", "replace").strip()
 
     def _reject_stray_replies(self):
-        with self._arrived:
-            while self._lines:
-                line = self._take_line()
-                if line:
-                    raise OracleProtocolError(
-                        f"oracle line {self._line_no}: reply with no request "
-                        f"outstanding: {line[:120]!r}"
-                    )
+        self._poll(0)
+        while self._lines:
+            line = self._take_line()
+            if line:
+                raise OracleProtocolError(
+                    f"oracle line {self._line_no}: reply with no request "
+                    f"outstanding: {line[:120]!r}"
+                )
 
     def _next_response(self, outstanding, answered, deadline):
         """Next valid reply to an outstanding id; blank lines keep the deadline."""
         while True:
-            with self._arrived:
-                remaining = max(deadline - time.monotonic(), 0.0)
-                if not self._arrived.wait_for(
-                    lambda: self._lines or self._eof, timeout=remaining
-                ):
+            while not (self._lines or self._eof):
+                remaining = deadline - time.monotonic()
+                if remaining < 0:
                     waiting = ", ".join(sorted(outstanding))
                     raise OracleTimeoutError(
                         f"no oracle response within {self._timeout:g}s; "
                         f"waiting for: {waiting}"
                     )
-                if not self._lines:
-                    raise OracleProtocolError(
-                        f"oracle exited with {len(outstanding)} request(s) unanswered"
-                    )
-                line = self._take_line()
+                self._poll(remaining)
+            if not self._lines:
+                raise OracleProtocolError(
+                    f"oracle exited with {len(outstanding)} request(s) unanswered"
+                )
+            line = self._take_line()
             if not line:
                 continue
             try:
@@ -266,15 +264,11 @@ def mock_oracle_loop(
         image_path = request["image"]
         if mode == "echo":
             caption = f"A picture stored at {image_path}."
-        elif mode == "gt":
+        elif mode == "gt" or (
+            mode == "energy" and mean_energy(load_image(image_path)) > threshold
+        ):
             caption = object_sentence(ground_truth.get(rid, ()))
-        elif mode == "fixed":
-            caption = object_sentence(objects)
         else:
-            energy = mean_energy(load_image(image_path))
-            if energy > threshold:
-                caption = object_sentence(ground_truth.get(rid, ()))
-            else:
-                caption = object_sentence(objects)
+            caption = object_sentence(objects)
         stdout.write(json.dumps({"id": rid, "caption": caption}) + "\n")
         stdout.flush()

@@ -98,11 +98,11 @@ class SweepConfig:
             raise DataFormatError(f"{path}: invalid JSON ({exc.msg})") from None
         if not isinstance(raw, dict):
             raise DataFormatError(f"{path}: config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        fields = dataclasses.fields(cls)
+        unknown = set(raw) - {f.name for f in fields}
         if unknown:
             raise DataFormatError(f"{path}: unknown config keys {sorted(unknown)}")
-        missing = {"mode", "cutoffs", "images", "oracle", "ground_truth"} - set(raw)
+        missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(raw)
         if missing:
             raise DataFormatError(f"{path}: missing config keys {sorted(missing)}")
         try:

@@ -4,6 +4,7 @@ Everything here is deliberately naive (double sums, explicit loops, plain
 counting) and shares no code with the package under test.
 """
 
+import json
 import math
 import struct
 import zlib
@@ -258,3 +259,27 @@ def naive_unfilter(raw, h, w):
         out[r * stride : (r + 1) * stride] = row
         prior = row
     return bytes(out)
+
+
+def naive_batch(output, ids):
+    """Captions a batch of ids gets from a child that writes output and
+    exits, or None where the reply protocol is broken."""
+    outstanding, captions = set(ids), {}
+    for raw in output.split(b"\n"):
+        if not outstanding:
+            break
+        line = raw.decode("utf-8", "replace").strip()
+        if not line:
+            continue
+        try:
+            reply = json.loads(line)
+        except ValueError:
+            return None
+        if not isinstance(reply, dict):
+            return None
+        rid, caption = reply.get("id"), reply.get("caption")
+        if not (isinstance(rid, str) and isinstance(caption, str)) or rid not in outstanding:
+            return None  # wrong types, or an id answered twice or never asked
+        outstanding.remove(rid)
+        captions[rid] = caption
+    return None if outstanding else captions

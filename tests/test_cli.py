@@ -66,6 +66,22 @@ def test_nan_is_a_usage_error(capsys, argv):
     assert "nan" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--input", "ghost.ppm", "--gamma", "0.5", "--seed", "-1",
+         "--out-low", "l.ppm", "--out-high", "h.ppm"),
+        ("gradcheck", "--seed", "-1"),
+        ("fuse-demo", "--input", "ghost.ppm", "--seed", "-1", "--out", "t.bin"),
+    ],
+)
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    # the input does not exist: the seed is checked before any file is read
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "--seed" in err
+
+
 def test_decompose_missing_input_is_data_error(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -7,17 +7,21 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqfuse.harness.imageio import save_image
 from freqfuse.harness.oracle import (
     DEFAULT_PROMPT,
     CaptionOracle,
+    OracleError,
     OracleProtocolError,
     OracleSpawnError,
     OracleTimeoutError,
     mock_oracle_loop,
     object_sentence,
 )
+from oracles import naive_batch
 from util import random_image, write_jsonl
 
 
@@ -122,6 +126,15 @@ print(flush=True)
 print(json.dumps({"id": r["id"], "caption": "after blank"}), flush=True)
 """
 
+WRITES_AFTER_STDIN_CLOSES = """
+import sys
+sys.stdin.read()
+sys.stdout.write("x" * 200_000 + "\\n")
+"""
+
+# writes the bytes given as hex in argv[1], reading nothing, and exits
+SCRIPTED = "import sys; sys.stdout.buffer.write(bytes.fromhex(sys.argv[1]))"
+
 
 def test_batch_round_trip(tmp_path):
     with CaptionOracle(child(ECHO_IMAGE)) as oracle:
@@ -205,6 +218,73 @@ def test_child_that_never_reads_stdin_times_out():
         with pytest.raises(OracleTimeoutError, match="within 1s"):
             oracle.caption_batch(batch)
     assert time.monotonic() - start < 4.0
+
+
+def test_child_that_exits_without_reading_a_large_batch_is_unanswered():
+    # the requests it never read meet a broken pipe, which must not escape
+    batch = [(f"r{i}", f"image-{i:04d}.ppm") for i in range(2000)]
+    start = time.monotonic()
+    with CaptionOracle(child("pass"), timeout=5, shutdown_grace=0.2) as oracle:
+        with pytest.raises(OracleProtocolError, match=r"2000 request\(s\) unanswered"):
+            oracle.caption_batch(batch)
+    assert time.monotonic() - start < 5.0
+
+
+def test_child_writing_after_stdin_closes_exits_on_its_own():
+    # 200 KB overflow the stdout pipe: the child ends only if close() reads on
+    with CaptionOracle(child(WRITES_AFTER_STDIN_CLOSES)) as oracle:
+        pass
+    assert oracle._proc.returncode == 0
+
+
+IDS = ("a", "b", "c")
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.lists(st.integers(), max_size=2),
+)
+NOISE_TEXT = st.one_of(
+    # a well-formed reply, to an id already answered or never asked for ("zz")
+    st.fixed_dictionaries(
+        {"id": st.sampled_from(IDS + ("zz",)), "caption": st.text(max_size=6)}
+    ).map(json.dumps),
+    # fields of any JSON type, and JSON that is no object
+    st.fixed_dictionaries({"id": JSON_VALUES, "caption": JSON_VALUES}).map(json.dumps),
+    JSON_VALUES.map(json.dumps),
+    st.sampled_from(["", "  ", "\t"]),
+)
+# raw bytes are mostly not UTF-8
+NOISE = NOISE_TEXT.map(str.encode) | st.binary(max_size=12).map(
+    lambda b: b.replace(b"\n", b"")
+)
+
+
+@st.composite
+def scripted_output(draw):
+    """One valid reply per id in any order, with up to three noise lines
+    (duplicate, unknown or mistyped replies, blank lines, non-UTF-8 bytes)
+    put in anywhere, and maybe no newline after the last line."""
+    lines = [
+        json.dumps({"id": rid, "caption": draw(st.text(max_size=12))}).encode()
+        for rid in draw(st.permutations(IDS))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(NOISE))
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(output=scripted_output())
+def test_scripted_replies_end_in_captions_or_an_oracle_error(output):
+    timeout = 1
+    start = time.monotonic()
+    try:
+        with CaptionOracle(child(SCRIPTED) + [output.hex()], timeout=timeout,
+                           shutdown_grace=1) as oracle:
+            got = oracle.caption_batch([(rid, f"{rid}.ppm") for rid in IDS])
+    except OracleError:
+        got = None
+    assert time.monotonic() - start < timeout + 2
+    assert got == naive_batch(output, IDS)
 
 
 def test_close_closes_both_pipes():
