@@ -3,9 +3,7 @@
 A toy stand-in for a visual backbone: the image is cut into non-overlapping
 square patches, each patch is flattened to its 3*p*p raw values (row-major
 over pixels, channels interleaved), and projected to `dim` through a fixed
-random matrix. Being linear, it makes downstream fusion tests exact. Token
-sequences produced elsewhere can be loaded from file instead; see
-freqfuse.harness.tokenfile for the on-disk format.
+random matrix. Being linear, it makes downstream fusion tests exact.
 """
 
 from dataclasses import dataclass

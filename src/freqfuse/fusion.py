@@ -195,30 +195,30 @@ def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
         samples.append((v_o, v_l, v_h, target))
         n_entries += target.size
 
-    def mse(p):
+    # one forward pass per sample and step gives both the loss of the
+    # current params and the gradient; the last pass only scores
+    losses = []
+    for step in range(steps + 1):
+        update = step < steps
         total = 0.0
-        for v_o, v_l, v_h, target in samples:
-            diff = fuse_sequence(v_o, v_l, v_h, p) - target
-            total += (diff**2).sum()
-        return total / n_entries
-
-    losses = [mse(params)]
-    for _ in range(steps):
         acc_q = np.zeros_like(params.w_q)
         acc_k = np.zeros_like(params.w_k)
         acc_v = np.zeros_like(params.w_v)
         for v_o, v_l, v_h, target in samples:
             diff = fuse_sequence(v_o, v_l, v_h, params) - target
-            grads = fuse_backward(v_o, v_l, v_h, params, 2.0 * diff / n_entries)
-            acc_q += grads.d_w_q
-            acc_k += grads.d_w_k
-            acc_v += grads.d_w_v
-        params = FusionParams(
-            w_q=params.w_q - lr * acc_q,
-            w_k=params.w_k - lr * acc_k,
-            w_v=params.w_v - lr * acc_v,
-        )
-        losses.append(mse(params))
+            total += (diff**2).sum()
+            if update:
+                grads = fuse_backward(v_o, v_l, v_h, params, 2.0 * diff / n_entries)
+                acc_q += grads.d_w_q
+                acc_k += grads.d_w_k
+                acc_v += grads.d_w_v
+        losses.append(total / n_entries)
+        if update:
+            params = FusionParams(
+                w_q=params.w_q - lr * acc_q,
+                w_k=params.w_k - lr * acc_k,
+                w_v=params.w_v - lr * acc_v,
+            )
     return params, losses
 
 

@@ -35,7 +35,7 @@ from .oracle import (
     mock_oracle_loop,
 )
 from .sweep import SweepConfig, run_sweep
-from .tokenfile import TokenFileError, write_tokens
+from .tokenfile import write_tokens
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,6 +65,8 @@ def _at_least(parser, low, **flags):
 def cmd_decompose(parser, args):
     _at_least(parser, 0, seed=args.seed)
     _positive(parser, "--cutoff", args.cutoff)
+    if args.gamma is None and args.const_gamma:
+        parser.error("--const-gamma needs --gamma")
     if args.gamma is not None and not 0.0 <= args.gamma <= 1.0:
         parser.error(f"--gamma must lie in [0, 1], got {args.gamma:g}")
     image = load_image(args.input)
@@ -189,7 +191,7 @@ def build_parser() -> _Parser:
                    help="enable spectral damping with this upper bound")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--const-gamma", action="store_true",
-                   help="use the constant damping matrix instead of draws")
+                   help="with --gamma, damp by the constant gamma instead of draws")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("gradcheck", help="verify fusion gradients numerically")
@@ -251,7 +253,7 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (ImageError, DataFormatError, TokenFileError, OSError, ValueError) as exc:
+    except (ImageError, DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -41,12 +41,19 @@ def _require(record, key, kind, path, line_no):
     return value
 
 
+def _ground_truth_names(record, path, line_no):
+    names = _require(record, "ground_truth", list, path, line_no)
+    if not all(isinstance(n, str) for n in names):
+        raise DataFormatError(
+            f"{path}:{line_no}: ground-truth entries must be strings"
+        )
+    return names
+
+
 def canonical_set(names, table, where):
     """Canonical classes of ground-truth names; errors start with `where`."""
     out = set()
     for name in names:
-        if not isinstance(name, str):
-            raise DataFormatError(f"{where}: ground-truth entries must be strings")
         canonical = table.canonicalize(name)
         if canonical is None:
             raise DataFormatError(
@@ -66,7 +73,7 @@ def load_caption_records(path, table):
     for line_no, record in _iter_jsonl(path):
         rid = _require(record, "id", str, path, line_no)
         caption = _require(record, "caption", str, path, line_no)
-        gt_names = _require(record, "ground_truth", list, path, line_no)
+        gt_names = _ground_truth_names(record, path, line_no)
         records.append(
             CaptionRecord(
                 id=rid,
@@ -100,11 +107,7 @@ def load_ground_truth(path):
     table = {}
     for line_no, record in _iter_jsonl(path):
         rid = _require(record, "id", str, path, line_no)
-        names = _require(record, "ground_truth", list, path, line_no)
-        if not all(isinstance(n, str) for n in names):
-            raise DataFormatError(
-                f"{path}:{line_no}: ground-truth entries must be strings"
-            )
+        names = _ground_truth_names(record, path, line_no)
         if rid in table:
             raise DataFormatError(f"{path}:{line_no}: duplicate id {rid!r}")
         table[rid] = list(names)

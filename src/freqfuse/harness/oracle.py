@@ -52,13 +52,7 @@ class CaptionOracle:
     still hits the reply deadline.
     """
 
-    def __init__(
-        self,
-        command,
-        timeout=DEFAULT_TIMEOUT,
-        prompt=DEFAULT_PROMPT,
-        shutdown_grace=5.0,
-    ):
+    def __init__(self, command, timeout=DEFAULT_TIMEOUT, prompt=DEFAULT_PROMPT):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
             raise OracleSpawnError("oracle command is empty")
@@ -73,7 +67,6 @@ class CaptionOracle:
         os.set_blocking(self._proc.stdin.fileno(), False)
         self._timeout = timeout
         self._prompt = prompt
-        self._grace = shutdown_grace
         self._unsent = bytearray()  # request bytes the child has not taken yet
         # lines the child has written and nobody has consumed yet
         self._lines = collections.deque()
@@ -115,9 +108,9 @@ class CaptionOracle:
 
     def close(self):
         """Write what is left of the requests, close stdin and read stdout to
-        EOF; the child gets the grace period, in all, for this and to exit,
-        and is killed past it. Both pipes end up closed."""
-        deadline = time.monotonic() + self._grace
+        EOF; the child gets the reply timeout, at most 5 s, in all for this
+        and to exit, and is killed past it. Both pipes end up closed."""
+        deadline = time.monotonic() + min(self._timeout, 5.0)
         while not self._eof and (remaining := deadline - time.monotonic()) > 0:
             if not self._unsent:
                 self._proc.stdin.close()

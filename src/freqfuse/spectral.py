@@ -34,11 +34,9 @@ class AttenuationSpec:
     seed: seed for the damping draws (PCG64; fixed, platform-independent).
     mode: "random" draws each cell i.i.d. from U(0, gamma); "constant"
         fills every cell with gamma (deterministic, for exact tests).
-    share_branches: use one draw for both the low and the high branch
-        instead of independent draws per branch.
-    per_channel: draw a fresh matrix per RGB channel instead of sharing
-        one matrix across the three channels of a branch.
 
+    The low and the high branch each get one draw, the low branch's first
+    from the seeded stream, and the three RGB channels of a branch share it.
     Branches stay real, so the damping that takes effect at frequency k is
     the mean of mask * draw at k and -k: two U(0, gamma) draws averaged, not
     one draw, except at frequencies that are their own mirror such as DC.
@@ -47,8 +45,6 @@ class AttenuationSpec:
     gamma: float = DEFAULT_GAMMA
     seed: int = 0
     mode: str = MODE_RANDOM
-    share_branches: bool = False
-    per_channel: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -145,8 +141,8 @@ def _forward(arr):
 def _weight(mask, gain):
     """Hermitian weight of one branch on the unshifted half grid.
 
-    mask is centered (h, w); gain is a scalar or a centered (h, w, 1) /
-    (h, w, 3) array. mask * gain is made Hermitian, (g(k) + g(-k)) / 2, the
+    mask is centered (h, w); gain is a scalar or a centered (h, w, 1)
+    array. mask * gain is made Hermitian, (g(k) + g(-k)) / 2, the
     filter that the real part of a complex inverse applies, so irfft2 gives
     it exactly.
     """
@@ -217,17 +213,9 @@ def attenuation_matrix(h: int, w: int, spec: AttenuationSpec) -> np.ndarray:
 
 
 def decompose_attenuated(image, cutoff: float, spec: AttenuationSpec):
-    """Decompose with each branch's masked spectrum damped elementwise.
-
-    By default the low and high branches get independent damping draws and
-    each draw is shared across the three RGB channels of its branch; see
-    AttenuationSpec for the alternative granularities.
-    """
+    """Decompose with each branch's masked spectrum damped elementwise,
+    by one damping draw per branch as AttenuationSpec describes."""
     arr = validate_image(image)
     h, w, _ = arr.shape
-    per_branch = 3 if spec.per_channel else 1
-    n_branch = 1 if spec.share_branches else 2
-    # (h, w, draw): draw c damps channel c, or every channel when there is
-    # one; the high branch takes the last draws, the low branch's if shared
-    draws = np.moveaxis(_draw_gains(h, w, spec, n_branch * per_branch), 0, -1)
-    return _split(arr, cutoff, draws[:, :, :per_branch], draws[:, :, -per_branch:])
+    low, high = _draw_gains(h, w, spec, 2)[..., None]
+    return _split(arr, cutoff, low, high)

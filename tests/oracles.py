@@ -283,3 +283,16 @@ def naive_batch(output, ids):
         outstanding.remove(rid)
         captions[rid] = caption
     return None if outstanding else captions
+
+
+def naive_read_tokens(path):
+    """Token file as the README lays it out, little-endian: magic b"TOKF",
+    u32 version 1, u64 rows, u64 cols, then rows*cols float64 row-major."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic, version, rows, cols = struct.unpack("<4sIQQ", data[:24])
+    assert (magic, version) == (b"TOKF", 1), (magic, version)
+    assert len(data) == 24 + 8 * rows * cols, (len(data), rows, cols)
+    values = [struct.unpack("<d", data[24 + 8 * i : 32 + 8 * i])[0]
+              for i in range(rows * cols)]
+    return np.array(values, dtype=float).reshape(rows, cols)

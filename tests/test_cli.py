@@ -8,7 +8,7 @@ import pytest
 
 from freqfuse.harness.cli import main
 from freqfuse.harness.imageio import load_image, save_image
-from freqfuse.harness.tokenfile import read_tokens
+from oracles import naive_read_tokens
 from util import cosine_image, random_image, write_jsonl
 
 
@@ -80,6 +80,17 @@ def test_negative_seed_is_a_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "--seed" in err
+
+
+def test_const_gamma_without_gamma_is_a_usage_error(capsys):
+    # the input does not exist: the flags are checked before any file is read
+    code, _, err = run(
+        capsys,
+        "decompose", "--input", "ghost.ppm", "--const-gamma",
+        "--out-low", "l.ppm", "--out-high", "h.ppm",
+    )
+    assert code == 1
+    assert "--const-gamma needs --gamma" in err
 
 
 def test_decompose_missing_input_is_data_error(tmp_path, capsys):
@@ -176,7 +187,7 @@ def test_fuse_demo_writes_tokens(tmp_path, capsys):
         "--dim", "6", "--seed", "3", "--out", str(out),
     )
     assert code == 0
-    tokens = read_tokens(out)
+    tokens = naive_read_tokens(out)
     assert tokens.shape == (16, 6)
     assert "fused stats:" in text
     assert "16x6" in text
@@ -240,6 +251,16 @@ def test_eval_chair_unknown_gt_class_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "chair", "--captions", captions)
     assert code == 2
     assert "wyvern" in err
+
+
+def test_eval_chair_non_string_gt_is_data_error(tmp_path, capsys):
+    captions = write_jsonl(
+        tmp_path / "caps.jsonl",
+        [{"id": "a", "caption": "x", "ground_truth": ["cat", 5]}],
+    )
+    code, _, err = run(capsys, "eval", "chair", "--captions", captions)
+    assert code == 2
+    assert "caps.jsonl:1: ground-truth entries must be strings" in err
 
 
 def pope_fixture(tmp_path, name="pope.jsonl"):
@@ -335,6 +356,28 @@ def test_sweep_bad_oracle_is_oracle_error(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--config", str(config))
     assert code == 3
     assert "oracle" in err
+
+
+def test_sweep_non_string_gt_is_data_error(tmp_path, capsys):
+    # the ground truth is checked before the (unstartable) oracle is spawned
+    img = tmp_path / "a.ppm"
+    save_image(random_image(7, 4, 4), img)
+    gt = write_jsonl(tmp_path / "gt.jsonl", [{"id": "a", "ground_truth": ["cat", 5]}])
+    config = tmp_path / "sweep.json"
+    config.write_text(
+        json.dumps(
+            {
+                "mode": "low",
+                "cutoffs": [5],
+                "images": ["a.ppm"],
+                "oracle": "/no/such/captioner",
+                "ground_truth": "gt.jsonl",
+            }
+        )
+    )
+    code, _, err = run(capsys, "sweep", "--config", str(config))
+    assert code == 2
+    assert "gt.jsonl:1: ground-truth entries must be strings" in err
 
 
 # usage plumbing

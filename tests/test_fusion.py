@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from freqfuse import fusion
 from freqfuse.fusion import (
     FusionParams,
     fit_demo,
@@ -289,6 +290,22 @@ def test_fit_zero_lr_keeps_params():
     assert np.array_equal(final.w_q, params.w_q)
     assert np.array_equal(final.w_k, params.w_k)
     assert np.array_equal(final.w_v, params.w_v)
+
+
+def test_fit_runs_one_forward_per_sample_and_step(monkeypatch):
+    # the loss of each step comes from the pass that feeds the gradient,
+    # plus one scoring pass after the last update
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return fuse_sequence(*args)
+
+    monkeypatch.setattr(fusion, "fuse_sequence", counting)
+    dataset = make_teacher_problem(2, 3, 46) + make_teacher_problem(2, 3, 47)
+    _, losses = fit_demo(dataset, init_params(2, 48), steps=3, lr=0.05)
+    assert len(losses) == 4
+    assert len(calls) == 2 * 3 + 2
 
 
 def test_fit_rejects_empty_dataset():

@@ -342,13 +342,13 @@ def test_attenuated_determinism():
 
 
 def test_branches_get_independent_draws():
-    # same gamma but different matrices for low and high by default
+    # the high branch is damped by the second draw, not the low branch's
     img = random_image(np.random.default_rng(12), 8, 8)
     spec = AttenuationSpec(gamma=1.0, seed=0)
     low, high = decompose_attenuated(img, 30.0, spec)
-    shared = AttenuationSpec(gamma=1.0, seed=0, share_branches=True)
-    low_s, high_s = decompose_attenuated(img, 30.0, shared)
-    assert np.array_equal(low, low_s)
+    first, _ = documented_gains(8, 8, spec)
+    low_s, high_s = naive_decompose(img, 30.0, first, first)
+    assert np.abs(low - low_s).max() < 1e-9
     assert not np.allclose(high, high_s)
 
 
@@ -361,27 +361,20 @@ def test_decompose_determinism_bit_identical():
 
 def documented_gains(h, w, spec):
     """Centered (h, w, 3) low/high gains built from the draw order the spec
-    documents: draws come from one PCG64 stream, the low branch's first, one
-    per channel when per_channel, else one shared by all three channels."""
+    documents: two draws from one PCG64 stream, the low branch's first, each
+    shared by all three channels of its branch."""
     rng = np.random.default_rng(spec.seed)
-    per_branch = 3 if spec.per_channel else 1
 
     def branch():
-        draws = [rng.uniform(0.0, spec.gamma, size=(h, w)) for _ in range(per_branch)]
-        return np.stack([draws[c % per_branch] for c in range(3)], axis=-1)
+        return np.repeat(rng.uniform(0.0, spec.gamma, size=(h, w, 1)), 3, axis=-1)
 
-    low = branch()
-    high = low if spec.share_branches else branch()
-    return low, high
+    return branch(), branch()
 
 
-@pytest.mark.parametrize("share_branches", [False, True])
-@pytest.mark.parametrize("per_channel", [False, True])
 @pytest.mark.parametrize("h, w", [(6, 6), (5, 7)])
-def test_attenuated_matches_naive_pipeline(h, w, share_branches, per_channel):
+def test_attenuated_matches_naive_pipeline(h, w):
     img = random_image(np.random.default_rng(14), h, w)
-    spec = AttenuationSpec(gamma=0.7, seed=31, share_branches=share_branches,
-                           per_channel=per_channel)
+    spec = AttenuationSpec(gamma=0.7, seed=31)
     low, high = decompose_attenuated(img, 2.0, spec)
     naive_low, naive_high = naive_decompose(img, 2.0, *documented_gains(h, w, spec))
     assert np.abs(low - naive_low).max() < 1e-9
@@ -392,14 +385,11 @@ def test_attenuated_matches_naive_pipeline(h, w, share_branches, per_channel):
 @given(
     h=st.integers(min_value=1, max_value=16),
     w=st.integers(min_value=1, max_value=16),
-    share_branches=st.booleans(),
-    per_channel=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_attenuated_naive_oracle_property(h, w, share_branches, per_channel, seed):
+def test_attenuated_naive_oracle_property(h, w, seed):
     img = random_image(np.random.default_rng(seed), h, w)
-    spec = AttenuationSpec(gamma=1.0, seed=seed, share_branches=share_branches,
-                           per_channel=per_channel)
+    spec = AttenuationSpec(gamma=1.0, seed=seed)
     low, high = decompose_attenuated(img, 3.0, spec)
     naive_low, naive_high = naive_decompose(img, 3.0, *documented_gains(h, w, spec))
     assert np.abs(low - naive_low).max() < 1e-9
