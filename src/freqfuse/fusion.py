@@ -142,8 +142,13 @@ def fuse_backward(v_o, v_l, v_h, params: FusionParams, upstream) -> FusionGradie
         raise ValueError(
             f"upstream has {g.shape[0]} positions, inputs have {v_o.shape[0]}"
         )
+    return _backward(v_o, v_l, v_h, params, _forward(v_o, v_l, v_h, params), g)
+
+
+def _backward(v_o, v_l, v_h, params, activations, g):
+    """fuse_backward on checked inputs, given their _forward activations."""
     scale = 1.0 / np.sqrt(params.dim)
-    q, k_l, k_h, _, weights, vals_l, vals_h, _ = _forward(v_o, v_l, v_h, params)
+    q, k_l, k_h, _, weights, vals_l, vals_h, _ = activations
 
     # value path
     d_weights = np.stack([(g * vals_l).sum(axis=1), (g * vals_h).sum(axis=1)], axis=1)
@@ -196,7 +201,8 @@ def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
         n_entries += target.size
 
     # one forward pass per sample and step gives both the loss of the
-    # current params and the gradient; the last pass only scores
+    # current params and the activations of the backward pass; the last
+    # pass only scores
     losses = []
     for step in range(steps + 1):
         update = step < steps
@@ -205,10 +211,12 @@ def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
         acc_k = np.zeros_like(params.w_k)
         acc_v = np.zeros_like(params.w_v)
         for v_o, v_l, v_h, target in samples:
-            diff = fuse_sequence(v_o, v_l, v_h, params) - target
+            activations = _forward(v_o, v_l, v_h, params)
+            diff = activations[-1] + v_o - target
             total += (diff**2).sum()
             if update:
-                grads = fuse_backward(v_o, v_l, v_h, params, 2.0 * diff / n_entries)
+                upstream = 2.0 * diff / n_entries
+                grads = _backward(v_o, v_l, v_h, params, activations, upstream)
                 acc_q += grads.d_w_q
                 acc_k += grads.d_w_k
                 acc_v += grads.d_w_v

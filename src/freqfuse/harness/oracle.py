@@ -47,9 +47,9 @@ class CaptionOracle:
     """One spawned oracle process handling any number of batches.
 
     All I/O happens on the calling thread. Requests wait in a byte buffer;
-    each wait for a reply writes what the child will take of it and reads
-    what the child has written, so a child that stops reading its stdin
-    still hits the reply deadline.
+    each send and each wait for a reply writes what the child will take of
+    it and reads what the child has written, so a child that stops reading
+    its stdin still hits the reply deadline.
     """
 
     def __init__(self, command, timeout=DEFAULT_TIMEOUT, prompt=DEFAULT_PROMPT):
@@ -146,8 +146,12 @@ class CaptionOracle:
                     f"outstanding: {line[:120]!r}"
                 )
 
-    def _next_response(self, outstanding, answered, deadline):
-        """Next valid reply to an outstanding id; blank lines keep the deadline."""
+    def _next_response(self, outstanding, answered, deadline, idle):
+        """Next valid reply to an outstanding id; blank lines keep the deadline.
+
+        Until a line is waiting, each round checks the deadline, runs idle()
+        and reads the pipes without blocking, or blocks on them once idle()
+        has no work: the pipes are read between idle() and the next check."""
         while True:
             while not (self._lines or self._eof):
                 remaining = deadline - time.monotonic()
@@ -157,7 +161,7 @@ class CaptionOracle:
                         f"no oracle response within {self._timeout:g}s; "
                         f"waiting for: {waiting}"
                     )
-                self._poll(remaining)
+                self._poll(0 if idle() else remaining)
             if not self._lines:
                 raise OracleProtocolError(
                     f"oracle exited with {len(outstanding)} request(s) unanswered"
@@ -192,23 +196,32 @@ class CaptionOracle:
                 )
             return rid, reply["caption"]
 
-    def caption_batch(self, requests) -> dict:
-        """Pipeline (id, image path) pairs; returns {id: caption}.
+    def caption_batch(self, ids, paths, idle=lambda: False) -> dict:
+        """Caption one batch of images; returns {id: caption}.
 
-        Ids must be unique within the batch, and may recur in later batches.
+        Ids must be unique within the batch, and may recur in later batches;
+        they are checked before paths or idle is touched. paths yields one
+        image path per id, in the same order, and may be lazy: each request
+        goes out as soon as its path is yielded, so the file can be written
+        just before. While replies are outstanding, idle() is called between
+        reads to do one unit of the caller's own work, and returns False when
+        none is left. The reply deadline counts from the last send or
+        accepted reply; a reply that arrived while idle() ran is taken, not
+        timed out, so a silent child times out within the timeout plus one
+        call of idle().
         """
-        requests = list(requests)
-        ids = [rid for rid, _ in requests]
+        ids = list(ids)
         if len(set(ids)) != len(ids):
             raise ValueError("request ids must be unique within a batch")
         self._reject_stray_replies()
-        for rid, path in requests:
+        for rid, path in zip(ids, paths, strict=True):
             self._send(rid, path)
+            self._poll(0)
         outstanding = set(ids)
         results = {}
         deadline = time.monotonic() + self._timeout
         while outstanding:
-            rid, caption = self._next_response(outstanding, results, deadline)
+            rid, caption = self._next_response(outstanding, results, deadline, idle)
             outstanding.discard(rid)
             results[rid] = caption
             deadline = time.monotonic() + self._timeout

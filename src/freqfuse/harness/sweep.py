@@ -5,10 +5,16 @@ its pixels. For each cutoff only the branch the mode names is inverted from
 that spectrum, through one branch weight per image shape, then exported
 (clamped to 8-bit), captioned by the oracle process, and scored against
 ground truth. One oracle process serves the whole sweep, so each image id
-is sent once per cutoff. One CSV row per cutoff; results are all-or-nothing,
-a failure anywhere emits no partial rows.
+is sent once per cutoff. The parent never waits while it has work: each
+request goes out as soon as its export is written, and while the oracle
+answers one cutoff the parent exports the images of later cutoffs, in
+cutoff order. A cutoff's requests are sent only once the previous cutoff is
+fully answered, since replies carry only the image id. One CSV row per
+cutoff; results are all-or-nothing, a failure anywhere emits no partial
+rows.
 """
 
+import collections
 import dataclasses
 import json
 import math
@@ -28,6 +34,10 @@ from .formats import (
 )
 from .imageio import load_image, save_image
 from .oracle import DEFAULT_PROMPT, DEFAULT_TIMEOUT, CaptionOracle
+
+
+def _label(cutoff):
+    return f"{cutoff:g}"
 
 
 def _number(x):
@@ -82,6 +92,13 @@ class SweepConfig:
             raise ValueError(f"cutoffs must be positive, got {list(cutoffs)}")
         if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
             raise ValueError(f"cutoffs must be strictly increasing, got {list(cutoffs)}")
+        # the CSV rows and the export folders carry the label, not the cutoff
+        for a, b in zip(cutoffs, cutoffs[1:]):
+            if _label(a) == _label(b):
+                raise ValueError(
+                    "cutoffs must be distinct in 6 significant digits: "
+                    f"{a!r} and {b!r} print the same ({_label(a)})"
+                )
         images = tuple(str(p) for p in self.images)
         if not images:
             raise ValueError("image list must be non-empty")
@@ -135,7 +152,7 @@ class SweepResult:
         lines = ["cutoff,chair_i,chair_s,n"]
         for row in self.rows:
             lines.append(
-                f"{row.cutoff:g},{row.chair_i:.6f},{row.chair_s:.6f},{row.n}"
+                f"{_label(row.cutoff)},{row.chair_i:.6f},{row.chair_s:.6f},{row.n}"
             )
         return "\n".join(lines) + "\n"
 
@@ -150,6 +167,21 @@ def _image_ids(paths):
             )
         seen.add(image_id)
     return ids
+
+
+def _exports(config, ids, spectra, directory):
+    """Filter and write each image at each cutoff, yielding the paths in
+    cutoff-major order: the order in which the batches take them."""
+    for cutoff in config.cutoffs:
+        # one folder per cutoff: ids and labels are each unique, so no
+        # export overwrites another before the oracle has read it
+        folder = Path(directory) / _label(cutoff)
+        folder.mkdir()
+        weights = {}  # one branch weight per image shape at this cutoff
+        for image_id, spectrum in zip(ids, spectra):
+            path = folder / f"{image_id}.ppm"
+            save_image(filter_branch(spectrum, cutoff, config.mode, weights), path)
+            yield path
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -170,22 +202,25 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     spectra = [image_spectrum(load_image(p)) for p in config.images]
 
     rows = []
-    # the oracle starts up while the first cutoff is filtered and exported
+    # the oracle starts up while the first exports are written and sent
     with (
         tempfile.TemporaryDirectory(prefix="freqfuse-sweep-") as tmp,
         CaptionOracle(
             config.oracle, timeout=config.timeout, prompt=config.prompt
         ) as oracle,
     ):
+        pending = _exports(config, ids, spectra, tmp)
+        ahead = collections.deque()  # exports made before their batch is sent
+
+        def export_ahead():
+            path = next(pending, None)
+            if path is not None:
+                ahead.append(path)
+            return path is not None
+
         for cutoff in config.cutoffs:
-            batch = []
-            weights = {}  # one branch weight per image shape at this cutoff
-            for image_id, spectrum in zip(ids, spectra):
-                filtered = filter_branch(spectrum, cutoff, config.mode, weights)
-                out_path = Path(tmp) / f"{image_id}-{cutoff:g}.ppm"
-                save_image(filtered, out_path)
-                batch.append((image_id, out_path))
-            captions = oracle.caption_batch(batch)
+            paths = (ahead.popleft() if ahead else next(pending) for _ in ids)
+            captions = oracle.caption_batch(ids, paths, idle=export_ahead)
             records = [
                 CaptionRecord(
                     id=image_id,

@@ -293,16 +293,17 @@ def test_fit_zero_lr_keeps_params():
 
 
 def test_fit_runs_one_forward_per_sample_and_step(monkeypatch):
-    # the loss of each step comes from the pass that feeds the gradient,
+    # the loss of each step and the backward pass share one forward pass,
     # plus one scoring pass after the last update
     calls = []
+    forward = fusion._forward
 
     def counting(*args):
         calls.append(1)
-        return fuse_sequence(*args)
+        return forward(*args)
 
-    monkeypatch.setattr(fusion, "fuse_sequence", counting)
     dataset = make_teacher_problem(2, 3, 46) + make_teacher_problem(2, 3, 47)
+    monkeypatch.setattr(fusion, "_forward", counting)
     _, losses = fit_demo(dataset, init_params(2, 48), steps=3, lr=0.05)
     assert len(losses) == 4
     assert len(calls) == 2 * 3 + 2

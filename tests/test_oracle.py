@@ -2,6 +2,7 @@
 
 import io
 import json
+import select
 import sys
 import time
 
@@ -32,7 +33,7 @@ def child(script):
 def caption_one(command, image_path, **kwargs):
     """Start an oracle, caption one image through caption_batch, and close it."""
     with CaptionOracle(command, **kwargs) as oracle:
-        return oracle.caption_batch([("req-1", image_path)])["req-1"]
+        return oracle.caption_batch(["req-1"], [image_path])["req-1"]
 
 
 ECHO_IMAGE = """
@@ -138,7 +139,7 @@ SCRIPTED = "import sys; sys.stdout.buffer.write(bytes.fromhex(sys.argv[1]))"
 
 def test_batch_round_trip(tmp_path):
     with CaptionOracle(child(ECHO_IMAGE)) as oracle:
-        result = oracle.caption_batch([("a", tmp_path / "x.ppm"), ("b", tmp_path / "y.ppm")])
+        result = oracle.caption_batch(["a", "b"], [tmp_path / "x.ppm", tmp_path / "y.ppm"])
     assert result["a"].startswith("saw ") and result["a"].endswith("x.ppm")
     assert result["b"].endswith("y.ppm")
 
@@ -157,14 +158,14 @@ def test_prompt_is_sent():
 
 def test_out_of_order_responses_are_matched():
     with CaptionOracle(child(OUT_OF_ORDER)) as oracle:
-        result = oracle.caption_batch([("first", "a.ppm"), ("second", "b.ppm")])
+        result = oracle.caption_batch(["first", "second"], ["a.ppm", "b.ppm"])
     assert result == {"first": "c-first", "second": "c-second"}
 
 
 def test_duplicate_response_id_rejected():
     with CaptionOracle(child(DUPLICATE_ID)) as oracle:
         with pytest.raises(OracleProtocolError, match="duplicate"):
-            oracle.caption_batch([("a", "x.ppm"), ("b", "y.ppm")])
+            oracle.caption_batch(["a", "b"], ["x.ppm", "y.ppm"])
 
 
 def test_unknown_response_id_rejected():
@@ -216,21 +217,23 @@ def test_blank_lines_do_not_extend_the_timeout():
 
 def test_child_that_never_reads_stdin_times_out():
     # 2000 requests fill the stdin pipe long before they are all written
-    batch = [(f"r{i}", f"image-{i:04d}.ppm") for i in range(2000)]
+    ids = [f"r{i}" for i in range(2000)]
+    paths = [f"image-{i:04d}.ppm" for i in range(2000)]
     start = time.monotonic()
     with CaptionOracle(child(NEVER_READS), timeout=1) as oracle:
         with pytest.raises(OracleTimeoutError, match="within 1s"):
-            oracle.caption_batch(batch)
+            oracle.caption_batch(ids, paths)
     assert time.monotonic() - start < 4.0
 
 
 def test_child_that_exits_without_reading_a_large_batch_is_unanswered():
     # the requests it never read meet a broken pipe, which must not escape
-    batch = [(f"r{i}", f"image-{i:04d}.ppm") for i in range(2000)]
+    ids = [f"r{i}" for i in range(2000)]
+    paths = [f"image-{i:04d}.ppm" for i in range(2000)]
     start = time.monotonic()
     with CaptionOracle(child("pass"), timeout=5) as oracle:
         with pytest.raises(OracleProtocolError, match=r"2000 request\(s\) unanswered"):
-            oracle.caption_batch(batch)
+            oracle.caption_batch(ids, paths)
     assert time.monotonic() - start < 5.0
 
 
@@ -283,7 +286,7 @@ def test_scripted_replies_end_in_captions_or_an_oracle_error(output):
     start = time.monotonic()
     try:
         with CaptionOracle(child(SCRIPTED) + [output.hex()], timeout=timeout) as oracle:
-            got = oracle.caption_batch([(rid, f"{rid}.ppm") for rid in IDS])
+            got = oracle.caption_batch(IDS, [f"{rid}.ppm" for rid in IDS])
     except OracleError:
         got = None
     assert time.monotonic() - start < timeout + 2
@@ -292,37 +295,101 @@ def test_scripted_replies_end_in_captions_or_an_oracle_error(output):
 
 def test_close_closes_both_pipes():
     with CaptionOracle(child(ECHO_IMAGE)) as oracle:
-        oracle.caption_batch([("a", "x.ppm")])
+        oracle.caption_batch(["a"], ["x.ppm"])
     assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
 
 
 def test_one_oracle_answers_repeated_batches(tmp_path):
-    batch = [("a", tmp_path / "x.ppm"), ("b", tmp_path / "y.ppm")]
+    ids, paths = ["a", "b"], [tmp_path / "x.ppm", tmp_path / "y.ppm"]
     with CaptionOracle(child(ECHO_IMAGE)) as oracle:
-        first = oracle.caption_batch(batch)
-        second = oracle.caption_batch(batch)
+        first = oracle.caption_batch(ids, paths)
+        second = oracle.caption_batch(ids, paths)
     assert first == second
     assert first["a"].endswith("x.ppm") and first["b"].endswith("y.ppm")
 
 
 def test_duplicate_response_id_rejected_in_a_later_batch():
     with CaptionOracle(child(DUPLICATE_IN_SECOND_BATCH)) as oracle:
-        assert oracle.caption_batch([("a", "x.ppm")]) == {"a": "first"}
+        assert oracle.caption_batch(["a"], ["x.ppm"]) == {"a": "first"}
         with pytest.raises(OracleProtocolError, match="duplicate response id 'a'"):
-            oracle.caption_batch([("a", "x.ppm"), ("b", "y.ppm")])
+            oracle.caption_batch(["a", "b"], ["x.ppm", "y.ppm"])
 
 
 def test_stray_reply_rejected_when_the_next_batch_starts():
     with CaptionOracle(child(REPLY_TWICE)) as oracle:
-        assert oracle.caption_batch([("a", "x.ppm")]) == {"a": "c"}
+        assert oracle.caption_batch(["a"], ["x.ppm"]) == {"a": "c"}
         with pytest.raises(OracleProtocolError, match="line 2: reply with no request"):
-            oracle.caption_batch([("a", "x.ppm")])
+            oracle.caption_batch(["a"], ["x.ppm"])
 
 
 def test_duplicate_request_ids_rejected_locally():
+    # before a path is pulled, idle work is done or a byte is written
+    touched = []
+
+    def paths():
+        touched.append("paths")
+        yield from ("x.ppm", "y.ppm")
+
+    def idle():
+        touched.append("idle")
+        return False
+
     with CaptionOracle(child(ECHO_IMAGE)) as oracle:
         with pytest.raises(ValueError, match="unique"):
-            oracle.caption_batch([("a", "x.ppm"), ("a", "y.ppm")])
+            oracle.caption_batch(["a", "a"], paths(), idle=idle)
+        assert touched == []
+        # nothing reached the child: the next batch meets no stray reply
+        assert oracle.caption_batch(["b"], ["z.ppm"])["b"].endswith("z.ppm")
+
+
+def test_reply_that_arrives_during_idle_work_is_taken_past_the_deadline():
+    calls = []
+
+    def idle():
+        # one unit of work that outlasts the 0.5 s deadline, ending only
+        # once the reply is waiting on the pipe
+        calls.append(1)
+        if len(calls) > 1:
+            return False
+        time.sleep(0.6)
+        select.select([oracle._proc.stdout], [], [], 5.0)
+        return True
+
+    with CaptionOracle(child(ECHO_IMAGE), timeout=0.5) as oracle:
+        result = oracle.caption_batch(["a"], ["x.ppm"], idle=idle)
+    assert result["a"].endswith("x.ppm")
+    assert calls == [1]
+
+
+def test_silent_child_times_out_while_idle_work_remains():
+    calls = []
+
+    def idle():
+        # 5 s of work in all, far past the 0.5 s timeout
+        calls.append(1)
+        time.sleep(0.05)
+        return len(calls) < 100
+
+    start = time.monotonic()
+    with CaptionOracle(child(SLEEPER), timeout=0.5) as oracle:
+        with pytest.raises(OracleTimeoutError, match="within 0.5s"):
+            oracle.caption_batch(["a"], ["x.ppm"], idle=idle)
+    assert time.monotonic() - start < 0.5 + 2
+    assert 5 <= len(calls) < 100
+
+
+def test_requests_are_sent_as_the_paths_are_yielded():
+    # the child answers the first request before the second path exists
+    def paths():
+        yield "x.ppm"
+        select.select([oracle._proc.stdout], [], [], 5.0)
+        yield "y.ppm"
+
+    with CaptionOracle(child(ECHO_IMAGE), timeout=5) as oracle:
+        start = time.monotonic()
+        result = oracle.caption_batch(["a", "b"], paths())
+    assert time.monotonic() - start < 4.0
+    assert result["a"].endswith("x.ppm") and result["b"].endswith("y.ppm")
 
 
 # bundled mock, exercised through the real CLI subprocess
@@ -363,7 +430,7 @@ def test_gt_mode_batch(tmp_path):
     save_image(random_image(2, 4, 4), img)
     gt = write_jsonl(tmp_path / "gt.jsonl", [{"id": "pic", "ground_truth": ["dog", "cat"]}])
     with CaptionOracle(mock_command("--mode", "gt", "--ground-truth", gt)) as oracle:
-        result = oracle.caption_batch([("pic", img)])
+        result = oracle.caption_batch(["pic"], [img])
     assert result["pic"] == "The image shows a cat and a dog."
 
 

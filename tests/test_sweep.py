@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from freqfuse import spectral
+from freqfuse.harness import sweep
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
 from freqfuse.harness.imageio import save_image
+from freqfuse.harness.oracle import CaptionOracle
 from freqfuse.harness.sweep import SweepConfig, SweepResult, SweepRow, run_sweep
 from util import cosine_image, random_image, write_jsonl
 
@@ -61,6 +63,16 @@ def test_config_rejects_bad_cutoffs():
         SweepConfig(cutoffs=(30, 5), **base)
     with pytest.raises(ValueError, match="positive"):
         SweepConfig(cutoffs=(5, float("nan")), **base)
+
+
+def test_config_rejects_cutoffs_that_print_the_same():
+    base = dict(mode="low", images=("a",), oracle="x", ground_truth="g")
+    with pytest.raises(ValueError, match=r"1.0000001 and 1.0000002 print the same \(1\)"):
+        SweepConfig(cutoffs=(0.5, 1.0000001, 1.0000002), **base)
+    with pytest.raises(ValueError, match=r"print the same \(30\)"):
+        SweepConfig(cutoffs=(30, 30.000001), **base)
+    # six significant digits tell these apart
+    assert SweepConfig(cutoffs=(1.00001, 1.00002), **base).cutoffs == (1.00001, 1.00002)
 
 
 def test_config_rejects_empty_images():
@@ -119,6 +131,8 @@ def test_config_from_json_rejects_unknown_and_missing_keys(tmp_path):
         ("synonyms", 5),
         ("ground_truth", 5),
         ("prompt", 5),
+        # both print as "1" in the CSV and name the same export folder
+        ("cutoffs", [1.0000001, 1.0000002]),
     ],
 )
 def test_config_from_json_rejects_bad_field_types(tmp_path, key, value):
@@ -309,6 +323,138 @@ def test_one_weight_per_shape_and_cutoff(tmp_path, monkeypatch):
     run_sweep(config)
     # 2 images of one shape x 3 cutoffs: one weight per cutoff, not per image
     assert built == [(16, 16)] * 3
+
+
+def slow_mock(delay, *extra):
+    """The bundled mock, answering only after `delay` seconds of start-up."""
+    script = (
+        "import sys, time\n"
+        f"time.sleep({delay})\n"
+        "from freqfuse.harness.cli import main\n"
+        f"sys.exit(main(['mock-oracle', *{list(extra)!r}]))\n"
+    )
+    return [sys.executable, "-c", script]
+
+
+def test_later_cutoffs_are_exported_while_the_oracle_answers(tmp_path, monkeypatch):
+    paths = small_images(tmp_path, ["a", "b"])
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    events = []
+    save, caption_batch = sweep.save_image, CaptionOracle.caption_batch
+
+    def recording_save(image, path):
+        save(image, path)
+        events.append(f"{path.parent.name}/{path.name}")
+
+    def recording_batch(self, *args, **kwargs):
+        captions = caption_batch(self, *args, **kwargs)
+        events.append("answered")
+        return captions
+
+    monkeypatch.setattr(sweep, "save_image", recording_save)
+    monkeypatch.setattr(CaptionOracle, "caption_batch", recording_batch)
+    config = SweepConfig(
+        mode="high",
+        cutoffs=(1, 5, 30),
+        images=paths,
+        oracle=slow_mock(0.3, "--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    csv = run_sweep(config).to_csv()
+    exports = [e for e in events if e != "answered"]
+    assert exports == ["1/a.ppm", "1/b.ppm", "5/a.ppm", "5/b.ppm", "30/a.ppm", "30/b.ppm"]
+    # a cutoff-5 export is on disk before the cutoff-1 batch is answered
+    assert events.index("5/a.ppm") < events.index("answered")
+    assert events.count("answered") == 3
+    assert csv == (
+        "cutoff,chair_i,chair_s,n\n"
+        "1,0.000000,0.000000,2\n"
+        "5,0.000000,0.000000,2\n"
+        "30,0.000000,0.000000,2\n"
+    )
+
+
+def test_exports_of_later_cutoffs_never_replace_unread_ones(tmp_path):
+    # named "<id>-<cutoff>.ppm", x at 1e-100 and x-1e at 100 would share
+    # one file, and the dark later export would replace the bright earlier
+    # one before the oracle read it
+    paths = []
+    for i, image_id in enumerate(["x", "x-1e"]):
+        path = tmp_path / f"{image_id}.ppm"
+        save_image(random_image(i, 16, 16), path)
+        paths.append(str(path))
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "x", "ground_truth": ["dog"]}, {"id": "x-1e", "ground_truth": ["dog"]}],
+    )
+    config = SweepConfig(
+        mode="high",
+        cutoffs=(1e-100, 100),
+        images=paths,
+        oracle=slow_mock(
+            0.3, "--mode", "energy", "--threshold", "0.01", "--ground-truth", gt
+        ),
+        ground_truth=gt,
+    )
+    # the high branch keeps all the energy at the lowest cutoff, none at 100
+    assert run_sweep(config).to_csv() == (
+        "cutoff,chair_i,chair_s,n\n"
+        "1e-100,0.000000,0.000000,2\n"
+        "100,1.000000,1.000000,2\n"
+    )
+
+
+def test_export_failure_while_running_ahead_is_a_data_error(tmp_path, monkeypatch, capsys):
+    paths = small_images(tmp_path, ["a", "b"])
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    saves, batches, oracles = [], [], []
+    save, caption_batch, close = (
+        sweep.save_image, CaptionOracle.caption_batch, CaptionOracle.close
+    )
+
+    def failing_save(image, path):
+        saves.append(f"{path.parent.name}/{path.name}")
+        if len(saves) == 3:
+            raise OSError(28, "No space left on device", str(path))
+        save(image, path)
+
+    def recording_batch(self, *args, **kwargs):
+        batches.append(1)
+        return caption_batch(self, *args, **kwargs)
+
+    def recording_close(self):
+        oracles.append(self)
+        close(self)
+
+    monkeypatch.setattr(sweep, "save_image", failing_save)
+    monkeypatch.setattr(CaptionOracle, "caption_batch", recording_batch)
+    monkeypatch.setattr(CaptionOracle, "close", recording_close)
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({
+        "mode": "high",
+        "cutoffs": [1, 5, 30],
+        "images": paths,
+        "oracle": slow_mock(0.3, "--mode", "gt", "--ground-truth", gt),
+        "ground_truth": gt,
+    }))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No space left on device" in captured.err
+    # the first export of cutoff 5 failed while cutoff 1 was being answered
+    assert saves == ["1/a.ppm", "1/b.ppm", "5/a.ppm"]
+    assert batches == [1]
+    # the child was waited for and both of its pipes are closed
+    [oracle] = oracles
+    assert oracle._proc.returncode is not None
+    assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
+
 
 def test_missing_ground_truth_id_fails_before_captioning(tmp_path):
     paths = small_images(tmp_path, ["a"])
