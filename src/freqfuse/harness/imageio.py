@@ -34,12 +34,24 @@ class UnsupportedImageError(ImageError):
 
 
 def _quantize(image) -> np.ndarray:
-    clamped = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
+    arr = np.asarray(image, dtype=float)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ValueError(f"expected an (h, w, 3) image, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"image dimensions must be positive, got {arr.shape}")
+    clamped = np.clip(arr, 0.0, 1.0)
+    if np.isnan(clamped.max()):  # clip keeps NaN; +-inf clamp
+        raise ValueError("image contains non-finite values")
     return np.floor(clamped * 255.0 + 0.5).astype(np.uint8)
 
 
 def load_image(path) -> np.ndarray:
-    """Read a PPM or PNG file into an (h, w, 3) float array in [0, 1]."""
+    """Read a PPM or PNG file into an (h, w, 3) float array in [0, 1].
+
+    The array is a view over channel-planar memory, each channel one
+    contiguous (h, w) block, which is the layout the spectral transforms
+    run fastest on; np.ascontiguousarray gives interleaved memory.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] == b"P6":
@@ -48,15 +60,19 @@ def load_image(path) -> np.ndarray:
         raw, h, w = _decode_png(data)
     else:
         raise ImageDecodeError(f"{path}: not a P6 PPM or PNG file")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3) / 255.0
+    # gather planes from the bytes, an eighth of the memory of the floats
+    planes = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
+    return (np.ascontiguousarray(planes) / 255.0).transpose(1, 2, 0)
 
 
 def save_image(image, path) -> None:
-    """Write an image as PPM (.ppm/.pnm) or PNG (.png) based on extension."""
+    """Write an image as PPM (.ppm/.pnm) or PNG (.png) based on extension.
+
+    Values are clamped to [0, 1]; an empty or non-(h, w, 3) image, or one
+    holding NaN, is a ValueError and no file is written.
+    """
     name = str(path).lower()
     pixels = _quantize(image)
-    if pixels.ndim != 3 or pixels.shape[2] != 3:
-        raise ValueError(f"expected an (h, w, 3) image, got shape {pixels.shape}")
     if name.endswith((".ppm", ".pnm")):
         blob = _encode_ppm(pixels)
     elif name.endswith(".png"):

@@ -10,6 +10,11 @@ decompose returns both branches from one forward transform, and
 decompose_attenuated also multiplies each mask by a damping gain. The masks
 are exact complements, so undamped components sum back to the image.
 Outputs are not clamped to [0, 1]; export clamps.
+
+Spectra and branches keep the (h, w, 3) shape but live in channel-planar
+memory, each channel one contiguous block: the transforms run faster there
+and give the same values. Branch weights are built directly on the half
+grid that rfft2 returns, never on the full centered grid.
 """
 
 from dataclasses import dataclass
@@ -60,9 +65,11 @@ def validate_image(image) -> np.ndarray:
         raise ValueError(f"expected an (h, w, 3) image, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"image dimensions must be positive, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # NaN propagates through min and max, and an infinity is at one end
+    lo, hi = arr.min(), arr.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("image contains non-finite values")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if lo < 0.0 or hi > 1.0:
         raise ValueError("image intensities must lie in [0, 1]")
     return arr
 
@@ -107,21 +114,48 @@ def gaussian_masks(h: int, w: int, cutoff: float):
     """
     if h < 1 or w < 1:
         raise ValueError(f"mask dimensions must be positive, got {h}x{w}")
+    return _masks(np.arange(h) - h // 2, np.arange(w) - w // 2, cutoff)
+
+
+def _masks(du, dv, cutoff):
+    """(low, high) at row offsets du and column offsets dv from the center."""
     if not cutoff > 0:  # NaN too
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    du = np.arange(h) - h // 2
-    dv = np.arange(w) - w // 2
     d2 = du[:, None] ** 2 + dv[None, :] ** 2
     low = np.exp(-d2 / (2.0 * cutoff * cutoff))
-    high = 1.0 - low
-    return low, high
+    return low, 1.0 - low
+
+
+def _half_grid(h, w):
+    """Centered-grid (rows, cols) at the cells k of a half spectrum, and at -k.
+
+    Unshifted cell k is centered cell (k + n//2) % n (ifftshift) and its
+    mirror -k is (n//2 - k) % n; rfft2 keeps only the columns 0..w//2.
+    """
+    rows, cols = np.arange(h), np.arange(w // 2 + 1)
+    return (
+        ((rows + h // 2) % h, (cols + w // 2) % w),
+        ((h // 2 - rows) % h, (w // 2 - cols) % w),
+    )
+
+
+def _half_masks(h, w, cutoff):
+    """gaussian_masks at the cells of the unshifted half spectrum.
+
+    The offsets of k and -k from the center have equal integer squares, so
+    both masks are even, m(k) == m(-k) bitwise.
+    """
+    (rows, cols), _ = _half_grid(h, w)
+    return _masks(rows - h // 2, cols - w // 2, cutoff)
 
 
 @dataclass(frozen=True)
 class ImageSpectrum:
     """Half spectrum of a validated image: rfft2 over the two pixel axes.
 
-    half: complex (h, w // 2 + 1, 3) array, all channels at once.
+    half: complex (h, w // 2 + 1, 3) array, all channels at once, a view
+        over channel-planar memory: each channel's half spectrum is one
+        contiguous block.
     shape: (h, w) of the image, which irfft2 needs back for odd widths.
     """
 
@@ -135,21 +169,28 @@ def image_spectrum(image) -> ImageSpectrum:
 
 
 def _forward(arr):
-    return ImageSpectrum(np.fft.rfft2(arr, axes=(0, 1)), arr.shape[:2])
+    # rfft2 and irfft2 keep the memory order of their input, and transform
+    # faster over channel-planar memory; every value is the same either way.
+    # An image that is already planar, as load_image returns it, is not copied.
+    planar = np.ascontiguousarray(arr.transpose(2, 0, 1)).transpose(1, 2, 0)
+    return ImageSpectrum(np.fft.rfft2(planar, axes=(0, 1)), arr.shape[:2])
 
 
 def _weight(mask, gain):
     """Hermitian weight of one branch on the unshifted half grid.
 
-    mask is centered (h, w); gain is a scalar or a centered (h, w, 1)
-    array. mask * gain is made Hermitian, (g(k) + g(-k)) / 2, the
-    filter that the real part of a complex inverse applies, so irfft2 gives
-    it exactly.
+    mask is a half-grid mask from _half_masks; gain is a scalar or a
+    centered (h, w, 1) array. With g = mask * gain, the weight is
+    (g(k) + g(-k)) / 2, the filter that the real part of a complex inverse
+    applies, so irfft2 gives it exactly. The mask is even, so for a scalar
+    gain that is g itself, and only an array gain is gathered at -k.
     """
-    h, w = mask.shape
-    half = w // 2 + 1
-    g = np.fft.ifftshift(mask[:, :, None] * gain, axes=(0, 1))
-    return (g[:, :half] + g[(-np.arange(h) % h)[:, None], -np.arange(half) % w]) / 2.0
+    m = mask[:, :, None]
+    if np.ndim(gain) == 0:
+        return m * gain
+    h, w, _ = gain.shape
+    (rows, cols), (mrows, mcols) = _half_grid(h, w)
+    return (m * gain[rows[:, None], cols] + m * gain[mrows[:, None], mcols]) / 2.0
 
 
 def _inverse(spectrum, weight):
@@ -173,18 +214,16 @@ def filter_branch(
         weights = {}
     key = (spectrum.shape, cutoff, which)
     if key not in weights:
-        mask = gaussian_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
+        mask = _half_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
         weights[key] = _weight(mask, 1.0)
     return _inverse(spectrum, weights[key])
 
 
 def _split(arr, cutoff, low_gain, high_gain):
-    """(low, high) of a validated image from one forward transform."""
-    masks = gaussian_masks(*arr.shape[:2], cutoff)
+    """(low, high) of a validated image from one forward transform, each an
+    (h, w, 3) view over channel-planar memory, as irfft2 returns it."""
+    masks = _half_masks(*arr.shape[:2], cutoff)
     weights = [_weight(mask, gain) for mask, gain in zip(masks, (low_gain, high_gain))]
-    # the spectrum after the smaller weights, and the masks held until the
-    # inverses are done: over many calls this order fragments the heap
-    # least, so peak RSS stays lower
     spectrum = _forward(arr)
     return tuple(_inverse(spectrum, weight) for weight in weights)
 
@@ -192,8 +231,9 @@ def _split(arr, cutoff, low_gain, high_gain):
 def decompose(image, cutoff: float = DEFAULT_CUTOFF):
     """Split an image into its low- and high-frequency components.
 
-    Returns (low, high) as (h, w, 3) float arrays satisfying
-    low + high == image up to transform round-off. Not clamped.
+    Returns (low, high) as (h, w, 3) float arrays, in channel-planar
+    memory, satisfying low + high == image up to transform round-off. Not
+    clamped.
     """
     return _split(validate_image(image), cutoff, 1.0, 1.0)
 

@@ -69,6 +69,20 @@ def naive_gaussian_low_mask(h, w, cutoff):
     return mask
 
 
+def naive_weight(mask, gain):
+    """Hermitian branch weight on the unshifted half grid, built the long way.
+
+    mask is a centered (h, w) mask, gain a scalar or a centered (h, w, 1)
+    array. g = mask * gain is unshifted over the whole grid, and the weight
+    at each cell k of the half grid is (g(k) + g(-k)) / 2, -k gathered from
+    the full grid.
+    """
+    h, w = mask.shape
+    half = w // 2 + 1
+    g = np.fft.ifftshift(mask[:, :, None] * gain, axes=(0, 1))
+    return (g[:, :half] + g[(-np.arange(h) % h)[:, None], -np.arange(half) % w]) / 2.0
+
+
 def naive_decompose(image, cutoff, low_gain=None, high_gain=None):
     """Full filter pipeline built only from the naive pieces above.
 

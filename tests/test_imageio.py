@@ -54,11 +54,48 @@ def test_formats_agree(tmp_path):
 def test_save_clamps_out_of_range(tmp_path):
     img = np.zeros((2, 2, 3))
     img[0, 0] = [1.3, -0.2, 0.5]
+    img[1, 1] = [np.inf, -np.inf, 0.5]
     path = tmp_path / "clamp.ppm"
     save_image(img, path)
     back = load_image(path)
     assert back[0, 0, 0] == 1.0
     assert back[0, 0, 1] == 0.0
+    assert back[1, 1, 0] == 1.0
+    assert back[1, 1, 1] == 0.0
+
+
+@pytest.mark.parametrize("ext", ["ppm", "png"])
+def test_save_rejects_nan_before_writing(tmp_path, ext):
+    img = np.full((2, 2, 3), 0.5)
+    img[1, 0, 1] = np.nan
+    path = tmp_path / f"nan.{ext}"
+    for bad in (img, np.full((2, 2, 3), np.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            save_image(bad, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("ext", ["ppm", "png"])
+@pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3), (0, 0, 3)])
+def test_save_rejects_empty_images_before_writing(tmp_path, ext, shape):
+    path = tmp_path / f"empty.{ext}"
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        save_image(np.zeros(shape), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("ext", ["ppm", "png"])
+def test_load_is_channel_planar_and_save_reads_any_layout(tmp_path, ext):
+    img = random_image(5, 7, 6)
+    path = tmp_path / f"img.{ext}"
+    save_image(img, path)
+    back = load_image(path)
+    # the spectral transforms run faster over channel-planar memory
+    assert np.moveaxis(back, 2, 0).flags.c_contiguous
+    blob = path.read_bytes()
+    for other in (back, np.ascontiguousarray(back), np.asfortranarray(img)):
+        save_image(other, path)
+        assert path.read_bytes() == blob
 
 
 def test_rounding_is_half_up(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqfuse import spectral
 from freqfuse.spectral import (
     AttenuationSpec,
     attenuation_matrix,
@@ -22,6 +23,7 @@ from oracles import (
     naive_dft2d,
     naive_gaussian_low_mask,
     naive_idft2d,
+    naive_weight,
 )
 
 
@@ -258,6 +260,72 @@ def test_filter_branch_leaves_the_spectrum_alone():
     assert spectrum.shape == (9, 10)
 
 
+# half-grid weights and channel-planar memory
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.integers(min_value=1, max_value=40),
+    w=st.integers(min_value=1, max_value=40),
+    # log-uniform; the small end takes exp into subnormals and to 0
+    cutoff=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+    scalar=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_half_grid_weight_matches_the_full_grid_oracle(h, w, cutoff, scalar, seed):
+    # a scalar gain, or a centered (h, w, 1) damping draw
+    gain = scalar if seed is None else np.random.default_rng(seed).uniform(size=(h, w, 1))
+    for full, half in zip(gaussian_masks(h, w, cutoff), spectral._half_masks(h, w, cutoff)):
+        assert np.array_equal(spectral._weight(half, gain), naive_weight(full, gain))
+
+
+def layouts(img):
+    """One image in C order, over channel-planar memory, in Fortran order and
+    as a view strided on every axis."""
+    h, w, _ = img.shape
+    strided = np.full((2 * h, 2 * w, 6), np.nan)
+    strided[::2, ::2, ::2] = img
+    return {
+        "C": np.ascontiguousarray(img),
+        "planar": np.ascontiguousarray(img.transpose(2, 0, 1)).transpose(1, 2, 0),
+        "Fortran": np.asfortranarray(img),
+        "strided": strided[::2, ::2, ::2],
+    }
+
+
+def all_outputs(img, cutoff):
+    spectrum = image_spectrum(img)
+    return (
+        *decompose(img, cutoff),
+        *decompose_attenuated(img, cutoff, AttenuationSpec(0.6, seed=3)),
+        *(filter_branch(spectrum, cutoff, which) for which in ("low", "high")),
+    )
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 6), (7, 10), (16, 9)])
+def test_outputs_do_not_depend_on_the_input_layout(h, w):
+    img = random_image(np.random.default_rng(h * 100 + w), h, w)
+    want = all_outputs(img, 2.5)
+    for name, arr in layouts(img).items():
+        assert np.array_equal(arr, img), name
+        for got, expected in zip(all_outputs(arr, 2.5), want):
+            assert np.array_equal(got, expected), name
+
+
+def is_channel_planar(arr):
+    return np.moveaxis(arr, 2, 0).flags.c_contiguous
+
+
+def test_spectra_and_branches_are_channel_planar():
+    # the transforms run faster over planar memory; an interleaved input is
+    # made planar once, and everything after it stays so
+    img = random_image(np.random.default_rng(16), 12, 9)
+    assert not is_channel_planar(img)
+    assert is_channel_planar(image_spectrum(img).half)
+    for branch in all_outputs(img, 3.0):
+        assert is_channel_planar(branch)
+
+
 def test_spectrum_and_branch_reject_bad_input():
     with pytest.raises(ValueError, match="intensities"):
         image_spectrum(np.full((2, 2, 3), 1.5))
@@ -269,14 +337,19 @@ def test_spectrum_and_branch_reject_bad_input():
 
 
 def test_validate_image_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape"):
         validate_image(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        validate_image(np.full((2, 2, 3), 1.5))
-    with pytest.raises(ValueError):
-        validate_image(np.full((2, 2, 3), -0.1))
-    with pytest.raises(ValueError):
-        validate_image(np.full((2, 2, 3), np.nan))
+    for bad in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"intensities must lie in \[0, 1\]"):
+            validate_image(np.full((2, 2, 3), bad))
+    for bad in (np.nan, np.inf, -np.inf):
+        img = np.full((3, 2, 3), 0.5)
+        img[1, 1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_image(img)
+        img[0, 0, 0] = 1.5  # out of range as well: non-finite is what is reported
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_image(img)
 
 
 # attenuation

@@ -321,8 +321,9 @@ def test_one_weight_per_shape_and_cutoff(tmp_path, monkeypatch):
         ground_truth=gt,
     )
     run_sweep(config)
-    # 2 images of one shape x 3 cutoffs: one weight per cutoff, not per image
-    assert built == [(16, 16)] * 3
+    # 2 images of one shape x 3 cutoffs: one weight per cutoff, not per
+    # image, each on the (16, 16 // 2 + 1) half grid that rfft2 returns
+    assert built == [(16, 9)] * 3
 
 
 def slow_mock(delay, *extra):
