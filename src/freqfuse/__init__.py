@@ -27,10 +27,8 @@ from .spectral import (
     attenuation_matrix,
     decompose,
     decompose_attenuated,
-    dft2d,
     filter_branch,
     gaussian_masks,
-    idft2d,
     image_spectrum,
 )
 
@@ -51,7 +49,6 @@ __all__ = [
     "chair",
     "decompose",
     "decompose_attenuated",
-    "dft2d",
     "extract_objects",
     "filter_branch",
     "fit_demo",
@@ -60,7 +57,6 @@ __all__ = [
     "fuse_token",
     "gaussian_masks",
     "gradient_check",
-    "idft2d",
     "image_spectrum",
     "init_params",
     "patch_tokens",

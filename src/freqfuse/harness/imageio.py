@@ -18,7 +18,12 @@ import zlib
 
 import numpy as np
 
+from ..spectral import check_image_shape
+
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+# width * height above which an image is refused from its header, before
+# anything is inflated or allocated
+MAX_PIXELS = 1 << 25
 
 
 class ImageError(Exception):
@@ -35,14 +40,20 @@ class UnsupportedImageError(ImageError):
 
 def _quantize(image) -> np.ndarray:
     arr = np.asarray(image, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"expected an (h, w, 3) image, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"image dimensions must be positive, got {arr.shape}")
+    check_image_shape(arr)
     clamped = np.clip(arr, 0.0, 1.0)
     if np.isnan(clamped.max()):  # clip keeps NaN; +-inf clamp
         raise ValueError("image contains non-finite values")
     return np.floor(clamped * 255.0 + 0.5).astype(np.uint8)
+
+
+def _check_dimensions(kind, w, h):
+    if w < 1 or h < 1:
+        raise ImageDecodeError(f"bad {kind} dimensions {w}x{h}")
+    if w * h > MAX_PIXELS:
+        raise ImageDecodeError(
+            f"{kind} of {w}x{h} pixels is over the limit of {MAX_PIXELS} pixels"
+        )
 
 
 def load_image(path) -> np.ndarray:
@@ -125,8 +136,7 @@ def _decode_ppm(data):
         w, h, maxval = (int(f) for f in fields)
     except ValueError:
         raise ImageDecodeError(f"non-numeric PPM header fields {fields}") from None
-    if w < 1 or h < 1:
-        raise ImageDecodeError(f"bad PPM dimensions {w}x{h}")
+    _check_dimensions("PPM", w, h)
     if maxval != 255:
         raise UnsupportedImageError(f"unsupported maxval {maxval}, only 255")
     # exactly one whitespace byte separates the header from the pixels
@@ -253,8 +263,7 @@ def _decode_png(data):
     if header is None:
         raise ImageDecodeError("PNG is missing its IHDR chunk")
     w, h, depth, color, compression, filter_method, interlace = header
-    if w < 1 or h < 1:
-        raise ImageDecodeError(f"bad PNG dimensions {w}x{h}")
+    _check_dimensions("PNG", w, h)
     if depth != 8:
         raise UnsupportedImageError(f"unsupported bit depth {depth}, only 8")
     if color != 2:

@@ -18,10 +18,13 @@ import subprocess
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .imageio import load_image
 
 DEFAULT_PROMPT = "Please describe this image in detail."
 DEFAULT_TIMEOUT = 60.0
+MAX_REPLY_LINE = 1 << 20  # bytes in one reply line, newline excluded
 
 MOCK_MODES = ("echo", "energy", "gt", "fixed")
 DEFAULT_MOCK_OBJECTS = ("unicorn", "dragon")
@@ -70,7 +73,7 @@ class CaptionOracle:
         self._unsent = bytearray()  # request bytes the child has not taken yet
         # lines the child has written and nobody has consumed yet
         self._lines = collections.deque()
-        self._tail = b""  # the child's last line, until its newline arrives
+        self._tail = bytearray()  # the child's last line, until its newline arrives
         self._eof = False
         self._line_no = 0
 
@@ -94,11 +97,20 @@ class CaptionOracle:
                 # all lines of one read land together, so a reply the child
                 # wrote along with an earlier one is visible as soon as that one is
                 chunk = os.read(key.fd, 1 << 16)
-                *lines, self._tail = (self._tail + chunk).split(b"\n")
-                self._lines.extend(lines)
                 self._eof = not chunk
+                first, *rest = chunk.split(b"\n")
+                self._tail += first
+                if len(self._tail) > MAX_REPLY_LINE:
+                    self._eof = True  # read no more: close() ends the child
+                    raise OracleProtocolError(
+                        f"oracle line {self._line_no + len(self._lines) + 1}: "
+                        f"reply longer than {MAX_REPLY_LINE} bytes"
+                    )
+                if rest:
+                    self._lines.extend([bytes(self._tail), *rest[:-1]])
+                    self._tail = bytearray(rest[-1])
                 if self._eof and self._tail:
-                    self._lines.append(self._tail)
+                    self._lines.append(bytes(self._tail))
 
     def __enter__(self):
         return self
@@ -109,19 +121,22 @@ class CaptionOracle:
     def close(self):
         """Write what is left of the requests, close stdin and read stdout to
         EOF; the child gets the reply timeout, at most 5 s, in all for this
-        and to exit, and is killed past it. Both pipes end up closed."""
+        and to exit, and is killed past it. Both pipes end up closed, also
+        when an overlong reply line stops the reading."""
         deadline = time.monotonic() + min(self._timeout, 5.0)
-        while not self._eof and (remaining := deadline - time.monotonic()) > 0:
-            if not self._unsent:
-                self._proc.stdin.close()
-            self._poll(remaining)
-        self._proc.stdin.close()
-        self._proc.stdout.close()
         try:
-            self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
+            while not self._eof and (remaining := deadline - time.monotonic()) > 0:
+                if not self._unsent:
+                    self._proc.stdin.close()
+                self._poll(remaining)
+        finally:
+            self._proc.stdin.close()
+            self._proc.stdout.close()
+            try:
+                self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
 
     def _send(self, request_id, image_path):
         payload = {
@@ -237,8 +252,13 @@ def object_sentence(objects) -> str:
 
 
 def mean_energy(image) -> float:
-    """Mean squared intensity over all pixels and channels."""
-    return float((image**2).mean())
+    """Mean squared intensity over all pixels and channels.
+
+    The sum runs over one plane after another whatever the memory layout of
+    image, so a planar and an interleaved copy give the same bits.
+    """
+    planes = np.ascontiguousarray(image.transpose(2, 0, 1))
+    return float((planes**2).mean())
 
 
 def mock_oracle_loop(

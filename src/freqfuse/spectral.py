@@ -58,13 +58,18 @@ class AttenuationSpec:
             raise ValueError(f"unknown attenuation mode {self.mode!r}")
 
 
-def validate_image(image) -> np.ndarray:
-    """Check (h, w, 3) shape and [0, 1] intensities; return a float64 view."""
-    arr = np.asarray(image, dtype=float)
+def check_image_shape(arr) -> None:
+    """Raise ValueError unless arr has shape (h, w, 3) with h, w >= 1."""
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected an (h, w, 3) image, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"image dimensions must be positive, got {arr.shape}")
+
+
+def validate_image(image) -> np.ndarray:
+    """Check (h, w, 3) shape and [0, 1] intensities; return a float64 view."""
+    arr = np.asarray(image, dtype=float)
+    check_image_shape(arr)
     # NaN propagates through min and max, and an infinity is at one end
     lo, hi = arr.min(), arr.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -72,38 +77,6 @@ def validate_image(image) -> np.ndarray:
     if lo < 0.0 or hi > 1.0:
         raise ValueError("image intensities must lie in [0, 1]")
     return arr
-
-
-def dft2d(plane) -> np.ndarray:
-    """Unnormalized forward 2-D DFT of a real plane; F[0,0] = sum of values."""
-    arr = np.asarray(plane, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D plane, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("cannot transform an empty plane")
-    return np.fft.fft2(arr)
-
-
-def idft2d(spectrum) -> np.ndarray:
-    """Real part of the 1/(h*w)-normalized inverse 2-D DFT.
-
-    When the input is conjugate-symmetric (i.e. the spectrum of a real
-    plane), the discarded imaginary residue is asserted to be negligible.
-    """
-    arr = np.asarray(spectrum, dtype=complex)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"expected a non-empty 2-D spectrum, got shape {arr.shape}")
-    out = np.fft.ifft2(arr)
-    if __debug__ and _is_conjugate_symmetric(arr):
-        residue = np.abs(out.imag).max()
-        assert residue < 1e-9, f"imaginary residue {residue:g} on a symmetric spectrum"
-    return out.real
-
-
-def _is_conjugate_symmetric(spectrum, tol=1e-9):
-    h, w = spectrum.shape
-    flipped = spectrum[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
-    return bool(np.abs(spectrum - np.conj(flipped)).max() <= tol)
 
 
 def gaussian_masks(h: int, w: int, cutoff: float):

@@ -1,7 +1,9 @@
 """End-to-end CLI tests through main(argv)."""
 
 import json
+import shlex
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -337,10 +339,9 @@ def test_sweep_missing_config_is_data_error(tmp_path, capsys):
     assert err
 
 
-def test_sweep_bad_oracle_is_oracle_error(tmp_path, capsys):
-    img = tmp_path / "a.ppm"
-    save_image(random_image(7, 4, 4), img)
-    gt = write_jsonl(tmp_path / "gt.jsonl", [{"id": "a", "ground_truth": []}])
+def sweep_one_image(tmp_path, capsys, oracle):
+    save_image(random_image(7, 4, 4), tmp_path / "a.ppm")
+    write_jsonl(tmp_path / "gt.jsonl", [{"id": "a", "ground_truth": []}])
     config = tmp_path / "sweep.json"
     config.write_text(
         json.dumps(
@@ -348,14 +349,31 @@ def test_sweep_bad_oracle_is_oracle_error(tmp_path, capsys):
                 "mode": "low",
                 "cutoffs": [5],
                 "images": ["a.ppm"],
-                "oracle": "/no/such/captioner",
+                "oracle": oracle,
                 "ground_truth": "gt.jsonl",
             }
         )
     )
-    code, _, err = run(capsys, "sweep", "--config", str(config))
+    return run(capsys, "sweep", "--config", str(config))
+
+
+def test_sweep_bad_oracle_is_oracle_error(tmp_path, capsys):
+    code, _, err = sweep_one_image(tmp_path, capsys, "/no/such/captioner")
     assert code == 3
     assert "oracle" in err
+
+
+def test_sweep_overlong_reply_line_is_oracle_error(tmp_path, capsys):
+    # a 2 MiB reply line is refused at the 1 MiB cap, and the child, blocked
+    # on writing the rest of it, is ended rather than waited for
+    script = 'import sys; sys.stdin.readline(); print("x" * (2 << 20))'
+    start = time.monotonic()
+    code, _, err = sweep_one_image(
+        tmp_path, capsys, shlex.join([sys.executable, "-c", script])
+    )
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert "oracle line 1: reply longer than 1048576 bytes" in err
 
 
 def test_sweep_non_string_gt_is_data_error(tmp_path, capsys):

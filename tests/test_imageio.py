@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from freqfuse.harness.cli import main
 from freqfuse.harness.imageio import (
+    MAX_PIXELS,
     ImageDecodeError,
     UnsupportedImageError,
     load_image,
@@ -187,6 +188,12 @@ def test_png_filters_match_the_naive_codec(tmp_path, case):
     assert np.array_equal(got, pixels / 255.0)
 
 
+def decompose_exit_code(path, tmp_path):
+    return main(["decompose", "--input", str(path), "--cutoff", "5",
+                 "--out-low", str(tmp_path / "l.ppm"),
+                 "--out-high", str(tmp_path / "h.ppm")])
+
+
 @pytest.mark.parametrize("bad", [5, 255])
 def test_png_rejects_unknown_filter_type_on_a_later_row(tmp_path, capsys, bad):
     pixels = (random_image(10, 4, 3) * 255).astype(np.uint8)
@@ -196,10 +203,7 @@ def test_png_rejects_unknown_filter_type_on_a_later_row(tmp_path, capsys, bad):
     path.write_bytes(wrap_png(bytes(raw), 4, 3))
     with pytest.raises(ImageDecodeError, match=f"filter type {bad}"):
         load_image(path)
-    code = main(["decompose", "--input", str(path), "--cutoff", "5",
-                 "--out-low", str(tmp_path / "l.ppm"),
-                 "--out-high", str(tmp_path / "h.ppm")])
-    assert code == 2
+    assert decompose_exit_code(path, tmp_path) == 2
     assert f"filter type {bad}" in capsys.readouterr().err
 
 
@@ -290,6 +294,32 @@ def test_png_inflate_is_capped_by_the_header(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_png_over_the_pixel_limit_is_refused_before_inflating(tmp_path, capsys, monkeypatch):
+    # a tiny IDAT under a 20000x20000 header: 1.2 GB if it were inflated
+    path = tmp_path / "bomb.png"
+    path.write_bytes(wrap_png(bytes(100), 20000, 20000))
+
+    def no_inflate(*args):
+        raise AssertionError("inflated an image over the pixel limit")
+
+    monkeypatch.setattr(zlib, "decompressobj", no_inflate)
+    with pytest.raises(ImageDecodeError, match=f"limit of {MAX_PIXELS} pixels"):
+        load_image(path)
+    assert decompose_exit_code(path, tmp_path) == 2
+    assert "20000x20000" in capsys.readouterr().err
+
+
+def test_ppm_over_the_pixel_limit_is_refused(tmp_path):
+    path = tmp_path / "big.ppm"
+    path.write_bytes(b"P6\n20000 20000\n255\n" + bytes(30))
+    with pytest.raises(ImageDecodeError, match=f"limit of {MAX_PIXELS} pixels"):
+        load_image(path)
+    # at the limit the header passes and the short pixel data is what fails
+    path.write_bytes(b"P6\n%d 1\n255\n" % MAX_PIXELS + bytes(30))
+    with pytest.raises(ImageDecodeError, match="truncated"):
+        load_image(path)
 
 
 def test_missing_file_raises_oserror(tmp_path):

@@ -19,6 +19,7 @@ from freqfuse.harness.oracle import (
     OracleProtocolError,
     OracleSpawnError,
     OracleTimeoutError,
+    mean_energy,
     mock_oracle_loop,
     object_sentence,
 )
@@ -458,6 +459,15 @@ def test_loop_gt_mode_empty_for_unknown_id():
         ground_truth={"other": ["dog"]},
     )
     assert replies == [{"id": "z", "caption": ""}]
+
+
+def test_mean_energy_does_not_depend_on_the_memory_layout():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        h, w = (int(n) for n in rng.integers(1, 41, size=2))
+        img = rng.uniform(size=(h, w, 3))
+        planar = np.ascontiguousarray(img.transpose(2, 0, 1)).transpose(1, 2, 0)
+        assert mean_energy(planar) == mean_energy(img)
 
 
 def test_loop_rejects_unknown_mode():

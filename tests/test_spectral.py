@@ -11,10 +11,8 @@ from freqfuse.spectral import (
     attenuation_matrix,
     decompose,
     decompose_attenuated,
-    dft2d,
     filter_branch,
     gaussian_masks,
-    idft2d,
     image_spectrum,
     validate_image,
 )
@@ -22,7 +20,6 @@ from oracles import (
     naive_decompose,
     naive_dft2d,
     naive_gaussian_low_mask,
-    naive_idft2d,
     naive_weight,
 )
 
@@ -31,32 +28,21 @@ def random_image(rng, h, w):
     return rng.uniform(0.0, 1.0, size=(h, w, 3))
 
 
-# dft2d
+# image_spectrum: the forward transform the package runs
 
 
 def test_impulse_has_flat_spectrum():
-    spec = dft2d([[1.0, 0.0], [0.0, 0.0]])
-    assert np.allclose(spec, np.ones((2, 2)), atol=1e-12)
+    img = np.zeros((4, 5, 3))
+    img[0, 0] = 1.0
+    assert np.abs(image_spectrum(img).half - 1.0).max() < 1e-12
 
 
 def test_constant_plane_is_pure_dc():
-    spec = dft2d(np.full((4, 4), 0.3))
-    assert spec[0, 0] == pytest.approx(16 * 0.3, abs=1e-12)
-    rest = spec.copy()
+    half = image_spectrum(np.full((4, 4, 3), 0.3)).half
+    assert half[0, 0] == pytest.approx([16 * 0.3] * 3, abs=1e-12)
+    rest = half.copy()
     rest[0, 0] = 0.0
     assert np.abs(rest).max() < 1e-12
-
-def test_dft_matches_naive_oracle():
-    rng = np.random.default_rng(42)
-    plane = rng.uniform(size=(8, 8))
-    assert np.abs(dft2d(plane) - naive_dft2d(plane)).max() < 1e-9
-
-
-def test_dft_rejects_empty_and_non_2d():
-    with pytest.raises(ValueError):
-        dft2d(np.zeros((0, 4)))
-    with pytest.raises(ValueError):
-        dft2d(np.zeros(8))
 
 
 @settings(max_examples=25, deadline=None)
@@ -66,57 +52,11 @@ def test_dft_rejects_empty_and_non_2d():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_dft_oracle_equivalence_property(h, w, seed):
-    plane = np.random.default_rng(seed).uniform(size=(h, w))
-    assert np.abs(dft2d(plane) - naive_dft2d(plane)).max() < 1e-9
-
-
-# idft2d
-
-
-def test_round_trip_identity():
-    plane = np.random.default_rng(7).uniform(size=(8, 8))
-    assert np.abs(idft2d(dft2d(plane)) - plane).max() < 1e-9
-
-
-def test_zero_spectrum_inverts_to_zero():
-    assert np.all(idft2d(np.zeros((3, 5), dtype=complex)) == 0.0)
-
-
-def test_inverse_of_impulse_spectrum():
-    back = idft2d(np.ones((2, 2), dtype=complex))
-    assert np.abs(back - [[1.0, 0.0], [0.0, 0.0]]).max() < 1e-12
-
-
-def test_idft_matches_naive_oracle():
-    spec = naive_dft2d(np.random.default_rng(9).uniform(size=(6, 7)))
-    assert np.abs(idft2d(spec) - naive_idft2d(spec)).max() < 1e-9
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    h=st.integers(min_value=1, max_value=64),
-    w=st.integers(min_value=1, max_value=64),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_round_trip_property(h, w, seed):
-    plane = np.random.default_rng(seed).uniform(size=(h, w))
-    assert np.abs(idft2d(dft2d(plane)) - plane).max() < 1e-9
-
-
-def test_parseval():
-    plane = np.random.default_rng(21).uniform(size=(13, 17))
-    spec = dft2d(plane)
-    space = (plane**2).sum()
-    freq = (np.abs(spec) ** 2).sum() / plane.size
-    assert abs(space - freq) / space < 1e-9
-
-
-def test_conjugate_symmetry_of_real_plane_spectrum():
-    plane = np.random.default_rng(33).uniform(size=(6, 9))
-    spec = dft2d(plane)
-    h, w = spec.shape
-    flipped = spec[(-np.arange(h)) % h][:, (-np.arange(w)) % w]
-    assert np.abs(spec - np.conj(flipped)).max() < 1e-9
+    img = random_image(np.random.default_rng(seed), h, w)
+    half = image_spectrum(img).half
+    for c in range(3):
+        want = naive_dft2d(img[:, :, c])[:, : w // 2 + 1]
+        assert np.abs(half[:, :, c] - want).max() < 1e-9
 
 
 # gaussian_masks
@@ -316,6 +256,11 @@ def is_channel_planar(arr):
     return np.moveaxis(arr, 2, 0).flags.c_contiguous
 
 
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="the memory order rfft2 and irfft2 return was measured on numpy 2 "
+    "only; it decides their speed, not their values",
+)
 def test_spectra_and_branches_are_channel_planar():
     # the transforms run faster over planar memory; an interleaved input is
     # made planar once, and everything after it stays so
