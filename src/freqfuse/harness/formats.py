@@ -1,9 +1,11 @@
 """Line-delimited JSON record files for captions, probes, and ground truth."""
 
+import functools
 import importlib.resources
 import json
 
 from ..metrics import CaptionRecord, PopeRecord, extract_objects
+from .oracle import MAX_REPLY_LINE
 
 
 class DataFormatError(Exception):
@@ -16,9 +18,23 @@ def bundled_synonyms_path() -> str:
 
 
 def _iter_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    """(line number, JSON object) for each non-blank line of a JSONL file.
+
+    A line is read up to the oracle's cap on a reply line, MAX_REPLY_LINE
+    bytes with the newline excluded, so an over-long line is refused before
+    it is held whole; lines must be UTF-8 and end at "\n" ("\r\n" is fine).
+    """
+    with open(path, "rb") as fh:
+        read_line = functools.partial(fh.readline, MAX_REPLY_LINE + 1)
+        for line_no, raw in enumerate(iter(read_line, b""), start=1):
+            if len(raw) > MAX_REPLY_LINE and not raw.endswith(b"\n"):
+                raise DataFormatError(
+                    f"{path}:{line_no}: line longer than {MAX_REPLY_LINE} bytes"
+                )
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise DataFormatError(f"{path}:{line_no}: not valid UTF-8") from None
             if not line:
                 continue
             try:
@@ -51,15 +67,17 @@ def _ground_truth_names(record, path, line_no):
 
 
 def canonical_set(names, table, where):
-    """Canonical classes of ground-truth names; errors start with `where`."""
-    out = set()
-    for name in names:
-        canonical = table.canonicalize(name)
-        if canonical is None:
-            raise DataFormatError(
-                f"{where}: unknown object class {name!r} (not in the synonym table)"
-            )
-        out.add(canonical)
+    """Canonical classes of ground-truth names, as a frozenset.
+
+    An unknown name is an error whose message starts with `where()`; it is
+    called only then, so formatting the location costs nothing per record.
+    """
+    out = frozenset(map(table.canonicalize, names))
+    if None in out:
+        name = next(n for n in names if table.canonicalize(n) is None)
+        raise DataFormatError(
+            f"{where()}: unknown object class {name!r} (not in the synonym table)"
+        )
     return out
 
 
@@ -78,7 +96,9 @@ def load_caption_records(path, table):
             CaptionRecord(
                 id=rid,
                 mentioned=extract_objects(caption, table),
-                ground_truth=canonical_set(gt_names, table, f"{path}:{line_no}"),
+                ground_truth=canonical_set(
+                    gt_names, table, lambda: f"{path}:{line_no}"
+                ),
             )
         )
     if not records:

@@ -196,7 +196,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 f"{config.ground_truth}: no ground truth for image {image_id!r}"
             )
         ground_truth[image_id] = canonical_set(
-            gt_raw[image_id], table, f"{config.ground_truth}: image {image_id!r}"
+            gt_raw[image_id],
+            table,
+            lambda: f"{config.ground_truth}: image {image_id!r}",
         )
 
     spectra = [image_spectrum(load_image(p)) for p in config.images]

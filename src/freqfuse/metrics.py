@@ -3,8 +3,11 @@
 A caption is scored against a ground-truth object set: mentions are
 extracted with a synonym table (longest surface match wins, so "hot dog"
 never counts as "dog"), and a mention outside the ground truth is a
-hallucination. Ratios are reported per caption batch; the yes/no probe
-scorer is a plain confusion-matrix F1 with "yes" as the positive class.
+hallucination. The table indexes its forms once, by exact name and by
+first token, so a caption token that starts no form costs one dict miss
+however large the table is. Ratios are reported per caption batch; the
+yes/no probe scorer is a plain confusion-matrix F1 with "yes" as the
+positive class.
 """
 
 import json
@@ -23,11 +26,16 @@ class SynonymTable:
 
     Every canonical class maps to itself; a surface form that tokenizes
     identically to another must agree on the canonical class.
+
+    Three dicts, each bounded by the size of the table, are built once:
+    token tuple -> class; exact surface or canonical string -> class, which
+    `canonicalize` tries before tokenizing (the checks above make the two
+    agree); and first token -> the token lengths of the forms that start
+    with it, longest first, which `mentions` probes at each token.
     """
 
     def __init__(self, mapping):
         self._by_tokens = {}
-        self._max_len = 0
         canon = {}
         for surface, target in mapping.items():
             key = _tokenize(surface)
@@ -40,7 +48,6 @@ class SynonymTable:
                 )
             self._by_tokens[key] = target
             canon[target] = True
-            self._max_len = max(self._max_len, len(key))
         for target in canon:
             key = _tokenize(target)
             if not key:
@@ -48,12 +55,20 @@ class SynonymTable:
             existing = self._by_tokens.get(key)
             if existing is None:
                 self._by_tokens[key] = target
-                self._max_len = max(self._max_len, len(key))
             elif existing != target:
                 raise ValueError(
                     f"canonical class {target!r} is mapped away to {existing!r}"
                 )
         self._canonical = frozenset(canon)
+        self._by_name = {
+            name: self._by_tokens[_tokenize(name)] for name in (*mapping, *canon)
+        }
+        lengths = {}
+        for key in self._by_tokens:
+            lengths.setdefault(key[0], set()).add(len(key))
+        self._lengths = {
+            first: tuple(sorted(ns, reverse=True)) for first, ns in lengths.items()
+        }
 
     @classmethod
     def from_json(cls, path):
@@ -71,24 +86,40 @@ class SynonymTable:
 
     def canonicalize(self, name: str):
         """Canonical class for one surface form, or None if unknown."""
-        return self._by_tokens.get(_tokenize(name))
+        target = self._by_name.get(name)
+        if target is None:
+            target = self._by_tokens.get(_tokenize(name))
+        return target
+
+    def mentions(self, text: str) -> set:
+        """Canonical classes mentioned in a text, longest surface match first.
+
+        Matching is greedy, left to right, over the tokens of the text: at
+        each token the longest form that starts there wins and its tokens
+        are consumed. A token that starts no form costs one dict miss.
+        """
+        tokens = _tokenize(text)
+        by_tokens = self._by_tokens
+        lengths = self._lengths
+        found = set()
+        i = 0
+        while i < len(tokens):
+            for n in lengths.get(tokens[i], ()):
+                # a slice cut short by the end of the text can only equal a
+                # form of the length that remains, the longest that fits
+                target = by_tokens.get(tokens[i : i + n])
+                if target is not None:
+                    found.add(target)
+                    i += n
+                    break
+            else:
+                i += 1
+        return found
 
 
 def extract_objects(caption: str, table: SynonymTable) -> set:
     """Canonical classes mentioned in a caption, longest surface match first."""
-    tokens = _tokenize(caption)
-    found = set()
-    i = 0
-    while i < len(tokens):
-        for n in range(min(table._max_len, len(tokens) - i), 0, -1):
-            target = table._by_tokens.get(tokens[i : i + n])
-            if target is not None:
-                found.add(target)
-                i += n
-                break
-        else:
-            i += 1
-    return found
+    return table.mentions(caption)
 
 
 @dataclass(frozen=True)

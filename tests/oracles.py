@@ -6,6 +6,7 @@ counting) and shares no code with the package under test.
 
 import json
 import math
+import re
 import struct
 import zlib
 
@@ -149,6 +150,35 @@ def recount_chair(records):
     recall = n_true / n_gt if n_gt else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return chair_s, chair_i, precision, recall, f1
+
+
+def naive_extract_objects(caption, mapping):
+    """Canonical classes a caption mentions under a {surface: class} mapping.
+
+    The token-tuple table is rebuilt from the mapping on every call, and the
+    scan tries every length from the longest form down at every token.
+    """
+
+    def tokenize(text):
+        return tuple(re.findall(r"[a-z0-9]+", text.lower()))
+
+    by_tokens = {tokenize(surface): target for surface, target in mapping.items()}
+    for target in mapping.values():
+        by_tokens.setdefault(tokenize(target), target)
+    max_len = max(len(key) for key in by_tokens)
+    tokens = tokenize(caption)
+    found = set()
+    i = 0
+    while i < len(tokens):
+        for n in range(min(max_len, len(tokens) - i), 0, -1):
+            target = by_tokens.get(tokens[i : i + n])
+            if target is not None:
+                found.add(target)
+                i += n
+                break
+        else:
+            i += 1
+    return found
 
 
 def recount_pope(pairs):

@@ -265,6 +265,22 @@ def test_eval_chair_non_string_gt_is_data_error(tmp_path, capsys):
     assert "caps.jsonl:1: ground-truth entries must be strings" in err
 
 
+def test_eval_chair_undecodable_byte_is_data_error(tmp_path, capsys):
+    captions = tmp_path / "bad.jsonl"
+    captions.write_bytes(b'{"id": "a", "caption": "\xff", "ground_truth": []}\n')
+    code, _, err = run(capsys, "eval", "chair", "--captions", str(captions))
+    assert code == 2
+    assert f"{captions}:1: not valid UTF-8" in err
+
+
+def test_eval_chair_overlong_line_is_data_error(tmp_path, capsys):
+    captions = tmp_path / "long.jsonl"
+    captions.write_text('{"id": "a", "caption": "' + "x" * (2 << 20) + '"}\n')
+    code, _, err = run(capsys, "eval", "chair", "--captions", str(captions))
+    assert code == 2
+    assert f"{captions}:1: line longer than 1048576 bytes" in err
+
+
 def pope_fixture(tmp_path, name="pope.jsonl"):
     return write_jsonl(
         tmp_path / name,

@@ -1,5 +1,9 @@
 """JSONL record-file loader tests."""
 
+import json
+import re
+import time
+
 import pytest
 
 from freqfuse.harness.formats import (
@@ -9,6 +13,7 @@ from freqfuse.harness.formats import (
     load_ground_truth,
     load_pope_records,
 )
+from freqfuse.harness.oracle import MAX_REPLY_LINE
 from freqfuse.metrics import SynonymTable
 from util import write_jsonl
 
@@ -44,7 +49,8 @@ def test_unknown_ground_truth_class_is_an_error(tmp_path):
         tmp_path / "caps.jsonl",
         [{"id": "a", "caption": "x", "ground_truth": ["zebra"]}],
     )
-    with pytest.raises(DataFormatError, match="zebra"):
+    message = rf"^{re.escape(path)}:1: unknown object class 'zebra' \(not in"
+    with pytest.raises(DataFormatError, match=message):
         load_caption_records(path, TABLE)
 
 
@@ -113,3 +119,55 @@ def test_ground_truth_rejects_duplicate_ids(tmp_path):
 def test_bundled_synonyms_path_is_loadable():
     table = SynonymTable.from_json(bundled_synonyms_path())
     assert "dog" in table.canonical_classes
+
+
+def test_crlf_line_endings_load(tmp_path):
+    path = tmp_path / "caps.jsonl"
+    path.write_bytes(
+        b'{"id": "a", "caption": "a dog", "ground_truth": ["dog"]}\r\n'
+        b"\r\n"
+        b'{"id": "b", "caption": "a cat", "ground_truth": []}\r\n'
+    )
+    records = load_caption_records(path, TABLE)
+    assert [r.id for r in records] == ["a", "b"]
+    assert records[1].mentioned == {"cat"}
+
+
+@pytest.mark.parametrize(
+    "load, record",
+    [
+        (lambda p: load_caption_records(p, TABLE),
+         {"id": "a", "caption": "x", "ground_truth": []}),
+        (load_pope_records, {"id": "a", "predicted": "yes", "gold": "no"}),
+        (load_ground_truth, {"id": "a", "ground_truth": []}),
+    ],
+    ids=["captions", "probes", "ground-truth"],
+)
+def test_undecodable_line_names_file_and_line(tmp_path, load, record):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(json.dumps(record).encode() + b'\n{"id": "\xff"}\n')
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:2: not valid UTF-8$"):
+        load(path)
+
+
+def _line_of(size):
+    """A valid captions JSON line of exactly `size` bytes, newline excluded."""
+    head = '{"id": "a", "ground_truth": [], "caption": "'
+    return head + "x" * (size - len(head) - 2) + '"}'
+
+
+def test_line_at_the_cap_loads(tmp_path):
+    path = tmp_path / "caps.jsonl"
+    path.write_text(_line_of(MAX_REPLY_LINE) + "\n")
+    assert len(load_caption_records(path, TABLE)) == 1
+
+
+@pytest.mark.parametrize("size", [MAX_REPLY_LINE + 1, 16 << 20], ids=["cap+1", "16MiB"])
+def test_line_over_the_cap_is_refused_quickly(tmp_path, size):
+    # refused after reading the cap plus one byte, never held whole
+    path = tmp_path / "caps.jsonl"
+    path.write_text(_line_of(size) + "\n")
+    start = time.monotonic()
+    with pytest.raises(DataFormatError, match=":1: line longer than 1048576 bytes"):
+        load_caption_records(path, TABLE)
+    assert time.monotonic() - start < 1.0

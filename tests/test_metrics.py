@@ -1,6 +1,7 @@
 """Metric tests against hand fixtures and brute-force recounts."""
 
 import importlib.resources
+import json
 import random
 
 import pytest
@@ -11,11 +12,12 @@ from freqfuse.metrics import (
     CaptionRecord,
     PopeRecord,
     SynonymTable,
+    _tokenize,
     chair,
     extract_objects,
     pope_f1,
 )
-from oracles import recount_chair, recount_pope
+from oracles import naive_extract_objects, recount_chair, recount_pope
 
 FIXTURE_TABLE = SynonymTable(
     {
@@ -84,6 +86,106 @@ def test_bundled_table_loads():
 def test_extraction_is_subset_of_canonical(caption):
     found = extract_objects(caption, FIXTURE_TABLE)
     assert found <= FIXTURE_TABLE.canonical_classes
+
+
+# Words that chain into overlapping forms ("hot", "hot dog", "hot dog
+# stand", "dog"), and classes of which some tokenize onto such a form.
+_FORM_WORDS = ("hot", "dog", "stand", "sports", "car", "kite", "k")
+_NOISE_WORDS = ("a", "the", "near", "hotdog", "dogs", "kites", "of")
+_CLASSES = ("dog", "hot_dog", "car", "stand", "thing")
+_SEPARATORS = (" ", "  ", ", ", "-", "_", ". ", "!? ", "\n")
+
+
+def _styled(draw, text):
+    """text with each letter lowercase, uppercase, or "k" as KELVIN SIGN."""
+    out = []
+    for ch in text:
+        style = draw(st.sampled_from(("lower", "upper", "kelvin")))
+        if style == "kelvin" and ch == "k":
+            ch = "\u212a"  # lowercases to ASCII "k"
+        elif style == "upper":
+            ch = ch.upper()
+        out.append(ch)
+    return "".join(out)
+
+
+@st.composite
+def tables_and_captions(draw):
+    """(mapping, caption): a random table of overlapping forms, a caption of them."""
+    forms = draw(
+        st.lists(
+            st.lists(st.sampled_from(_FORM_WORDS), min_size=1, max_size=3).map(tuple),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    by_key = {form: draw(st.sampled_from(_CLASSES)) for form in forms}
+    for target in set(by_key.values()):
+        # a class that tokenizes onto a form must be that form's class
+        if _tokenize(target) in by_key:
+            by_key[_tokenize(target)] = target
+    mapping = {
+        _styled(draw, draw(st.sampled_from(_SEPARATORS[:5])).join(key)): target
+        for key, target in by_key.items()
+    }
+    pieces = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(forms).map(" ".join),
+                st.sampled_from(_FORM_WORDS),
+                st.sampled_from(_NOISE_WORDS),
+            ),
+            max_size=12,
+        )
+    )
+    text = "".join(piece + draw(st.sampled_from(_SEPARATORS)) for piece in pieces)
+    longest = max(forms, key=len)
+    if draw(st.booleans()):
+        text += " ".join(longest)  # a form that ends the caption, no punctuation
+    caption = draw(st.one_of(st.just(_styled(draw, text)), st.text(max_size=40)))
+    return mapping, caption
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_captions())
+def test_extraction_matches_naive_oracle(table_and_caption):
+    mapping, caption = table_and_caption
+    found = extract_objects(caption, SynonymTable(mapping))
+    assert found == naive_extract_objects(caption, mapping)
+
+
+_BUNDLED_MAPPING = json.loads(
+    (importlib.resources.files("freqfuse") / "data" / "synonyms.json").read_text()
+)
+_BUNDLED_TABLE = SynonymTable(_BUNDLED_MAPPING)
+_BUNDLED_NAMES = sorted({*_BUNDLED_MAPPING, *_BUNDLED_MAPPING.values()})
+
+
+def test_canonicalize_knows_every_bundled_name():
+    for name in _BUNDLED_NAMES:
+        target = _BUNDLED_TABLE.canonicalize(name)
+        assert target is not None
+        assert target == _BUNDLED_TABLE._by_tokens.get(_tokenize(name))
+
+
+@st.composite
+def name_variants(draw):
+    name = draw(st.sampled_from(_BUNDLED_NAMES))
+    words = name.replace("_", " ").split()
+    joined = draw(st.sampled_from(_SEPARATORS)).join(words)
+    before, after = draw(st.sampled_from(("", " ", "-", "!"))), draw(
+        st.sampled_from(("", " ", ".", "?!", "s"))
+    )
+    return before + _styled(draw, joined) + after
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(name_variants(), st.text(max_size=30)))
+def test_canonicalize_matches_the_token_lookup(name):
+    # the exact-name index answers first; it must agree with tokenizing
+    assert _BUNDLED_TABLE.canonicalize(name) == _BUNDLED_TABLE._by_tokens.get(
+        _tokenize(name)
+    )
 
 
 # chair
