@@ -41,10 +41,14 @@ class UnsupportedImageError(ImageError):
 def _quantize(image) -> np.ndarray:
     arr = np.asarray(image, dtype=float)
     check_image_shape(arr)
-    clamped = np.clip(arr, 0.0, 1.0)
-    if np.isnan(clamped.max()):  # clip keeps NaN; +-inf clamp
+    # clip's copy is the one float buffer: the rounding runs in place on it
+    scaled = np.clip(arr, 0.0, 1.0)
+    if np.isnan(scaled.max()):  # clip keeps NaN; +-inf clamp
         raise ValueError("image contains non-finite values")
-    return np.floor(clamped * 255.0 + 0.5).astype(np.uint8)
+    scaled *= 255.0
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    return scaled.astype(np.uint8, order="C")  # interleaved, as files hold it
 
 
 def _check_dimensions(kind, w, h):
@@ -71,9 +75,12 @@ def load_image(path) -> np.ndarray:
         raw, h, w = _decode_png(data)
     else:
         raise ImageDecodeError(f"{path}: not a P6 PPM or PNG file")
-    # gather planes from the bytes, an eighth of the memory of the floats
+    # one float buffer: the cast gathers the bytes into planes, then it is
+    # scaled in place
     planes = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
-    return (np.ascontiguousarray(planes) / 255.0).transpose(1, 2, 0)
+    floats = planes.astype(float, order="C")
+    floats /= 255.0
+    return floats.transpose(1, 2, 0)
 
 
 def save_image(image, path) -> None:
@@ -85,21 +92,22 @@ def save_image(image, path) -> None:
     name = str(path).lower()
     pixels = _quantize(image)
     if name.endswith((".ppm", ".pnm")):
-        blob = _encode_ppm(pixels)
+        parts = _encode_ppm(pixels)
     elif name.endswith(".png"):
-        blob = _encode_png(pixels)
+        parts = _encode_png(pixels)
     else:
         raise UnsupportedImageError(f"{path}: unknown extension, use .ppm or .png")
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.writelines(parts)
 
 
 # PPM
 
 
-def _encode_ppm(pixels) -> bytes:
+def _encode_ppm(pixels):
+    # the header, then the pixel array itself: nothing is joined or copied
     h, w, _ = pixels.shape
-    return b"P6\n%d %d\n255\n" % (w, h) + pixels.tobytes()
+    return b"P6\n%d %d\n255\n" % (w, h), pixels
 
 
 def _ppm_tokens(data):
@@ -142,7 +150,7 @@ def _decode_ppm(data):
     # exactly one whitespace byte separates the header from the pixels
     if end >= len(data) or not data[end : end + 1].isspace():
         raise ImageDecodeError("PPM header does not end in whitespace")
-    pixels = data[end + 1 :]
+    pixels = memoryview(data)[end + 1 :]  # a view: the bytes are not copied
     expected = h * w * 3
     if len(pixels) < expected:
         raise ImageDecodeError(
@@ -163,16 +171,16 @@ def _png_chunk(kind, payload) -> bytes:
     )
 
 
-def _encode_png(pixels) -> bytes:
+def _encode_png(pixels):
     h, w, _ = pixels.shape
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
     # every scanline uses filter type 0 (None): a zero byte, then the row
-    rows = np.hstack([np.zeros((h, 1), np.uint8), pixels.reshape(h, -1)]).tobytes()
+    rows = np.hstack([np.zeros((h, 1), np.uint8), pixels.reshape(h, -1)])
     return (
-        PNG_SIGNATURE
-        + _png_chunk(b"IHDR", ihdr)
-        + _png_chunk(b"IDAT", zlib.compress(rows, 9))
-        + _png_chunk(b"IEND", b"")
+        PNG_SIGNATURE,
+        _png_chunk(b"IHDR", ihdr),
+        _png_chunk(b"IDAT", zlib.compress(rows, 9)),
+        _png_chunk(b"IEND", b""),
     )
 
 
@@ -215,7 +223,7 @@ def _unfilter(raw, h, w):
             for ch in range(3):
                 row[ch::3] = predict(row[ch::3].tolist(), up[ch::3])
         prior = row
-    return out.tobytes()
+    return out
 
 
 # Average and Paeth predict from the decoded byte to the left, so each runs

@@ -251,14 +251,15 @@ def object_sentence(objects) -> str:
     return "The image shows a " + " and a ".join(names) + "."
 
 
-def mean_energy(image) -> float:
-    """Mean squared intensity over all pixels and channels.
+def mean_energy(path) -> float:
+    """Mean squared intensity over all pixels and channels of an image file.
 
-    The sum runs over one plane after another whatever the memory layout of
-    image, so a planar and an interleaved copy give the same bits.
+    The image is loaded fresh, so its planes are squared in place; the sum
+    runs over one channel plane after another, the layout load_image gives.
     """
-    planes = np.ascontiguousarray(image.transpose(2, 0, 1))
-    return float((planes**2).mean())
+    planes = np.ascontiguousarray(load_image(path).transpose(2, 0, 1))
+    np.square(planes, out=planes)
+    return float(planes.mean())
 
 
 def mock_oracle_loop(
@@ -291,7 +292,7 @@ def mock_oracle_loop(
         if mode == "echo":
             caption = f"A picture stored at {image_path}."
         elif mode == "gt" or (
-            mode == "energy" and mean_energy(load_image(image_path)) > threshold
+            mode == "energy" and mean_energy(image_path) > threshold
         ):
             caption = object_sentence(ground_truth.get(rid, ()))
         else:

@@ -72,8 +72,14 @@ class SynonymTable:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            mapping = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            mapping = json.loads(data.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not valid UTF-8") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc.msg})") from None
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
         ):

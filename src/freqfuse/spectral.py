@@ -5,7 +5,9 @@ has two steps. image_spectrum validates the image and takes one real forward
 transform (rfft2) over all three channels. filter_branch weights that half
 spectrum by a Gaussian low- or high-pass mask on the centered frequency grid
 and returns through one normalized inverse (irfft2); it leaves the spectrum
-as it was, so a sweep transforms each image once for all its cutoffs.
+as it was, so a sweep transforms each image once for all its cutoffs. Both
+transforms run the 1-D steps of rfft2 and irfft2 themselves, the complex
+step in place, so each takes at most one full-size buffer besides its result.
 decompose returns both branches from one forward transform, and
 decompose_attenuated also multiplies each mask by a damping gain. The masks
 are exact complements, so undamped components sum back to the image.
@@ -129,7 +131,7 @@ class ImageSpectrum:
     half: complex (h, w // 2 + 1, 3) array, all channels at once, a view
         over channel-planar memory: each channel's half spectrum is one
         contiguous block.
-    shape: (h, w) of the image, which irfft2 needs back for odd widths.
+    shape: (h, w) of the image, which the inverse needs back for odd widths.
     """
 
     half: np.ndarray
@@ -142,11 +144,14 @@ def image_spectrum(image) -> ImageSpectrum:
 
 
 def _forward(arr):
-    # rfft2 and irfft2 keep the memory order of their input, and transform
+    # The numpy transforms keep the memory order of their input, and run
     # faster over channel-planar memory; every value is the same either way.
     # An image that is already planar, as load_image returns it, is not copied.
     planar = np.ascontiguousarray(arr.transpose(2, 0, 1)).transpose(1, 2, 0)
-    return ImageSpectrum(np.fft.rfft2(planar, axes=(0, 1)), arr.shape[:2])
+    # rfft2's two steps, the second in place: the same calls, so the same bits
+    half = np.fft.rfft(planar, axis=1)
+    np.fft.fft(half, axis=0, out=half)
+    return ImageSpectrum(half, arr.shape[:2])
 
 
 def _weight(mask, gain):
@@ -167,7 +172,10 @@ def _weight(mask, gain):
 
 
 def _inverse(spectrum, weight):
-    return np.fft.irfft2(spectrum.half * weight, s=spectrum.shape, axes=(0, 1))
+    # irfft2's two steps, the first in place on the weighted copy
+    prod = spectrum.half * weight
+    np.fft.ifft(prod, axis=0, out=prod)
+    return np.fft.irfft(prod, n=spectrum.shape[1], axis=1)
 
 
 def filter_branch(

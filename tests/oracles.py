@@ -194,6 +194,15 @@ def recount_pope(pairs):
     return precision, recall, f1, accuracy
 
 
+# Export
+
+
+def naive_quantize(image):
+    """Export rounding in one expression: clamp to [0, 1], scale, round half up."""
+    x = np.asarray(image, dtype=float)
+    return np.floor(np.clip(x, 0, 1) * 255 + 0.5).astype(np.uint8)
+
+
 # PNG scanline filters (https://www.w3.org/TR/png/, Filtering), byte by byte
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"

@@ -245,6 +245,24 @@ def test_eval_chair_custom_synonyms(tmp_path, capsys):
     assert "chair_i=0.0000" in out
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'{"dog": "\xff"}', "not valid UTF-8"), (b'{"dog": ', "invalid JSON (Expecting value)")],
+)
+def test_eval_chair_bad_synonym_file_names_it(tmp_path, capsys, content, message):
+    synonyms = tmp_path / "syn.json"
+    synonyms.write_bytes(content)
+    captions = write_jsonl(
+        tmp_path / "caps.jsonl",
+        [{"id": "a", "caption": "a dog", "ground_truth": ["dog"]}],
+    )
+    code, _, err = run(
+        capsys, "eval", "chair", "--captions", captions, "--synonyms", str(synonyms)
+    )
+    assert code == 2
+    assert err.strip() == f"error: {synonyms}: {message}"
+
+
 def test_eval_chair_unknown_gt_class_is_data_error(tmp_path, capsys):
     captions = write_jsonl(
         tmp_path / "caps.jsonl",

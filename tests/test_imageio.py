@@ -21,11 +21,12 @@ from oracles import (
     PNG_SIGNATURE,
     build_png,
     filter_rows,
+    naive_quantize,
     naive_unfilter,
     png_chunk,
     wrap_png,
 )
-from util import random_image
+from util import random_image, traced_peak
 
 
 def test_ppm_round_trip_quantizes_only(tmp_path):
@@ -63,6 +64,67 @@ def test_save_clamps_out_of_range(tmp_path):
     assert back[0, 0, 1] == 0.0
     assert back[1, 1, 0] == 1.0
     assert back[1, 1, 1] == 0.0
+
+
+# values around every rounding edge: out of range, infinite, and each half
+# step k + 0.5 of the 0..255 scale, with its two float neighbours
+HALF_STEPS = (np.arange(255) + 0.5) / 255.0
+EDGE_VALUES = [
+    *(-np.inf, np.inf, -1e300, 1e300, -0.5, -0.0, 0.0, 1.0, np.nextafter(1.0, 2.0)),
+    *HALF_STEPS,
+    *np.nextafter(HALF_STEPS, 0.0),
+    *np.nextafter(HALF_STEPS, 1.0),
+]
+
+
+@st.composite
+def export_images(draw):
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    value = st.sampled_from(EDGE_VALUES) | st.floats(min_value=-2.0, max_value=3.0)
+    img = np.array(draw(st.lists(value, min_size=h * w * 3, max_size=h * w * 3)))
+    img = img.reshape(h, w, 3)
+    if draw(st.booleans()):  # channel-planar, as the spectral branches are
+        img = np.ascontiguousarray(img.transpose(2, 0, 1)).transpose(1, 2, 0)
+    return img
+
+
+def png_chunks(blob):
+    """{kind: payload} of a PNG file, checking that it is framed as written."""
+    chunks, i = {}, len(PNG_SIGNATURE)
+    while i < len(blob):
+        (length,) = struct.unpack(">I", blob[i : i + 4])
+        chunks[blob[i + 4 : i + 8]] = blob[i + 8 : i + 8 + length]
+        i += 12 + length
+    framed = b"".join(png_chunk(kind, payload) for kind, payload in chunks.items())
+    assert blob == PNG_SIGNATURE + framed
+    return chunks
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(img=export_images())
+def test_export_bytes_are_the_naive_rounding(tmp_path, img):
+    h, w, _ = img.shape
+    want = naive_quantize(img)
+    save_image(img, tmp_path / "x.ppm")
+    assert (tmp_path / "x.ppm").read_bytes() == b"P6\n%d %d\n255\n" % (w, h) + want.tobytes()
+    save_image(img, tmp_path / "x.png")
+    chunks = png_chunks((tmp_path / "x.png").read_bytes())
+    assert list(chunks) == [b"IHDR", b"IDAT", b"IEND"]
+    assert chunks[b"IHDR"] == struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    assert zlib.decompress(chunks[b"IDAT"]) == filter_rows(want, [0] * h)
+
+
+def test_ppm_export_allocates_one_float_and_two_byte_images(tmp_path):
+    # a PNG export also holds zlib's level-9 compressor, about 270 KB
+    h, w = 64, 80
+    img = random_image(8, h, w, lo=-0.2, hi=1.2)
+    path = tmp_path / "budget.ppm"
+    peak = traced_peak(lambda: save_image(img, path))
+    assert peak <= 1.1 * (h * w * 3 * 8 + 2 * h * w * 3)
 
 
 @pytest.mark.parametrize("ext", ["ppm", "png"])

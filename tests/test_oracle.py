@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqfuse.harness.imageio import save_image
+from freqfuse.harness.imageio import load_image, save_image
 from freqfuse.harness.oracle import (
     DEFAULT_PROMPT,
     CaptionOracle,
@@ -24,7 +24,7 @@ from freqfuse.harness.oracle import (
     object_sentence,
 )
 from oracles import naive_batch
-from util import random_image, write_jsonl
+from util import random_image, traced_peak, write_jsonl
 
 
 def child(script):
@@ -461,13 +461,25 @@ def test_loop_gt_mode_empty_for_unknown_id():
     assert replies == [{"id": "z", "caption": ""}]
 
 
-def test_mean_energy_does_not_depend_on_the_memory_layout():
+def test_mean_energy_is_the_planar_mean_of_the_loaded_image(tmp_path):
     rng = np.random.default_rng(61)
     for _ in range(200):
         h, w = (int(n) for n in rng.integers(1, 41, size=2))
         img = rng.uniform(size=(h, w, 3))
-        planar = np.ascontiguousarray(img.transpose(2, 0, 1)).transpose(1, 2, 0)
-        assert mean_energy(planar) == mean_energy(img)
+        for ext in ("ppm", "png"):
+            path = tmp_path / f"energy.{ext}"
+            save_image(img, path)
+            planes = np.ascontiguousarray(load_image(path).transpose(2, 0, 1))
+            assert mean_energy(path) == float((planes**2).mean())
+
+
+@pytest.mark.parametrize("ext", ["ppm", "png"])
+def test_mean_energy_allocates_one_float_and_two_byte_images(tmp_path, ext):
+    h, w = 64, 80
+    path = tmp_path / f"budget.{ext}"
+    save_image(random_image(9, h, w), path)
+    peak = traced_peak(lambda: mean_energy(path))
+    assert peak <= 1.1 * (h * w * 3 * 8 + 2 * h * w * 3)
 
 
 def test_loop_rejects_unknown_mode():

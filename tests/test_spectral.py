@@ -22,6 +22,7 @@ from oracles import (
     naive_gaussian_low_mask,
     naive_weight,
 )
+from util import traced_peak
 
 
 def random_image(rng, h, w):
@@ -219,6 +220,10 @@ def test_half_grid_weight_matches_the_full_grid_oracle(h, w, cutoff, scalar, see
         assert np.array_equal(spectral._weight(half, gain), naive_weight(full, gain))
 
 
+def planar_copy(img):
+    return np.ascontiguousarray(img.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
 def layouts(img):
     """One image in C order, over channel-planar memory, in Fortran order and
     as a view strided on every axis."""
@@ -227,7 +232,7 @@ def layouts(img):
     strided[::2, ::2, ::2] = img
     return {
         "C": np.ascontiguousarray(img),
-        "planar": np.ascontiguousarray(img.transpose(2, 0, 1)).transpose(1, 2, 0),
+        "planar": planar_copy(img),
         "Fortran": np.asfortranarray(img),
         "strided": strided[::2, ::2, ::2],
     }
@@ -256,11 +261,6 @@ def is_channel_planar(arr):
     return np.moveaxis(arr, 2, 0).flags.c_contiguous
 
 
-@pytest.mark.skipif(
-    np.lib.NumpyVersion(np.__version__) < "2.0.0",
-    reason="the memory order rfft2 and irfft2 return was measured on numpy 2 "
-    "only; it decides their speed, not their values",
-)
 def test_spectra_and_branches_are_channel_planar():
     # the transforms run faster over planar memory; an interleaved input is
     # made planar once, and everything after it stays so
@@ -269,6 +269,47 @@ def test_spectra_and_branches_are_channel_planar():
     assert is_channel_planar(image_spectrum(img).half)
     for branch in all_outputs(img, 3.0):
         assert is_channel_planar(branch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(min_value=1, max_value=33),
+    w=st.integers(min_value=1, max_value=33),
+    planar=st.booleans(),
+    cutoff=st.floats(min_value=0.5, max_value=40.0),
+    which=st.sampled_from(spectral.BRANCHES),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_transforms_are_the_2d_numpy_calls_bit_for_bit(h, w, planar, cutoff, which, seed):
+    # the package runs the 1-D steps of rfft2 and irfft2 itself, in place
+    img = random_image(np.random.default_rng(seed), h, w)
+    spectrum = image_spectrum(planar_copy(img) if planar else img)
+    assert np.array_equal(spectrum.half, np.fft.rfft2(planar_copy(img), axes=(0, 1)))
+    weights = {}
+    branch = filter_branch(spectrum, cutoff, which, weights)
+    (weight,) = weights.values()
+    want = np.fft.irfft2(spectrum.half * weight, s=(h, w), axes=(0, 1))
+    assert np.array_equal(branch, want)
+
+
+# at most one fresh full-size buffer besides the result: peak traced bytes
+# at 64x80, each bound with 10% for numpy's and Python's small objects
+BUDGET_H, BUDGET_W = 64, 80
+HALF_BYTES = BUDGET_H * (BUDGET_W // 2 + 1) * 3 * 16
+IMAGE_BYTES = BUDGET_H * BUDGET_W * 3 * 8
+
+
+def test_forward_transform_of_a_planar_image_allocates_one_half_spectrum():
+    img = planar_copy(random_image(np.random.default_rng(5), BUDGET_H, BUDGET_W))
+    assert traced_peak(lambda: image_spectrum(img)) <= 1.1 * HALF_BYTES
+
+
+def test_filter_branch_allocates_one_half_spectrum_and_one_image():
+    img = random_image(np.random.default_rng(6), BUDGET_H, BUDGET_W)
+    spectrum = image_spectrum(img)
+    weights = {}  # as run_sweep shares them: built once, outside the budget
+    peak = traced_peak(lambda: filter_branch(spectrum, 7.0, "high", weights))
+    assert peak <= 1.1 * (HALF_BYTES + IMAGE_BYTES)
 
 
 def test_spectrum_and_branch_reject_bad_input():

@@ -267,7 +267,7 @@ def test_one_forward_transform_per_image(tmp_path, monkeypatch):
         tmp_path / "gt.jsonl",
         [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
     )
-    calls = {"rfft2": 0, "irfft2": 0}
+    calls = {"rfft": 0, "fft": 0, "ifft": 0, "irfft": 0, "rfft2": 0, "irfft2": 0}
 
     def counted(name):
         original = getattr(np.fft, name)
@@ -288,8 +288,9 @@ def test_one_forward_transform_per_image(tmp_path, monkeypatch):
         ground_truth=gt,
     )
     csv = run_sweep(config).to_csv()
-    # 2 images: one forward transform each, one inverse per image per cutoff
-    assert calls == {"rfft2": 2, "irfft2": 6}
+    # 2 images: one forward transform each, one inverse per image per cutoff,
+    # each transform the two 1-D steps of its 2-D numpy counterpart
+    assert calls == {"rfft": 2, "fft": 2, "ifft": 6, "irfft": 6, "rfft2": 0, "irfft2": 0}
     assert csv == (
         "cutoff,chair_i,chair_s,n\n"
         "1,0.000000,0.000000,2\n"

@@ -1,6 +1,7 @@
 """Shared helpers for harness tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -22,3 +23,18 @@ def cosine_image(freq, size=256, mean=0.5, amplitude=0.45):
     v = np.arange(size)
     wave = mean + amplitude * np.cos(2.0 * np.pi * freq * v / size)
     return np.repeat(wave[None, :, None], size, axis=0).repeat(3, axis=2)
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees during call(), its result included.
+
+    One untraced call goes first, so numpy's FFT plan cache and any other
+    state built on first use is not counted.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
