@@ -8,11 +8,15 @@ package needs is supported: maxval-255 PPM and non-interlaced 8-bit RGB PNG.
 PNG rows are unfiltered in numpy where the filter allows it: None is a copy,
 Sub is a per-channel cumsum in uint8 (which wraps mod 256, as the filter
 does) over every Sub row at once, and Up is a wrapping add of the row above.
-Average and Paeth stay sequential along each channel of a row, in a loop over
-Python ints: each byte's predictor needs the decoded byte to its left, and
-neither predictor is an associative operation that numpy could scan.
+Average and Paeth are not associative scans that numpy could run: each byte's
+predictor needs the decoded byte to its left. Each of their rows is one list
+comprehension over Python ints that numpy prepares. Average runs the three
+channels of a pixel at once, packed in 10-bit lanes of one int; Paeth runs one
+channel at a time and replaces the predictor's comparisons with one lookup in
+a table built on first use.
 """
 
+import functools
 import struct
 import zlib
 
@@ -195,7 +199,7 @@ def _iter_chunks(data):
         if len(payload) != length or i + 12 + length > len(data):
             raise ImageDecodeError(f"truncated PNG chunk {kind!r}")
         (crc,) = struct.unpack(">I", data[i + 8 + length : i + 12 + length])
-        if crc != zlib.crc32(kind + payload):
+        if crc != zlib.crc32(payload, zlib.crc32(kind)):  # no joined copy
             raise ImageDecodeError(f"PNG chunk {kind!r} fails its checksum")
         yield kind, payload
         i += 12 + length
@@ -217,43 +221,75 @@ def _unfilter(raw, h, w):
     for row, kind in zip(out, kinds.tolist()):
         if kind == 2:
             row += prior  # uint8 wraps
-        elif kind > 2:
-            predict = _average if kind == 3 else _paeth
-            up = prior.tolist()
-            for ch in range(3):
-                row[ch::3] = predict(row[ch::3].tolist(), up[ch::3])
+        elif kind == 3:
+            _undo_average(row, prior)
+        elif kind == 4:
+            _undo_paeth(row, prior)
         prior = row
     return out
 
 
-# Average and Paeth predict from the decoded byte to the left, so each runs
-# along one channel of one row: xs are its filtered bytes, ups the decoded
-# bytes above; a is the decoded byte to the left and c the decoded byte above a.
+# Average and Paeth predict from the decoded byte to the left, so each helper
+# decodes row in place, left to right, from prior, the decoded row above: a is
+# the decoded byte to the left, b the byte above and c the byte above a, each
+# 0 off the left edge.
+
+# a pixel's three bytes in one int, one per 10-bit lane: below 2**30, so
+# CPython keeps it in a single digit
+_LANE_SHIFTS = np.array([0, 10, 20])
+_LANE_MASK = 0xFF | 0xFF << 10 | 0xFF << 20
 
 
-def _average(xs, ups):
+def _pack_lanes(line):
+    return (line.reshape(-1, 3) @ (1 << _LANE_SHIFTS)).tolist()
+
+
+def _undo_average(row, prior):
+    # One packed int per pixel. a + b <= 510 fits in a lane, and >> 1 moves
+    # at most the next lane's bit 0 into bit 9. Adding x keeps each lane
+    # below 255 + 255 + 512 < 1024, so no carry crosses a lane, and the mask
+    # keeps bits 0..7 of each: (x + (a + b) // 2) mod 256, as the filter does.
+    m = _LANE_MASK
     a = 0
-    res = []
-    append = res.append
-    for x, b in zip(xs, ups):
-        a = (x + ((a + b) >> 1)) & 0xFF
-        append(a)
-    return res
+    packed = [
+        a := (x + ((a + b) >> 1)) & m
+        for x, b in zip(_pack_lanes(row), _pack_lanes(prior))
+    ]
+    row.reshape(-1, 3)[:] = (np.array(packed)[:, None] >> _LANE_SHIFTS) & 0xFF
 
 
-def _paeth(xs, ups):
-    a = c = 0
-    res = []
-    append = res.append
-    for x, b in zip(xs, ups):
-        p = a + b - c
-        pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-        if pa > pb or pa > pc:  # ties go to a, then b, then c
-            a = b if pb <= pc else c
-        a = (x + a) & 0xFF
-        append(a)
-        c = b
-    return res
+@functools.cache
+def _paeth_table() -> bytes:
+    """Paeth's predictor minus c, mod 256, by u = a - c and d = b - c.
+
+    p - a = d, p - b = u and p - c = u + d, so the choice depends on u and d
+    alone: u (take a), d (take b) or 0 (take c), ties in that order. Cell
+    ((u + 255) << 9) + (d + 255) holds it; built on first use, not on import.
+    """
+    u = np.arange(-255, 257, dtype=np.int16)[:, None]
+    d = np.arange(-255, 257, dtype=np.int16)
+    pa, pb, pc = abs(d), abs(u), abs(u + d)
+    take = np.where((pa <= pb) & (pa <= pc), u, np.where(pb <= pc, d, 0))
+    return (take & 0xFF).astype(np.uint8).tobytes()
+
+
+def _undo_paeth(row, prior):
+    # The decoded byte is (x + c + T[cell]) & 255, and the cell of (a, b, c)
+    # is (a << 9) + k with k = ((255 - c) << 9) + (b - c + 255): numpy builds
+    # k and x + c for the row, and only the lookup runs per byte.
+    table = _paeth_table()
+    c = np.zeros(len(row), np.intp)
+    c[3:] = prior[:-3]
+    ks = (((255 - c) << 9) + (prior - c + 255)).tolist()
+    ys = (row + c).tolist()
+    decoded = bytearray(len(row))
+    for ch in range(3):
+        a = 0
+        decoded[ch::3] = [
+            a := (y + table[(a << 9) + k]) & 0xFF
+            for y, k in zip(ys[ch::3], ks[ch::3])
+        ]
+    row[:] = np.frombuffer(decoded, np.uint8)
 
 
 def _decode_png(data):

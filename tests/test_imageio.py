@@ -14,6 +14,7 @@ from freqfuse.harness.imageio import (
     MAX_PIXELS,
     ImageDecodeError,
     UnsupportedImageError,
+    _paeth_table,
     load_image,
     save_image,
 )
@@ -21,6 +22,7 @@ from oracles import (
     PNG_SIGNATURE,
     build_png,
     filter_rows,
+    naive_paeth,
     naive_quantize,
     naive_unfilter,
     png_chunk,
@@ -247,6 +249,45 @@ def test_png_filters_match_the_naive_codec(tmp_path, case):
     got = load_image(path)
     naive = naive_unfilter(filter_rows(pixels, kinds), h, w)
     assert naive == pixels.tobytes()
+    assert np.array_equal(got, pixels / 255.0)
+
+
+def test_paeth_table_matches_the_naive_predictor_on_every_reachable_cell():
+    # cell (u, d) stands for every a = c + u, b = c + d with all three bytes
+    # in 0..255; the smallest and the largest such c are checked
+    table = _paeth_table()
+    assert len(table) == 512 * 512
+    checked = 0
+    for u in range(-255, 256):
+        for d in range(-255, 256):
+            lo, hi = max(0, -u, -d), min(255, 255 - u, 255 - d)
+            if lo > hi:
+                continue
+            cell = table[((u + 255) << 9) + (d + 255)]
+            for c in {lo, hi}:
+                assert (naive_paeth(c + u, c + d, c) - c) % 256 == cell, (u, d, c)
+            checked += 1
+    assert checked == 511 * 511 - 255 * 256  # the unreachable |u - d| > 255
+
+
+def test_wide_rows_of_every_filter_match_the_naive_codec(tmp_path):
+    # the benchmark's width, with runs of extreme bytes: 255 beside 255 is
+    # where the packed Average lanes carry the most
+    h, w = 10, 500
+    rng = np.random.default_rng(14)
+    pixels = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    extremes = np.array([0, 1, 127, 128, 254, 255], np.uint8)
+    mixed = rng.random((h, w, 3)) < 0.5
+    pixels[mixed] = rng.choice(extremes, int(mixed.sum()))
+    pixels[:, 100:140] = 255
+    pixels[3:6, 200:240] = 0
+    kinds = [r % 5 for r in range(h)]
+    path = tmp_path / "wide.png"
+    path.write_bytes(build_png(pixels, kinds))
+    naive = naive_unfilter(filter_rows(pixels, kinds), h, w)
+    got = load_image(path)
+    assert naive == pixels.tobytes()
+    assert np.array_equal(got, np.frombuffer(naive, np.uint8).reshape(h, w, 3) / 255.0)
     assert np.array_equal(got, pixels / 255.0)
 
 
