@@ -63,10 +63,16 @@ def _at_least(parser, low, **flags):
 
 
 def cmd_decompose(parser, args):
-    _at_least(parser, 0, seed=args.seed)
     _positive(parser, "--cutoff", args.cutoff)
     if args.gamma is None and args.const_gamma:
         parser.error("--const-gamma needs --gamma")
+    if args.seed is not None:
+        # only random damping draws anything to seed
+        if args.gamma is None:
+            parser.error("--seed needs --gamma")
+        if args.const_gamma:
+            parser.error("--seed has no use with --const-gamma, which draws nothing")
+        _at_least(parser, 0, seed=args.seed)
     if args.gamma is not None and not 0.0 <= args.gamma <= 1.0:
         parser.error(f"--gamma must lie in [0, 1], got {args.gamma:g}")
     image = load_image(args.input)
@@ -75,7 +81,7 @@ def cmd_decompose(parser, args):
     else:
         spec = AttenuationSpec(
             gamma=args.gamma,
-            seed=args.seed,
+            seed=args.seed or 0,
             mode="constant" if args.const_gamma else "random",
         )
         low, high = decompose_attenuated(image, args.cutoff, spec)
@@ -189,7 +195,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out-high", required=True)
     p.add_argument("--gamma", type=float, default=None,
                    help="enable spectral damping with this upper bound")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="with --gamma, seed the damping draws (default 0)")
     p.add_argument("--const-gamma", action="store_true",
                    help="with --gamma, damp by the constant gamma instead of draws")
     p.set_defaults(func=cmd_decompose)

@@ -145,7 +145,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    mode: str
     rows: tuple
 
     def to_csv(self) -> str:
@@ -240,4 +239,4 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                     n=len(records),
                 )
             )
-    return SweepResult(mode=config.mode, rows=tuple(rows))
+    return SweepResult(rows=tuple(rows))

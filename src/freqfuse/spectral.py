@@ -8,15 +8,17 @@ and returns through one normalized inverse (irfft2); it leaves the spectrum
 as it was, so a sweep transforms each image once for all its cutoffs. Both
 transforms run the 1-D steps of rfft2 and irfft2 themselves, the complex
 step in place, so each takes at most one full-size buffer besides its result.
-decompose returns both branches from one forward transform, and
-decompose_attenuated also multiplies each mask by a damping gain. The masks
-are exact complements, so undamped components sum back to the image.
+decompose is image_spectrum and then filter_branch once per branch. The
+masks are exact complements, so undamped components sum back to the image.
+decompose_attenuated multiplies each mask by a damping gain first.
 Outputs are not clamped to [0, 1]; export clamps.
 
 Spectra and branches keep the (h, w, 3) shape but live in channel-planar
 memory, each channel one contiguous block: the transforms run faster there
-and give the same values. Branch weights are built directly on the half
-grid that rfft2 returns, never on the full centered grid.
+and give the same values. Masks are built directly on the half grid that
+rfft2 returns, never on the full centered grid. They are even, so an
+undamped branch weight is its mask as it stands; only a damping gain, which
+is not even, makes a weight of its own.
 """
 
 from dataclasses import dataclass
@@ -101,27 +103,16 @@ def _masks(du, dv, cutoff):
     return low, 1.0 - low
 
 
-def _half_grid(h, w):
-    """Centered-grid (rows, cols) at the cells k of a half spectrum, and at -k.
-
-    Unshifted cell k is centered cell (k + n//2) % n (ifftshift) and its
-    mirror -k is (n//2 - k) % n; rfft2 keeps only the columns 0..w//2.
-    """
-    rows, cols = np.arange(h), np.arange(w // 2 + 1)
-    return (
-        ((rows + h // 2) % h, (cols + w // 2) % w),
-        ((h // 2 - rows) % h, (w // 2 - cols) % w),
-    )
-
-
 def _half_masks(h, w, cutoff):
     """gaussian_masks at the cells of the unshifted half spectrum.
 
-    The offsets of k and -k from the center have equal integer squares, so
-    both masks are even, m(k) == m(-k) bitwise.
+    Unshifted row k lies (k + h//2) % h - h//2 rows from the center, and
+    column k of the 0..w//2 that rfft2 keeps lies +-k columns from it.
+    -k lies at offsets of the same integer squares, so both masks are even:
+    m(k) == m(-k) bitwise.
     """
-    (rows, cols), _ = _half_grid(h, w)
-    return _masks(rows - h // 2, cols - w // 2, cutoff)
+    rows = (np.arange(h) + h // 2) % h - h // 2
+    return _masks(rows, np.arange(w // 2 + 1), cutoff)
 
 
 @dataclass(frozen=True)
@@ -154,21 +145,20 @@ def _forward(arr):
     return ImageSpectrum(half, arr.shape[:2])
 
 
-def _weight(mask, gain):
-    """Hermitian weight of one branch on the unshifted half grid.
+def _damped_weight(mask, gain):
+    """Hermitian weight of one damped branch on the unshifted half grid.
 
-    mask is a half-grid mask from _half_masks; gain is a scalar or a
-    centered (h, w, 1) array. With g = mask * gain, the weight is
-    (g(k) + g(-k)) / 2, the filter that the real part of a complex inverse
-    applies, so irfft2 gives it exactly. The mask is even, so for a scalar
-    gain that is g itself, and only an array gain is gathered at -k.
+    mask is a half-grid mask from _half_masks and gain a centered (h, w, 1)
+    array. With g = mask * gain, the weight is (g(k) + g(-k)) / 2, the
+    filter that the real part of a complex inverse applies, so irfft2 gives
+    it exactly. The mask is even, so only the gain is gathered at -k.
     """
-    m = mask[:, :, None]
-    if np.ndim(gain) == 0:
-        return m * gain
     h, w, _ = gain.shape
-    (rows, cols), (mrows, mcols) = _half_grid(h, w)
-    return (m * gain[rows[:, None], cols] + m * gain[mrows[:, None], mcols]) / 2.0
+    half = w // 2 + 1
+    m = mask[:, :, None]
+    g = np.fft.ifftshift(gain, axes=(0, 1))
+    mirror = g[(-np.arange(h) % h)[:, None], -np.arange(half) % w]
+    return (m * g[:, :half] + m * mirror) / 2.0
 
 
 def _inverse(spectrum, weight):
@@ -186,8 +176,10 @@ def filter_branch(
     Bit-identical to the matching output of decompose(image, cutoff), from
     one inverse transform. The spectrum is not modified, so one spectrum
     serves any number of cutoffs. weights, if given, is a dict the caller
-    owns: the branch weight is kept there under (shape, cutoff, which), so
-    images of one shape share one weight.
+    owns, keyed by (shape, cutoff, which), so images of one shape share
+    their weights. A missing weight is built with its sibling branch's,
+    from one pair of masks, and both are kept: each is its mask as an
+    (h, w // 2 + 1, 1) view.
     """
     if which not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {which!r}")
@@ -195,18 +187,9 @@ def filter_branch(
         weights = {}
     key = (spectrum.shape, cutoff, which)
     if key not in weights:
-        mask = _half_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
-        weights[key] = _weight(mask, 1.0)
+        for branch, mask in zip(BRANCHES, _half_masks(*spectrum.shape, cutoff)):
+            weights[(spectrum.shape, cutoff, branch)] = mask[:, :, None]
     return _inverse(spectrum, weights[key])
-
-
-def _split(arr, cutoff, low_gain, high_gain):
-    """(low, high) of a validated image from one forward transform, each an
-    (h, w, 3) view over channel-planar memory, as irfft2 returns it."""
-    masks = _half_masks(*arr.shape[:2], cutoff)
-    weights = [_weight(mask, gain) for mask, gain in zip(masks, (low_gain, high_gain))]
-    spectrum = _forward(arr)
-    return tuple(_inverse(spectrum, weight) for weight in weights)
 
 
 def decompose(image, cutoff: float = DEFAULT_CUTOFF):
@@ -216,7 +199,9 @@ def decompose(image, cutoff: float = DEFAULT_CUTOFF):
     memory, satisfying low + high == image up to transform round-off. Not
     clamped.
     """
-    return _split(validate_image(image), cutoff, 1.0, 1.0)
+    spectrum = image_spectrum(image)
+    weights = {}
+    return tuple(filter_branch(spectrum, cutoff, which, weights) for which in BRANCHES)
 
 
 def _draw_gains(h, w, spec, count):
@@ -236,7 +221,7 @@ def attenuation_matrix(h: int, w: int, spec: AttenuationSpec) -> np.ndarray:
 def decompose_attenuated(image, cutoff: float, spec: AttenuationSpec):
     """Decompose with each branch's masked spectrum damped elementwise,
     by one damping draw per branch as AttenuationSpec describes."""
-    arr = validate_image(image)
-    h, w, _ = arr.shape
-    low, high = _draw_gains(h, w, spec, 2)[..., None]
-    return _split(arr, cutoff, low, high)
+    spectrum = image_spectrum(image)
+    masks = _half_masks(*spectrum.shape, cutoff)
+    gains = _draw_gains(*spectrum.shape, spec, 2)[..., None]
+    return tuple(_inverse(spectrum, _damped_weight(m, g)) for m, g in zip(masks, gains))

@@ -95,6 +95,24 @@ def test_const_gamma_without_gamma_is_a_usage_error(capsys):
     assert "--const-gamma needs --gamma" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--seed", "3"), "--seed needs --gamma"),
+        (("--gamma", "0.5", "--const-gamma", "--seed", "3"), "--seed has no use"),
+    ],
+)
+def test_unused_seed_is_a_usage_error(capsys, flags, message):
+    # the input does not exist: the flags are checked before any file is read
+    code, _, err = run(
+        capsys,
+        "decompose", "--input", "ghost.ppm", *flags,
+        "--out-low", "l.ppm", "--out-high", "h.ppm",
+    )
+    assert code == 1
+    assert message in err
+
+
 def test_decompose_missing_input_is_data_error(tmp_path, capsys):
     code, _, err = run(
         capsys,

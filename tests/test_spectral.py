@@ -210,14 +210,30 @@ def test_filter_branch_leaves_the_spectrum_alone():
     w=st.integers(min_value=1, max_value=40),
     # log-uniform; the small end takes exp into subnormals and to 0
     cutoff=st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
-    scalar=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_half_grid_weight_matches_the_full_grid_oracle(h, w, cutoff, scalar, seed):
-    # a scalar gain, or a centered (h, w, 1) damping draw
-    gain = scalar if seed is None else np.random.default_rng(seed).uniform(size=(h, w, 1))
+def test_half_grid_weight_matches_the_full_grid_oracle(h, w, cutoff, seed):
+    # undamped, the weight is the mask itself; damped, a centered (h, w, 1) draw
+    gain = np.random.default_rng(seed).uniform(size=(h, w, 1))
     for full, half in zip(gaussian_masks(h, w, cutoff), spectral._half_masks(h, w, cutoff)):
-        assert np.array_equal(spectral._weight(half, gain), naive_weight(full, gain))
+        assert np.array_equal(half[:, :, None], naive_weight(full, 1.0))
+        assert np.array_equal(spectral._damped_weight(half, gain), naive_weight(full, gain))
+
+
+def test_one_mask_build_per_split(monkeypatch):
+    img = random_image(np.random.default_rng(16), 12, 10)
+    built = []
+    original = spectral._half_masks
+
+    def counted(h, w, cutoff):
+        built.append((h, w, cutoff))
+        return original(h, w, cutoff)
+
+    monkeypatch.setattr(spectral, "_half_masks", counted)
+    decompose(img, 2.0)
+    assert built == [(12, 10, 2.0)]
+    decompose_attenuated(img, 3.0, AttenuationSpec(0.5, seed=1))
+    assert built == [(12, 10, 2.0), (12, 10, 3.0)]
 
 
 def planar_copy(img):
@@ -287,7 +303,7 @@ def test_transforms_are_the_2d_numpy_calls_bit_for_bit(h, w, planar, cutoff, whi
     assert np.array_equal(spectrum.half, np.fft.rfft2(planar_copy(img), axes=(0, 1)))
     weights = {}
     branch = filter_branch(spectrum, cutoff, which, weights)
-    (weight,) = weights.values()
+    weight = weights[(spectrum.shape, cutoff, which)]
     want = np.fft.irfft2(spectrum.half * weight, s=(h, w), axes=(0, 1))
     assert np.array_equal(branch, want)
 

@@ -307,13 +307,14 @@ def test_one_weight_per_shape_and_cutoff(tmp_path, monkeypatch):
         [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
     )
     built = []
-    original = spectral._weight
+    original = spectral._half_masks
 
-    def counted(mask, gain):
-        built.append(mask.shape)
-        return original(mask, gain)
+    def counted(h, w, cutoff):
+        masks = original(h, w, cutoff)
+        built.append(tuple(mask.shape for mask in masks))
+        return masks
 
-    monkeypatch.setattr(spectral, "_weight", counted)
+    monkeypatch.setattr(spectral, "_half_masks", counted)
     config = SweepConfig(
         mode="low",
         cutoffs=(1, 5, 30),
@@ -322,9 +323,9 @@ def test_one_weight_per_shape_and_cutoff(tmp_path, monkeypatch):
         ground_truth=gt,
     )
     run_sweep(config)
-    # 2 images of one shape x 3 cutoffs: one weight per cutoff, not per
-    # image, each on the (16, 16 // 2 + 1) half grid that rfft2 returns
-    assert built == [(16, 9)] * 3
+    # 2 images of one shape x 3 cutoffs: one pair of masks per cutoff, not
+    # per image, each on the (16, 16 // 2 + 1) half grid that rfft2 returns
+    assert built == [((16, 9), (16, 9))] * 3
 
 
 def slow_mock(delay, *extra):
@@ -516,7 +517,6 @@ def test_csv_format_and_determinism(tmp_path):
 
 def test_result_csv_shape():
     result = SweepResult(
-        mode="low",
         rows=(SweepRow(cutoff=1.0, chair_i=1 / 3, chair_s=0.5, n=6),),
     )
     assert result.to_csv() == "cutoff,chair_i,chair_s,n\n1,0.333333,0.500000,6\n"
