@@ -219,11 +219,12 @@ class CaptionOracle:
         image path per id, in the same order, and may be lazy: each request
         goes out as soon as its path is yielded, so the file can be written
         just before. While replies are outstanding, idle() is called between
-        reads to do one unit of the caller's own work, and returns False when
-        none is left. The reply deadline counts from the last send or
-        accepted reply; a reply that arrived while idle() ran is taken, not
-        timed out, so a silent child times out within the timeout plus one
-        call of idle().
+        reads to do one unit of the caller's own work, such as one image load
+        or one export in a sweep, and returns False when none is left. The
+        reply deadline counts from the last send or accepted reply; a reply
+        that arrived while idle() ran is taken, not timed out, so a silent
+        child times out within the timeout plus one call of idle(), and a
+        reply waits at most one unit to be read.
         """
         ids = list(ids)
         if len(set(ids)) != len(ids):

@@ -1,17 +1,19 @@
 """Cutoff-frequency sweep: caption filtered images, score hallucinations.
 
-Each image is loaded and transformed once; the sweep keeps its spectrum, not
-its pixels. For each cutoff only the branch the mode names is inverted from
-that spectrum, through one branch weight per image shape, then exported
-(clamped to 8-bit), captioned by the oracle process, and scored against
-ground truth. One oracle process serves the whole sweep, so each image id
-is sent once per cutoff. The parent never waits while it has work: each
-request goes out as soon as its export is written, and while the oracle
-answers one cutoff the parent exports the images of later cutoffs, in
-cutoff order. A cutoff's requests are sent only once the previous cutoff is
-fully answered, since replies carry only the image id. One CSV row per
-cutoff; results are all-or-nothing, a failure anywhere emits no partial
-rows.
+The sweep goes image by image: it loads an image, takes its spectrum once,
+inverts the branch the mode names at every cutoff into that cutoff's
+folder, and drops the spectrum before the next image is loaded, so one
+spectrum is alive at a time. Images of one shape share one branch weight
+per cutoff; an image of another shape replaces them. Each export is
+clamped to 8-bit, captioned by the oracle process, and scored against
+ground truth. One oracle process serves the whole sweep, started before
+any image is loaded, so each image id is sent once per cutoff. The parent
+never waits while it has work: a cutoff's requests go out as their exports
+are written, and while the oracle answers, the parent loads and exports
+ahead, one image load or one export at a time. A cutoff's requests are
+sent only once the previous cutoff is fully answered, since replies carry
+only the image id. One CSV row per cutoff; results are all-or-nothing, a
+failure anywhere emits no partial rows.
 """
 
 import collections
@@ -168,19 +170,29 @@ def _image_ids(paths):
     return ids
 
 
-def _exports(config, ids, spectra, directory):
-    """Filter and write each image at each cutoff, yielding the paths in
-    cutoff-major order: the order in which the batches take them."""
-    for cutoff in config.cutoffs:
-        # one folder per cutoff: ids and labels are each unique, so no
-        # export overwrites another before the oracle has read it
-        folder = Path(directory) / _label(cutoff)
+def _exports(config, ids, directory):
+    """Filter and write each image at every cutoff, image by image.
+
+    Yields None once an image is loaded and transformed, then (cutoff
+    index, path) after each export, so each step is one unit of work.
+    """
+    # one folder per cutoff: ids and labels are each unique, so no
+    # export overwrites another before the oracle has read it
+    folders = [Path(directory) / _label(cutoff) for cutoff in config.cutoffs]
+    for folder in folders:
         folder.mkdir()
-        weights = {}  # one branch weight per image shape at this cutoff
-        for image_id, spectrum in zip(ids, spectra):
+    shape, weights = None, {}
+    for image_id, image_path in zip(ids, config.images):
+        spectrum = image_spectrum(load_image(image_path))
+        if spectrum.shape != shape:
+            # one branch weight per cutoff, for the current shape only
+            shape, weights = spectrum.shape, {}
+        yield None
+        for k, (cutoff, folder) in enumerate(zip(config.cutoffs, folders)):
             path = folder / f"{image_id}.ppm"
             save_image(filter_branch(spectrum, cutoff, config.mode, weights), path)
-            yield path
+            yield k, path
+        del spectrum  # before the next image's spectrum is taken
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -200,28 +212,35 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             lambda: f"{config.ground_truth}: image {image_id!r}",
         )
 
-    spectra = [image_spectrum(load_image(p)) for p in config.images]
-
     rows = []
-    # the oracle starts up while the first exports are written and sent
+    # the oracle starts before any image is loaded, so it starts up while
+    # the first images decode
     with (
         tempfile.TemporaryDirectory(prefix="freqfuse-sweep-") as tmp,
         CaptionOracle(
             config.oracle, timeout=config.timeout, prompt=config.prompt
         ) as oracle,
     ):
-        pending = _exports(config, ids, spectra, tmp)
-        ahead = collections.deque()  # exports made before their batch is sent
+        pending = _exports(config, ids, tmp)
+        # per cutoff, the exports made before their batch is sent
+        ahead = [collections.deque() for _ in config.cutoffs]
 
         def export_ahead():
-            path = next(pending, None)
-            if path is not None:
-                ahead.append(path)
-            return path is not None
+            """One image load or one export; False once none is left."""
+            step = next(pending, False)
+            if step:
+                k, path = step
+                ahead[k].append(path)
+            return step is not False
 
-        for cutoff in config.cutoffs:
-            paths = (ahead.popleft() if ahead else next(pending) for _ in ids)
-            captions = oracle.caption_batch(ids, paths, idle=export_ahead)
+        def batch_paths(k):
+            for _ in ids:
+                while not ahead[k] and export_ahead():
+                    pass
+                yield ahead[k].popleft()
+
+        for k, cutoff in enumerate(config.cutoffs):
+            captions = oracle.caption_batch(ids, batch_paths(k), idle=export_ahead)
             records = [
                 CaptionRecord(
                     id=image_id,

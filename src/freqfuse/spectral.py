@@ -8,9 +8,10 @@ and returns through one normalized inverse (irfft2); it leaves the spectrum
 as it was, so a sweep transforms each image once for all its cutoffs. Both
 transforms run the 1-D steps of rfft2 and irfft2 themselves, the complex
 step in place, so each takes at most one full-size buffer besides its result.
-decompose is image_spectrum and then filter_branch once per branch. The
-masks are exact complements, so undamped components sum back to the image.
-decompose_attenuated multiplies each mask by a damping gain first.
+decompose is image_spectrum, one pair of masks and one inverse per branch,
+the same steps as filter_branch. The masks are exact complements, so
+undamped components sum back to the image. decompose_attenuated multiplies
+each mask by a damping gain first.
 Outputs are not clamped to [0, 1]; export clamps.
 
 Spectra and branches keep the (h, w, 3) shape but live in channel-planar
@@ -177,9 +178,8 @@ def filter_branch(
     one inverse transform. The spectrum is not modified, so one spectrum
     serves any number of cutoffs. weights, if given, is a dict the caller
     owns, keyed by (shape, cutoff, which), so images of one shape share
-    their weights. A missing weight is built with its sibling branch's,
-    from one pair of masks, and both are kept: each is its mask as an
-    (h, w // 2 + 1, 1) view.
+    their weights. A missing weight is its mask as an (h, w // 2 + 1, 1)
+    view, and only the branch asked for is kept.
     """
     if which not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {which!r}")
@@ -187,8 +187,8 @@ def filter_branch(
         weights = {}
     key = (spectrum.shape, cutoff, which)
     if key not in weights:
-        for branch, mask in zip(BRANCHES, _half_masks(*spectrum.shape, cutoff)):
-            weights[(spectrum.shape, cutoff, branch)] = mask[:, :, None]
+        mask = _half_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
+        weights[key] = mask[:, :, None]
     return _inverse(spectrum, weights[key])
 
 
@@ -200,8 +200,8 @@ def decompose(image, cutoff: float = DEFAULT_CUTOFF):
     clamped.
     """
     spectrum = image_spectrum(image)
-    weights = {}
-    return tuple(filter_branch(spectrum, cutoff, which, weights) for which in BRANCHES)
+    masks = _half_masks(*spectrum.shape, cutoff)
+    return tuple(_inverse(spectrum, m[:, :, None]) for m in masks)
 
 
 def _draw_gains(h, w, spec, count):

@@ -3,6 +3,7 @@
 import io
 import json
 import select
+import subprocess
 import sys
 import time
 
@@ -440,6 +441,27 @@ def test_fixed_mode(tmp_path):
     save_image(random_image(3, 4, 4), img)
     caption = caption_one(mock_command("--mode", "fixed", "--objects", "ghost"), img)
     assert caption == "The image shows a ghost."
+
+
+def test_mock_subprocess_answers_every_request_then_exits_zero():
+    # the command skips interpreter teardown once stdin closes, so every
+    # reply must be written by then
+    ids = [f"r{i}" for i in range(500)]
+    requests = "".join(
+        json.dumps({"id": rid, "image": f"/images/{rid}.ppm", "prompt": "p"}) + "\n"
+        for rid in ids
+    )
+    proc = subprocess.run(
+        mock_command("--mode", "echo"),
+        input=requests,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    replies = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [reply["id"] for reply in replies] == ids
+    assert replies[-1]["caption"] == "A picture stored at /images/r499.ppm."
 
 
 # mock loop unit tests (in process)

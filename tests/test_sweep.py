@@ -13,18 +13,18 @@ from freqfuse.harness.formats import DataFormatError
 from freqfuse.harness.imageio import save_image
 from freqfuse.harness.oracle import CaptionOracle
 from freqfuse.harness.sweep import SweepConfig, SweepResult, SweepRow, run_sweep
-from util import cosine_image, random_image, write_jsonl
+from util import cosine_image, random_image, traced_peak, write_jsonl
 
 
 def mock_command(*extra):
     return " ".join([sys.executable, "-m", "freqfuse", "mock-oracle", *extra])
 
 
-def small_images(tmp_path, ids):
+def small_images(tmp_path, ids, size=16):
     paths = []
     for i, image_id in enumerate(ids):
         path = tmp_path / f"{image_id}.ppm"
-        save_image(random_image(i, 16, 16), path)
+        save_image(random_image(i, size, size), path)
         paths.append(str(path))
     return paths
 
@@ -368,9 +368,11 @@ def test_later_cutoffs_are_exported_while_the_oracle_answers(tmp_path, monkeypat
     )
     csv = run_sweep(config).to_csv()
     exports = [e for e in events if e != "answered"]
-    assert exports == ["1/a.ppm", "1/b.ppm", "5/a.ppm", "5/b.ppm", "30/a.ppm", "30/b.ppm"]
-    # a cutoff-5 export is on disk before the cutoff-1 batch is answered
-    assert events.index("5/a.ppm") < events.index("answered")
+    # image-major: each image at every cutoff before the next image
+    assert exports == ["1/a.ppm", "5/a.ppm", "30/a.ppm", "1/b.ppm", "5/b.ppm", "30/b.ppm"]
+    # b's later exports come after the cutoff-1 batch is sent, yet are on
+    # disk before it is answered: they ran while the oracle answered
+    assert events.index("30/b.ppm") < events.index("answered")
     assert events.count("answered") == 3
     assert csv == (
         "cutoff,chair_i,chair_s,n\n"
@@ -423,7 +425,7 @@ def test_export_failure_while_running_ahead_is_a_data_error(tmp_path, monkeypatc
 
     def failing_save(image, path):
         saves.append(f"{path.parent.name}/{path.name}")
-        if len(saves) == 3:
+        if len(saves) == 5:
             raise OSError(28, "No space left on device", str(path))
         save(image, path)
 
@@ -450,13 +452,75 @@ def test_export_failure_while_running_ahead_is_a_data_error(tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "No space left on device" in captured.err
-    # the first export of cutoff 5 failed while cutoff 1 was being answered
-    assert saves == ["1/a.ppm", "1/b.ppm", "5/a.ppm"]
+    # the cutoff-1 batch was sent after 1/b.ppm; b's cutoff-5 export
+    # failed while that batch was being answered
+    assert saves == ["1/a.ppm", "5/a.ppm", "30/a.ppm", "1/b.ppm", "5/b.ppm"]
     assert batches == [1]
     # the child was waited for and both of its pipes are closed
     [oracle] = oracles
     assert oracle._proc.returncode is not None
     assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
+
+
+def test_unreadable_image_after_a_good_one_is_a_data_error(tmp_path, monkeypatch, capsys):
+    # the oracle starts before the first image loads, so this fails with
+    # the child running: it must still be waited for
+    paths = small_images(tmp_path, ["a"])
+    bad = tmp_path / "b.ppm"
+    bad.write_bytes(b"P6\n16 16\n255\n" + bytes(10))
+    paths.append(str(bad))
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    oracles = []
+    close = CaptionOracle.close
+
+    def recording_close(self):
+        oracles.append(self)
+        close(self)
+
+    monkeypatch.setattr(CaptionOracle, "close", recording_close)
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({
+        "mode": "low",
+        "cutoffs": [1, 5],
+        "images": paths,
+        "oracle": mock_command("--mode", "gt", "--ground-truth", gt),
+        "ground_truth": gt,
+    }))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PPM pixel data truncated" in captured.err
+    [oracle] = oracles
+    assert oracle._proc.returncode is not None
+    assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
+
+
+def gt_sweep_peak(tmp_path, count):
+    """traced_peak of one gt-mock sweep over count 128x128 images."""
+    directory = tmp_path / str(count)
+    directory.mkdir()
+    ids = [f"img{i}" for i in range(count)]
+    gt = write_jsonl(
+        directory / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
+    )
+    config = SweepConfig(
+        mode="low",
+        cutoffs=(1, 5, 30),
+        images=small_images(directory, ids, size=128),
+        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    return traced_peak(lambda: run_sweep(config))
+
+
+def test_sweep_memory_does_not_grow_with_the_image_count(tmp_path):
+    # one spectrum alive at a time: 8 images peak within one half spectrum
+    # of 2 images
+    spectrum_bytes = 128 * (128 // 2 + 1) * 3 * 16
+    assert gt_sweep_peak(tmp_path, 8) - gt_sweep_peak(tmp_path, 2) < spectrum_bytes
 
 
 def test_missing_ground_truth_id_fails_before_captioning(tmp_path):
