@@ -164,20 +164,30 @@ def cmd_sweep(parser, args):
     return EXIT_OK
 
 
+# the modes that read each mock-oracle flag; any other mode refuses it
+_MOCK_FLAG_MODES = {
+    "threshold": ("energy",),
+    "objects": ("fixed", "energy"),
+    "ground_truth": ("gt", "energy"),
+}
+
+
 def cmd_mock_oracle(parser, args):
-    if not args.threshold >= 0:
-        parser.error(f"--threshold must be non-negative, got {args.threshold:g}")
-    objects = tuple(o.strip() for o in args.objects.split(",") if o.strip())
-    ground_truth = load_ground_truth(args.ground_truth) if args.ground_truth else None
+    # a flag not given is absent from args, so the loop's default applies
+    given = {k: v for k, v in vars(args).items() if k in _MOCK_FLAG_MODES}
+    if "threshold" in given and not given["threshold"] >= 0:
+        parser.error(f"--threshold must be non-negative, got {given['threshold']:g}")
+    for key in given:
+        if args.mode not in _MOCK_FLAG_MODES[key]:
+            flag = "--" + key.replace("_", "-")
+            parser.error(f"{flag} has no use with --mode {args.mode}")
+    if "objects" in given:
+        names = (o.strip() for o in given["objects"].split(","))
+        given["objects"] = tuple(o for o in names if o)
+    if "ground_truth" in given:
+        given["ground_truth"] = load_ground_truth(given["ground_truth"])
     try:
-        mock_oracle_loop(
-            args.mode,
-            sys.stdin,
-            sys.stdout,
-            threshold=args.threshold,
-            objects=objects,
-            ground_truth=ground_truth,
-        )
+        mock_oracle_loop(args.mode, sys.stdin, sys.stdout, **given)
     except json.JSONDecodeError as exc:
         raise OracleProtocolError(f"malformed request line: {exc.msg}") from None
     except KeyError as exc:
@@ -240,11 +250,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mock-oracle", help="deterministic captioner for testing")
     p.add_argument("--mode", required=True, choices=MOCK_MODES)
-    p.add_argument("--threshold", type=float, default=0.01)
-    p.add_argument("--objects", default=",".join(DEFAULT_MOCK_OBJECTS),
-                   help="comma-separated hallucination objects")
-    p.add_argument("--ground-truth", default=None,
-                   help="ground-truth JSONL for gt/energy modes")
+    p.add_argument("--threshold", type=float, default=argparse.SUPPRESS,
+                   help="energy mode: mean energy at or below which the "
+                        "objects are answered (default 0.01)")
+    p.add_argument("--objects", default=argparse.SUPPRESS,
+                   help="fixed/energy modes: comma-separated hallucination "
+                        f"objects (default {','.join(DEFAULT_MOCK_OBJECTS)})")
+    p.add_argument("--ground-truth", default=argparse.SUPPRESS,
+                   help="gt/energy modes: ground-truth JSONL")
     p.set_defaults(func=cmd_mock_oracle)
 
     return parser

@@ -17,6 +17,7 @@ a table built on first use.
 """
 
 import functools
+import re
 import struct
 import zlib
 
@@ -73,12 +74,15 @@ def load_image(path) -> np.ndarray:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:2] == b"P6":
-        raw, h, w = _decode_ppm(data)
-    elif data[: len(PNG_SIGNATURE)] == PNG_SIGNATURE:
-        raw, h, w = _decode_png(data)
-    else:
-        raise ImageDecodeError(f"{path}: not a P6 PPM or PNG file")
+    try:
+        if data[:2] == b"P6":
+            raw, h, w = _decode_ppm(data)
+        elif data[: len(PNG_SIGNATURE)] == PNG_SIGNATURE:
+            raw, h, w = _decode_png(data)
+        else:
+            raise ImageDecodeError("not a P6 PPM or PNG file")
+    except ImageError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     # one float buffer: the cast gathers the bytes into planes, then it is
     # scaled in place
     planes = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
@@ -114,47 +118,21 @@ def _encode_ppm(pixels):
     return b"P6\n%d %d\n255\n" % (w, h), pixels
 
 
-def _ppm_tokens(data):
-    # header tokens are whitespace-separated; # starts a comment to EOL
-    i = 0
-    while True:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i] == ord("#"):
-            while i < len(data) and data[i] != ord("\n"):
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace() and data[i] != ord("#"):
-            i += 1
-        if start == i:
-            raise ImageDecodeError("truncated PPM header")
-        yield data[start:i], i
+# P6, then width, height and maxval as unsigned decimals, each after
+# whitespace or "#" comments that run to a newline, then exactly one
+# whitespace byte before the pixels
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def _decode_ppm(data):
-    tokens = _ppm_tokens(data)
-    try:
-        magic, _ = next(tokens)
-        if magic != b"P6":
-            raise ImageDecodeError(f"bad PPM magic {magic!r}")
-        fields = []
-        for _ in range(3):
-            token, end = next(tokens)
-            fields.append(token)
-    except StopIteration:
-        raise ImageDecodeError("truncated PPM header") from None
-    try:
-        w, h, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise ImageDecodeError(f"non-numeric PPM header fields {fields}") from None
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise ImageDecodeError("malformed or truncated PPM header")
+    w, h, maxval = map(int, header.groups())
     _check_dimensions("PPM", w, h)
     if maxval != 255:
         raise UnsupportedImageError(f"unsupported maxval {maxval}, only 255")
-    # exactly one whitespace byte separates the header from the pixels
-    if end >= len(data) or not data[end : end + 1].isspace():
-        raise ImageDecodeError("PPM header does not end in whitespace")
-    pixels = memoryview(data)[end + 1 :]  # a view: the bytes are not copied
+    pixels = memoryview(data)[header.end() :]  # a view: the bytes are not copied
     expected = h * w * 3
     if len(pixels) < expected:
         raise ImageDecodeError(

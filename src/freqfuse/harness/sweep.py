@@ -112,7 +112,9 @@ class SweepConfig:
         """Load a config file; relative paths resolve against its directory."""
         path = Path(path)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_bytes().decode("utf-8"))
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: not valid UTF-8") from None
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON ({exc.msg})") from None
         if not isinstance(raw, dict):

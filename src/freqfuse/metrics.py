@@ -31,7 +31,7 @@ class SynonymTable:
     token tuple -> class; exact surface or canonical string -> class, which
     `canonicalize` tries before tokenizing (the checks above make the two
     agree); and first token -> the token lengths of the forms that start
-    with it, longest first, which `mentions` probes at each token.
+    with it, longest first, which `extract_objects` probes at each token.
     """
 
     def __init__(self, mapping):
@@ -97,35 +97,31 @@ class SynonymTable:
             target = self._by_tokens.get(_tokenize(name))
         return target
 
-    def mentions(self, text: str) -> set:
-        """Canonical classes mentioned in a text, longest surface match first.
-
-        Matching is greedy, left to right, over the tokens of the text: at
-        each token the longest form that starts there wins and its tokens
-        are consumed. A token that starts no form costs one dict miss.
-        """
-        tokens = _tokenize(text)
-        by_tokens = self._by_tokens
-        lengths = self._lengths
-        found = set()
-        i = 0
-        while i < len(tokens):
-            for n in lengths.get(tokens[i], ()):
-                # a slice cut short by the end of the text can only equal a
-                # form of the length that remains, the longest that fits
-                target = by_tokens.get(tokens[i : i + n])
-                if target is not None:
-                    found.add(target)
-                    i += n
-                    break
-            else:
-                i += 1
-        return found
-
 
 def extract_objects(caption: str, table: SynonymTable) -> set:
-    """Canonical classes mentioned in a caption, longest surface match first."""
-    return table.mentions(caption)
+    """Canonical classes mentioned in a caption, longest surface match first.
+
+    Matching is greedy, left to right, over the tokens of the caption: at
+    each token the longest form that starts there wins and its tokens are
+    consumed. A token that starts no form costs one dict miss.
+    """
+    tokens = _tokenize(caption)
+    by_tokens = table._by_tokens
+    lengths = table._lengths
+    found = set()
+    i = 0
+    while i < len(tokens):
+        for n in lengths.get(tokens[i], ()):
+            # a slice cut short by the end of the caption can only equal a
+            # form of the length that remains, the longest that fits
+            target = by_tokens.get(tokens[i : i + n])
+            if target is not None:
+                found.add(target)
+                i += n
+                break
+        else:
+            i += 1
+    return found
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,14 @@ def test_sweep_missing_config_is_data_error(tmp_path, capsys):
     assert err
 
 
+def test_sweep_config_not_utf8_names_it(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_bytes(b'\xff{"mode": "low"}')
+    code, _, err = run(capsys, "sweep", "--config", str(config))
+    assert code == 2
+    assert err.strip() == f"error: {config}: not valid UTF-8"
+
+
 def sweep_one_image(tmp_path, capsys, oracle):
     save_image(random_image(7, 4, 4), tmp_path / "a.ppm")
     write_jsonl(tmp_path / "gt.jsonl", [{"id": "a", "ground_truth": []}])
@@ -467,3 +475,26 @@ def test_help_exits_zero(capsys):
 
 def test_mock_oracle_bad_mode_is_usage_error(capsys):
     assert run(capsys, "mock-oracle", "--mode", "psychic")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "mode, flag, value",
+    [
+        ("echo", "--threshold", "5"),
+        ("gt", "--threshold", "5"),
+        ("fixed", "--threshold", "5"),
+        ("echo", "--objects", "cat"),
+        ("gt", "--objects", "cat"),
+        ("echo", "--ground-truth", "gt.jsonl"),
+        ("fixed", "--ground-truth", "gt.jsonl"),
+    ],
+)
+def test_mock_oracle_flag_its_mode_ignores_is_usage_error(
+    capsys, monkeypatch, mode, flag, value
+):
+    # refused before the ground truth is loaded or stdin is read
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run(capsys, "mock-oracle", "--mode", mode, flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"{flag} has no use with --mode {mode}" in err

@@ -13,6 +13,7 @@ from freqfuse.harness.cli import main
 from freqfuse.harness.imageio import (
     MAX_PIXELS,
     ImageDecodeError,
+    ImageError,
     UnsupportedImageError,
     _paeth_table,
     load_image,
@@ -207,6 +208,73 @@ def test_ppm_rejects_truncation_and_garbage(tmp_path):
     header_only.write_bytes(b"P6\n2 2")
     with pytest.raises(ImageDecodeError):
         load_image(header_only)
+
+
+@pytest.mark.parametrize(
+    "header, shape",
+    [
+        (b"P6#after the magic\n2 1 255\n", (1, 2)),
+        (b"P6 2 #between fields\n# and a full line\n1 255\n", (1, 2)),
+        (b"P6 2#right after a number\n1 255\n", (1, 2)),
+        (b"P6\t1\r2\x0b255\x0c", (2, 1)),
+        (b"P6 002 0001 0255\n", (1, 2)),
+    ],
+)
+def test_ppm_header_grammar_accepts(tmp_path, header, shape):
+    path = tmp_path / "ok.ppm"
+    path.write_bytes(header + bytes(range(6)) + b"trailing bytes are ignored")
+    got = load_image(path)
+    assert np.array_equal(got, np.arange(6).reshape(*shape, 3) / 255.0)
+
+
+_FULL_HEADER = b"P6 #c\n1 1 255\n"
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P61 1 1 255\n",
+        b"P6x 1 1 255\n",
+        b"P6 +1 1 255\n",
+        b"P6 1 -1 255\n",
+        b"P6 1 1 +255\n",
+        b"P6 1_0 1 255\n",
+        b"P6 1 1 2_55\n",
+        b"P6 1 1 255#c\n",
+        *(_FULL_HEADER[:k] for k in range(2, len(_FULL_HEADER))),
+    ],
+)
+def test_ppm_header_grammar_rejects(tmp_path, header):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header)
+    with pytest.raises(ImageDecodeError) as info:
+        load_image(path)
+    assert str(info.value) == f"{path}: malformed or truncated PPM header"
+
+
+_HEADER_BYTES = st.sampled_from(
+    [b" ", b"\n", b"\t", b"\r", b"#", b"0", b"1", b"2", b"255", b"+", b"_", b"x", b"\xff"]
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    head=st.lists(_HEADER_BYTES, max_size=24).map(b"".join),
+    tail=st.binary(max_size=16),
+)
+def test_any_bytes_after_p6_decode_or_raise_an_image_error(tmp_path, head, tail):
+    path = tmp_path / "fuzz.ppm"
+    path.write_bytes(b"P6" + head + tail)
+    try:
+        got = load_image(path)
+    except ImageError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert got.ndim == 3 and got.shape[2] == 3
 
 
 def test_save_rejects_unknown_extension(tmp_path):

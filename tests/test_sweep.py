@@ -492,7 +492,7 @@ def test_unreadable_image_after_a_good_one_is_a_data_error(tmp_path, monkeypatch
     assert main(["sweep", "--config", str(config_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "PPM pixel data truncated" in captured.err
+    assert f"{bad}: PPM pixel data truncated" in captured.err
     [oracle] = oracles
     assert oracle._proc.returncode is not None
     assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
