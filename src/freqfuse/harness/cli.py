@@ -5,6 +5,7 @@ error, 4 check failure. Results go to stdout, diagnostics to stderr.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -213,14 +214,14 @@ def build_parser() -> _Parser:
                    help="with --gamma, seed the damping draws (default 0)")
     p.add_argument("--const-gamma", action="store_true",
                    help="with --gamma, damp by the constant gamma instead of draws")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=functools.partial(cmd_decompose, p))
 
     p = sub.add_parser("gradcheck", help="verify fusion gradients numerically")
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--positions", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=functools.partial(cmd_gradcheck, p))
 
     p = sub.add_parser("fuse-demo", help="encode, fuse, and dump tokens")
     p.add_argument("--input", required=True)
@@ -229,7 +230,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output token file")
-    p.set_defaults(func=cmd_fuse_demo)
+    p.set_defaults(func=functools.partial(cmd_fuse_demo, p))
 
     p = sub.add_parser("eval", help="score caption or probe files")
     eval_sub = p.add_subparsers(dest="eval_command", required=True)
@@ -238,15 +239,15 @@ def build_parser() -> _Parser:
     pc.add_argument("--captions", required=True)
     pc.add_argument("--synonyms", default=None,
                     help="synonym table JSON (default: bundled)")
-    pc.set_defaults(func=cmd_eval_chair)
+    pc.set_defaults(func=functools.partial(cmd_eval_chair, pc))
 
     pp = eval_sub.add_parser("pope", help="yes/no probe F1, averaged over files")
     pp.add_argument("--answers", action="append", required=True)
-    pp.set_defaults(func=cmd_eval_pope)
+    pp.set_defaults(func=functools.partial(cmd_eval_pope, pp))
 
     p = sub.add_parser("sweep", help="cutoff-frequency hallucination sweep")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=functools.partial(cmd_sweep, p))
 
     p = sub.add_parser("mock-oracle", help="deterministic captioner for testing")
     p.add_argument("--mode", required=True, choices=MOCK_MODES)
@@ -258,7 +259,7 @@ def build_parser() -> _Parser:
                         f"objects (default {','.join(DEFAULT_MOCK_OBJECTS)})")
     p.add_argument("--ground-truth", default=argparse.SUPPRESS,
                    help="gt/energy modes: ground-truth JSONL")
-    p.set_defaults(func=cmd_mock_oracle)
+    p.set_defaults(func=functools.partial(cmd_mock_oracle, p))
 
     return parser
 
@@ -270,7 +271,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(parser, args)
+        # each command is bound to its own subparser, so a post-parse
+        # parser.error prints that subcommand's usage
+        return args.func(args)
     except SystemExit as exc:
         # post-parse validation routed through parser.error
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

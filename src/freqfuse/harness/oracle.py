@@ -3,8 +3,10 @@
 An oracle is any child process speaking line-delimited JSON on stdio:
 request {"id": ..., "image": absolute path, "prompt": ...} in, response
 {"id": ..., "caption": ...} out, answered in any order. One process may
-serve any number of batches, so a reply must depend only on its request:
-the sweep starts one per run and resends the same ids at every cutoff.
+serve any number of batches, so a reply must depend only on its request.
+The sweep starts one per run and sends it one batch, whose ids
+"<cutoff label>/<image id>" are unique within it; the mocks look ground
+truth up by the image file's stem, not by the id.
 The harness does its I/O on the calling thread with a selector: POSIX only.
 Mock modes give the sweep deterministic stand-ins for a captioning model.
 """
@@ -39,7 +41,7 @@ class OracleSpawnError(OracleError):
 
 
 class OracleTimeoutError(OracleError):
-    """No response arrived within the timeout of the batch send or last reply."""
+    """No response arrived within the timeout of the last send or last reply."""
 
 
 class OracleProtocolError(OracleError):
@@ -161,12 +163,8 @@ class CaptionOracle:
                     f"outstanding: {line[:120]!r}"
                 )
 
-    def _next_response(self, outstanding, answered, deadline, idle):
-        """Next valid reply to an outstanding id; blank lines keep the deadline.
-
-        Until a line is waiting, each round checks the deadline, runs idle()
-        and reads the pipes without blocking, or blocks on them once idle()
-        has no work: the pipes are read between idle() and the next check."""
+    def _next_response(self, outstanding, answered, deadline):
+        """Next valid reply to an outstanding id; blank lines keep the deadline."""
         while True:
             while not (self._lines or self._eof):
                 remaining = deadline - time.monotonic()
@@ -176,7 +174,7 @@ class CaptionOracle:
                         f"no oracle response within {self._timeout:g}s; "
                         f"waiting for: {waiting}"
                     )
-                self._poll(0 if idle() else remaining)
+                self._poll(remaining)
             if not self._lines:
                 raise OracleProtocolError(
                     f"oracle exited with {len(outstanding)} request(s) unanswered"
@@ -211,20 +209,15 @@ class CaptionOracle:
                 )
             return rid, reply["caption"]
 
-    def caption_batch(self, ids, paths, idle=lambda: False) -> dict:
+    def caption_batch(self, ids, paths) -> dict:
         """Caption one batch of images; returns {id: caption}.
 
         Ids must be unique within the batch, and may recur in later batches;
-        they are checked before paths or idle is touched. paths yields one
-        image path per id, in the same order, and may be lazy: each request
-        goes out as soon as its path is yielded, so the file can be written
-        just before. While replies are outstanding, idle() is called between
-        reads to do one unit of the caller's own work, such as one image load
-        or one export in a sweep, and returns False when none is left. The
-        reply deadline counts from the last send or accepted reply; a reply
-        that arrived while idle() ran is taken, not timed out, so a silent
-        child times out within the timeout plus one call of idle(), and a
-        reply waits at most one unit to be read.
+        they are checked before paths is touched. paths yields one image
+        path per id, in the same order, and may be lazy: each request goes
+        out as soon as its path is yielded, so the file can be written just
+        before, and replies are read as they arrive. The reply deadline
+        counts from the last send or accepted reply.
         """
         ids = list(ids)
         if len(set(ids)) != len(ids):
@@ -237,7 +230,7 @@ class CaptionOracle:
         results = {}
         deadline = time.monotonic() + self._timeout
         while outstanding:
-            rid, caption = self._next_response(outstanding, results, deadline, idle)
+            rid, caption = self._next_response(outstanding, results, deadline)
             outstanding.discard(rid)
             results[rid] = caption
             deadline = time.monotonic() + self._timeout
@@ -274,11 +267,11 @@ def mock_oracle_loop(
     """Serve the oracle protocol with a deterministic captioning rule.
 
     Modes: "echo" answers a fixed template naming the image path; "gt"
-    answers exactly the ground-truth objects for the request id (empty
-    caption when there are none); "fixed" always answers the configured
-    object list; "energy" answers like "gt" while the mean squared
-    intensity stays above the threshold and like "fixed" once the image
-    has been damped below it.
+    answers exactly the ground-truth objects of the image, looked up by
+    the image file's stem, not by the request id (empty caption when there
+    are none); "fixed" always answers the configured object list; "energy"
+    answers like "gt" while the mean squared intensity stays above the
+    threshold and like "fixed" once the image has been damped below it.
     """
     if mode not in MOCK_MODES:
         raise ValueError(f"unknown mock mode {mode!r}")
@@ -295,7 +288,7 @@ def mock_oracle_loop(
         elif mode == "gt" or (
             mode == "energy" and mean_energy(image_path) > threshold
         ):
-            caption = object_sentence(ground_truth.get(rid, ()))
+            caption = object_sentence(ground_truth.get(Path(image_path).stem, ()))
         else:
             caption = object_sentence(objects)
         stdout.write(json.dumps({"id": rid, "caption": caption}) + "\n")

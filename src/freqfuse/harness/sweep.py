@@ -6,17 +6,13 @@ folder, and drops the spectrum before the next image is loaded, so one
 spectrum is alive at a time. Images of one shape share one branch weight
 per cutoff; an image of another shape replaces them. Each export is
 clamped to 8-bit, captioned by the oracle process, and scored against
-ground truth. One oracle process serves the whole sweep, started before
-any image is loaded, so each image id is sent once per cutoff. The parent
-never waits while it has work: a cutoff's requests go out as their exports
-are written, and while the oracle answers, the parent loads and exports
-ahead, one image load or one export at a time. A cutoff's requests are
-sent only once the previous cutoff is fully answered, since replies carry
-only the image id. One CSV row per cutoff; results are all-or-nothing, a
-failure anywhere emits no partial rows.
+ground truth. One oracle process serves the whole sweep in one batch,
+started before any image is loaded: each export's request goes out as
+soon as it is written, under the id "<cutoff label>/<image id>", so the
+oracle answers while later exports are made. One CSV row per cutoff;
+results are all-or-nothing, a failure anywhere emits no partial rows.
 """
 
-import collections
 import dataclasses
 import json
 import math
@@ -175,8 +171,8 @@ def _image_ids(paths):
 def _exports(config, ids, directory):
     """Filter and write each image at every cutoff, image by image.
 
-    Yields None once an image is loaded and transformed, then (cutoff
-    index, path) after each export, so each step is one unit of work.
+    Yields each export's path as soon as it is written:
+    <directory>/<cutoff label>/<image id>.ppm.
     """
     # one folder per cutoff: ids and labels are each unique, so no
     # export overwrites another before the oracle has read it
@@ -189,11 +185,10 @@ def _exports(config, ids, directory):
         if spectrum.shape != shape:
             # one branch weight per cutoff, for the current shape only
             shape, weights = spectrum.shape, {}
-        yield None
-        for k, (cutoff, folder) in enumerate(zip(config.cutoffs, folders)):
+        for cutoff, folder in zip(config.cutoffs, folders):
             path = folder / f"{image_id}.ppm"
             save_image(filter_branch(spectrum, cutoff, config.mode, weights), path)
-            yield k, path
+            yield path
         del spectrum  # before the next image's spectrum is taken
 
 
@@ -214,7 +209,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             lambda: f"{config.ground_truth}: image {image_id!r}",
         )
 
-    rows = []
+    labels = [_label(cutoff) for cutoff in config.cutoffs]
+    # one request per export, in _exports' image-major order
+    request_ids = [f"{label}/{image_id}" for image_id in ids for label in labels]
     # the oracle starts before any image is loaded, so it starts up while
     # the first images decode
     with (
@@ -223,41 +220,24 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             config.oracle, timeout=config.timeout, prompt=config.prompt
         ) as oracle,
     ):
-        pending = _exports(config, ids, tmp)
-        # per cutoff, the exports made before their batch is sent
-        ahead = [collections.deque() for _ in config.cutoffs]
-
-        def export_ahead():
-            """One image load or one export; False once none is left."""
-            step = next(pending, False)
-            if step:
-                k, path = step
-                ahead[k].append(path)
-            return step is not False
-
-        def batch_paths(k):
-            for _ in ids:
-                while not ahead[k] and export_ahead():
-                    pass
-                yield ahead[k].popleft()
-
-        for k, cutoff in enumerate(config.cutoffs):
-            captions = oracle.caption_batch(ids, batch_paths(k), idle=export_ahead)
-            records = [
-                CaptionRecord(
-                    id=image_id,
-                    mentioned=extract_objects(captions[image_id], table),
-                    ground_truth=ground_truth[image_id],
-                )
-                for image_id in ids
-            ]
-            report = chair(records)
-            rows.append(
-                SweepRow(
-                    cutoff=cutoff,
-                    chair_i=report.chair_i,
-                    chair_s=report.chair_s,
-                    n=len(records),
-                )
+        captions = oracle.caption_batch(request_ids, _exports(config, ids, tmp))
+    rows = []
+    for cutoff, label in zip(config.cutoffs, labels):
+        records = [
+            CaptionRecord(
+                id=image_id,
+                mentioned=extract_objects(captions[f"{label}/{image_id}"], table),
+                ground_truth=ground_truth[image_id],
             )
+            for image_id in ids
+        ]
+        report = chair(records)
+        rows.append(
+            SweepRow(
+                cutoff=cutoff,
+                chair_i=report.chair_i,
+                chair_s=report.chair_s,
+                n=len(records),
+            )
+        )
     return SweepResult(rows=tuple(rows))

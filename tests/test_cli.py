@@ -498,3 +498,23 @@ def test_mock_oracle_flag_its_mode_ignores_is_usage_error(
     assert code == 1
     assert out == ""
     assert f"{flag} has no use with --mode {mode}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--input", "x.ppm", "--cutoff", "-1",
+         "--out-low", "l.ppm", "--out-high", "h.ppm"),
+        ("gradcheck", "--dim", "0"),
+        ("fuse-demo", "--input", "x.ppm", "--patch", "0", "--out", "t.bin"),
+        ("mock-oracle", "--mode", "echo", "--threshold", "5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_post_parse_error_prints_the_subcommand_usage(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage: freqfuse {argv[0]} [-h]")
+    assert f"\nfreqfuse {argv[0]}: error: " in err

@@ -325,59 +325,19 @@ def test_stray_reply_rejected_when_the_next_batch_starts():
 
 
 def test_duplicate_request_ids_rejected_locally():
-    # before a path is pulled, idle work is done or a byte is written
+    # before a path is pulled or a byte is written
     touched = []
 
     def paths():
         touched.append("paths")
         yield from ("x.ppm", "y.ppm")
 
-    def idle():
-        touched.append("idle")
-        return False
-
     with CaptionOracle(child(ECHO_IMAGE)) as oracle:
         with pytest.raises(ValueError, match="unique"):
-            oracle.caption_batch(["a", "a"], paths(), idle=idle)
+            oracle.caption_batch(["a", "a"], paths())
         assert touched == []
         # nothing reached the child: the next batch meets no stray reply
         assert oracle.caption_batch(["b"], ["z.ppm"])["b"].endswith("z.ppm")
-
-
-def test_reply_that_arrives_during_idle_work_is_taken_past_the_deadline():
-    calls = []
-
-    def idle():
-        # one unit of work that outlasts the 0.5 s deadline, ending only
-        # once the reply is waiting on the pipe
-        calls.append(1)
-        if len(calls) > 1:
-            return False
-        time.sleep(0.6)
-        select.select([oracle._proc.stdout], [], [], 5.0)
-        return True
-
-    with CaptionOracle(child(ECHO_IMAGE), timeout=0.5) as oracle:
-        result = oracle.caption_batch(["a"], ["x.ppm"], idle=idle)
-    assert result["a"].endswith("x.ppm")
-    assert calls == [1]
-
-
-def test_silent_child_times_out_while_idle_work_remains():
-    calls = []
-
-    def idle():
-        # 5 s of work in all, far past the 0.5 s timeout
-        calls.append(1)
-        time.sleep(0.05)
-        return len(calls) < 100
-
-    start = time.monotonic()
-    with CaptionOracle(child(SLEEPER), timeout=0.5) as oracle:
-        with pytest.raises(OracleTimeoutError, match="within 0.5s"):
-            oracle.caption_batch(["a"], ["x.ppm"], idle=idle)
-    assert time.monotonic() - start < 0.5 + 2
-    assert 5 <= len(calls) < 100
 
 
 def test_requests_are_sent_as_the_paths_are_yielded():
@@ -418,13 +378,30 @@ def test_energy_mode_zero_image_hallucinates(tmp_path):
 def test_energy_mode_bright_image_stays_clean(tmp_path):
     path = tmp_path / "bright.ppm"
     save_image(np.full((8, 8, 3), 0.9), path)
-    gt = write_jsonl(tmp_path / "gt.jsonl", [{"id": "bright", "ground_truth": ["dog"]}])
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "bright", "ground_truth": []}, {"id": "req-1", "ground_truth": ["dog"]}],
+    )
     caption = caption_one(
         mock_command("--mode", "energy", "--threshold", "0.01", "--ground-truth", gt),
         path,
     )
-    # the request id is "req-1", not "bright": expect empty
+    # above the threshold: bright.ppm's own ground truth, which is empty,
+    # not that of the request id "req-1"
     assert caption == ""
+
+
+@pytest.mark.parametrize("mode", ["gt", "energy"])
+def test_mock_looks_ground_truth_up_by_the_image_stem(tmp_path, mode):
+    path = tmp_path / "a.ppm"
+    save_image(np.full((8, 8, 3), 0.9), path)
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "q1", "ground_truth": ["cat"]}],
+    )
+    with CaptionOracle(mock_command("--mode", mode, "--ground-truth", gt)) as oracle:
+        result = oracle.caption_batch(["q1"], [path])
+    assert result == {"q1": "The image shows a dog."}
 
 
 def test_gt_mode_batch(tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,23 +341,42 @@ def slow_mock(delay, *extra):
     return [sys.executable, "-c", script]
 
 
+# logs each request line to argv[1], then names a dog at cutoff 5 only
+LOGGING_ORACLE = """
+import json, sys
+with open(sys.argv[1], "a") as log:
+    for line in sys.stdin:
+        log.write(line)
+        log.flush()
+        rid = json.loads(line)["id"]
+        caption = "The image shows a dog." if rid.startswith("5/") else ""
+        print(json.dumps({"id": rid, "caption": caption}), flush=True)
+"""
+
+
 def test_later_cutoffs_are_exported_while_the_oracle_answers(tmp_path, monkeypatch):
     paths = small_images(tmp_path, ["a", "b"])
     gt = write_jsonl(
         tmp_path / "gt.jsonl",
         [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
     )
-    events = []
+    log = tmp_path / "requests.jsonl"
+    exports, batches, seen_before_last_export = [], [], []
     save, caption_batch = sweep.save_image, CaptionOracle.caption_batch
 
     def recording_save(image, path):
+        if len(exports) == 5:
+            # the last export: wait for the child to have read a request
+            deadline = time.monotonic() + 10
+            while not (log.exists() and log.read_text()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            seen_before_last_export.extend(log.read_text().splitlines())
         save(image, path)
-        events.append(f"{path.parent.name}/{path.name}")
+        exports.append(f"{path.parent.name}/{path.name}")
 
     def recording_batch(self, *args, **kwargs):
-        captions = caption_batch(self, *args, **kwargs)
-        events.append("answered")
-        return captions
+        batches.append(1)
+        return caption_batch(self, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "save_image", recording_save)
     monkeypatch.setattr(CaptionOracle, "caption_batch", recording_batch)
@@ -363,21 +384,27 @@ def test_later_cutoffs_are_exported_while_the_oracle_answers(tmp_path, monkeypat
         mode="high",
         cutoffs=(1, 5, 30),
         images=paths,
-        oracle=slow_mock(0.3, "--mode", "gt", "--ground-truth", gt),
+        oracle=[sys.executable, "-c", LOGGING_ORACLE, str(log)],
         ground_truth=gt,
     )
     csv = run_sweep(config).to_csv()
-    exports = [e for e in events if e != "answered"]
     # image-major: each image at every cutoff before the next image
     assert exports == ["1/a.ppm", "5/a.ppm", "30/a.ppm", "1/b.ppm", "5/b.ppm", "30/b.ppm"]
-    # b's later exports come after the cutoff-1 batch is sent, yet are on
-    # disk before it is answered: they ran while the oracle answered
-    assert events.index("30/b.ppm") < events.index("answered")
-    assert events.count("answered") == 3
+    # one batch for the whole sweep, its requests in the same order, each
+    # id the export's <folder>/<stem>
+    assert batches == [1]
+    requests = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["id"] for r in requests] == ["1/a", "5/a", "30/a", "1/b", "5/b", "30/b"]
+    for r in requests:
+        image = Path(r["image"])
+        assert r["id"] == f"{image.parent.name}/{image.stem}"
+    # the child read the first request before the last export was written
+    assert seen_before_last_export[:1] == [log.read_text().splitlines()[0]]
+    # rows are scored per cutoff: only cutoff 5's captions name the dog
     assert csv == (
         "cutoff,chair_i,chair_s,n\n"
         "1,0.000000,0.000000,2\n"
-        "5,0.000000,0.000000,2\n"
+        "5,0.500000,0.500000,2\n"
         "30,0.000000,0.000000,2\n"
     )
 
@@ -452,8 +479,8 @@ def test_export_failure_while_running_ahead_is_a_data_error(tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "No space left on device" in captured.err
-    # the cutoff-1 batch was sent after 1/b.ppm; b's cutoff-5 export
-    # failed while that batch was being answered
+    # the sweep's one batch had sent four requests, still unanswered
+    # behind the mock's slow start, when b's cutoff-5 export failed
     assert saves == ["1/a.ppm", "5/a.ppm", "30/a.ppm", "1/b.ppm", "5/b.ppm"]
     assert batches == [1]
     # the child was waited for and both of its pipes are closed
