@@ -6,7 +6,6 @@ error, 4 check failure. Results go to stdout, diagnostics to stderr.
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -33,7 +32,6 @@ from .oracle import (
     DEFAULT_MOCK_OBJECTS,
     MOCK_MODES,
     OracleError,
-    OracleProtocolError,
     mock_oracle_loop,
 )
 from .sweep import SweepConfig, run_sweep
@@ -187,12 +185,7 @@ def cmd_mock_oracle(parser, args):
         given["objects"] = tuple(o for o in names if o)
     if "ground_truth" in given:
         given["ground_truth"] = load_ground_truth(given["ground_truth"])
-    try:
-        mock_oracle_loop(args.mode, sys.stdin, sys.stdout, **given)
-    except json.JSONDecodeError as exc:
-        raise OracleProtocolError(f"malformed request line: {exc.msg}") from None
-    except KeyError as exc:
-        raise OracleProtocolError(f"request missing field {exc}") from None
+    mock_oracle_loop(args.mode, sys.stdin, sys.stdout, **given)
     # every reply is written: skip the interpreter's teardown, which the
     # harness's close() would otherwise wait out
     sys.stdout.flush()

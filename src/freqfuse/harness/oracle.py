@@ -27,6 +27,8 @@ from .imageio import load_image
 DEFAULT_PROMPT = "Please describe this image in detail."
 DEFAULT_TIMEOUT = 60.0
 MAX_REPLY_LINE = 1 << 20  # bytes in one reply line, newline excluded
+# a selector refuses far longer waits; every caller rechecks its deadline
+MAX_POLL_WAIT = 86400.0
 
 MOCK_MODES = ("echo", "energy", "gt", "fixed")
 DEFAULT_MOCK_OBJECTS = ("unicorn", "dragon")
@@ -87,7 +89,7 @@ class CaptionOracle:
                 selector.register(self._proc.stdout, selectors.EVENT_READ)
             if self._unsent:
                 selector.register(self._proc.stdin, selectors.EVENT_WRITE)
-            ready = selector.select(timeout)
+            ready = selector.select(min(timeout, MAX_POLL_WAIT))
         for key, _ in ready:
             if key.fileobj is self._proc.stdin:
                 try:
@@ -280,9 +282,16 @@ def mock_oracle_loop(
         line = line.strip()
         if not line:
             continue
-        request = json.loads(line)
-        rid = request["id"]
-        image_path = request["image"]
+        try:
+            request = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise OracleProtocolError(f"malformed request line: {exc.msg}") from None
+        rid, image_path = (request.get(k) if isinstance(request, dict) else None
+                           for k in ("id", "image"))
+        if not (isinstance(rid, str) and isinstance(image_path, str)):
+            raise OracleProtocolError(
+                f"request must carry string 'id' and 'image': {line[:120]!r}"
+            )
         if mode == "echo":
             caption = f"A picture stored at {image_path}."
         elif mode == "gt" or (

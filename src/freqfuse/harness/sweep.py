@@ -3,13 +3,12 @@
 The sweep goes image by image: it loads an image, takes its spectrum once,
 inverts the branch the mode names at every cutoff into that cutoff's
 folder, and drops the spectrum before the next image is loaded, so one
-spectrum is alive at a time. Images of one shape share one branch weight
-per cutoff; an image of another shape replaces them. Each export is
-clamped to 8-bit, captioned by the oracle process, and scored against
-ground truth. One oracle process serves the whole sweep in one batch,
-started before any image is loaded: each export's request goes out as
-soon as it is written, under the id "<cutoff label>/<image id>", so the
-oracle answers while later exports are made. One CSV row per cutoff;
+spectrum is alive at a time; each filter_branch call builds its own mask.
+Each export is clamped to 8-bit, captioned by the oracle process, and
+scored against ground truth. One oracle process serves the whole sweep in
+one batch, started before any image is loaded: each export's request goes
+out as soon as it is written, under the id "<cutoff label>/<image id>", so
+the oracle answers while later exports are made. One CSV row per cutoff;
 results are all-or-nothing, a failure anywhere emits no partial rows.
 """
 
@@ -179,15 +178,11 @@ def _exports(config, ids, directory):
     folders = [Path(directory) / _label(cutoff) for cutoff in config.cutoffs]
     for folder in folders:
         folder.mkdir()
-    shape, weights = None, {}
     for image_id, image_path in zip(ids, config.images):
         spectrum = image_spectrum(load_image(image_path))
-        if spectrum.shape != shape:
-            # one branch weight per cutoff, for the current shape only
-            shape, weights = spectrum.shape, {}
         for cutoff, folder in zip(config.cutoffs, folders):
             path = folder / f"{image_id}.ppm"
-            save_image(filter_branch(spectrum, cutoff, config.mode, weights), path)
+            save_image(filter_branch(spectrum, cutoff, config.mode), path)
             yield path
         del spectrum  # before the next image's spectrum is taken
 

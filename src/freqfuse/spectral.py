@@ -2,24 +2,24 @@
 
 An image is an (h, w, 3) float array with intensities in [0, 1]. The split
 has two steps. image_spectrum validates the image and takes one real forward
-transform (rfft2) over all three channels. filter_branch weights that half
-spectrum by a Gaussian low- or high-pass mask on the centered frequency grid
-and returns through one normalized inverse (irfft2); it leaves the spectrum
-as it was, so a sweep transforms each image once for all its cutoffs. Both
-transforms run the 1-D steps of rfft2 and irfft2 themselves, the complex
-step in place, so each takes at most one full-size buffer besides its result.
-decompose is image_spectrum, one pair of masks and one inverse per branch,
-the same steps as filter_branch. The masks are exact complements, so
-undamped components sum back to the image. decompose_attenuated multiplies
-each mask by a damping gain first.
+transform (rfft2) over all three channels. filter_branch builds a Gaussian
+low- or high-pass mask on the centered frequency grid, multiplies a copy of
+the half spectrum by it and returns through one normalized inverse (irfft2);
+the spectrum stays as it was, so a sweep transforms each image once for all
+its cutoffs. Both transforms run the 1-D steps of rfft2 and irfft2
+themselves, the complex step in place, so each takes at most one full-size
+buffer besides its result. decompose is filter_branch for each branch of one
+image_spectrum. The masks are exact complements, so undamped components sum
+back to the image. decompose_attenuated multiplies each mask by a damping
+gain first.
 Outputs are not clamped to [0, 1]; export clamps.
 
 Spectra and branches keep the (h, w, 3) shape but live in channel-planar
 memory, each channel one contiguous block: the transforms run faster there
-and give the same values. Masks are built directly on the half grid that
-rfft2 returns, never on the full centered grid. They are even, so an
-undamped branch weight is its mask as it stands; only a damping gain, which
-is not even, makes a weight of its own.
+and give the same values. Masks are built in each call, never cached,
+directly on the half grid that rfft2 returns, as one 1-D Gaussian per axis
+and their outer product. They are even, so an undamped branch weight is its
+mask as it stands; only a damping gain, which is not even, makes its own.
 """
 
 from dataclasses import dataclass
@@ -99,8 +99,11 @@ def _masks(du, dv, cutoff):
     """(low, high) at row offsets du and column offsets dv from the center."""
     if not cutoff > 0:  # NaN too
         raise ValueError(f"cutoff must be positive, got {cutoff}")
-    d2 = du[:, None] ** 2 + dv[None, :] ** 2
-    low = np.exp(-d2 / (2.0 * cutoff * cutoff))
+    # exp(-D^2 / 2c^2) is separable. d / cutoff overflows to weight 0 off
+    # center at a tiny cutoff, where 2c^2 would underflow and give 0/0 at DC
+    with np.errstate(over="ignore"):
+        rows, cols = (np.exp(-0.5 * (d / cutoff) ** 2) for d in (du, dv))
+    low = rows[:, None] * cols
     return low, 1.0 - low
 
 
@@ -109,8 +112,8 @@ def _half_masks(h, w, cutoff):
 
     Unshifted row k lies (k + h//2) % h - h//2 rows from the center, and
     column k of the 0..w//2 that rfft2 keeps lies +-k columns from it.
-    -k lies at offsets of the same integer squares, so both masks are even:
-    m(k) == m(-k) bitwise.
+    -k lies at offsets of the same magnitudes and both 1-D factors are even,
+    so both masks are even: m(k) == m(-k) bitwise.
     """
     rows = (np.arange(h) + h // 2) % h - h // 2
     return _masks(rows, np.arange(w // 2 + 1), cutoff)
@@ -162,46 +165,42 @@ def _damped_weight(mask, gain):
     return (m * g[:, :half] + m * mirror) / 2.0
 
 
-def _inverse(spectrum, weight):
+def _weighted(spectrum, weight):
+    """spectrum.half * weight, a real weight, signed zeros aside: a copy
+    weighted in place, where a broadcast complex-by-real product would hold
+    an iterator buffer of up to 128 KiB besides."""
+    prod = spectrum.half.copy(order="K")
+    prod.real *= weight
+    prod.imag *= weight
+    return prod
+
+
+def _inverse(prod, w):
     # irfft2's two steps, the first in place on the weighted copy
-    prod = spectrum.half * weight
     np.fft.ifft(prod, axis=0, out=prod)
-    return np.fft.irfft(prod, n=spectrum.shape[1], axis=1)
+    return np.fft.irfft(prod, n=w, axis=1)
 
 
-def filter_branch(
-    spectrum: ImageSpectrum, cutoff: float, which: str, weights: dict = None
-) -> np.ndarray:
-    """One branch, "low" or "high", of the image behind spectrum at cutoff.
-
-    Bit-identical to the matching output of decompose(image, cutoff), from
-    one inverse transform. The spectrum is not modified, so one spectrum
-    serves any number of cutoffs. weights, if given, is a dict the caller
-    owns, keyed by (shape, cutoff, which), so images of one shape share
-    their weights. A missing weight is its mask as an (h, w // 2 + 1, 1)
-    view, and only the branch asked for is kept.
-    """
+def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndarray:
+    """One branch, "low" or "high", of the image behind spectrum at cutoff:
+    its mask is built in the call, then one inverse. spectrum is unchanged."""
     if which not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {which!r}")
-    if weights is None:
-        weights = {}
-    key = (spectrum.shape, cutoff, which)
-    if key not in weights:
-        mask = _half_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
-        weights[key] = mask[:, :, None]
-    return _inverse(spectrum, weights[key])
+    mask = _half_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
+    prod = _weighted(spectrum, mask[:, :, None])
+    del mask  # before the inverse allocates: fewer page faults, faster
+    return _inverse(prod, spectrum.shape[1])
 
 
 def decompose(image, cutoff: float = DEFAULT_CUTOFF):
     """Split an image into its low- and high-frequency components.
 
-    Returns (low, high) as (h, w, 3) float arrays, in channel-planar
-    memory, satisfying low + high == image up to transform round-off. Not
-    clamped.
+    filter_branch for each branch of one image_spectrum: (low, high) as
+    (h, w, 3) float arrays in channel-planar memory, with low + high ==
+    image up to transform round-off. Not clamped.
     """
     spectrum = image_spectrum(image)
-    masks = _half_masks(*spectrum.shape, cutoff)
-    return tuple(_inverse(spectrum, m[:, :, None]) for m in masks)
+    return tuple(filter_branch(spectrum, cutoff, which) for which in BRANCHES)
 
 
 def _draw_gains(h, w, spec, count):
@@ -224,4 +223,5 @@ def decompose_attenuated(image, cutoff: float, spec: AttenuationSpec):
     spectrum = image_spectrum(image)
     masks = _half_masks(*spectrum.shape, cutoff)
     gains = _draw_gains(*spectrum.shape, spec, 2)[..., None]
-    return tuple(_inverse(spectrum, _damped_weight(m, g)) for m, g in zip(masks, gains))
+    weighted = (_weighted(spectrum, _damped_weight(m, g)) for m, g in zip(masks, gains))
+    return tuple(_inverse(prod, spectrum.shape[1]) for prod in weighted)

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import subprocess
 import sys
 import time
 
@@ -40,6 +41,21 @@ def test_decompose_reconstructs_through_files(tmp_path, capsys):
     assert str(out_low) in out and str(out_high) in out
     total = load_image(out_low) + load_image(out_high)
     assert np.abs(total - load_image(src)).max() <= 2.0 / 255 + 1e-9
+
+
+def test_decompose_tiny_cutoff_exports(tmp_path, capsys):
+    # 2 * cutoff**2 underflows to 0 at this cutoff: the low branch is the mean
+    src = tmp_path / "src.ppm"
+    save_image(random_image(2, 5, 6), src)
+    out_low = tmp_path / "low.ppm"
+    code, _, err = run(
+        capsys,
+        "decompose", "--input", str(src), "--cutoff", "1e-200",
+        "--out-low", str(out_low), "--out-high", str(tmp_path / "high.ppm"),
+    )
+    assert (code, err) == (0, "")
+    low = load_image(out_low)
+    assert np.ptp(low, axis=(0, 1)).max() == 0.0
 
 
 def test_decompose_negative_cutoff_is_usage_error(tmp_path, capsys):
@@ -399,7 +415,7 @@ def test_sweep_config_not_utf8_names_it(tmp_path, capsys):
     assert err.strip() == f"error: {config}: not valid UTF-8"
 
 
-def sweep_one_image(tmp_path, capsys, oracle):
+def sweep_one_image(tmp_path, capsys, oracle, **extra):
     save_image(random_image(7, 4, 4), tmp_path / "a.ppm")
     write_jsonl(tmp_path / "gt.jsonl", [{"id": "a", "ground_truth": []}])
     config = tmp_path / "sweep.json"
@@ -411,10 +427,19 @@ def sweep_one_image(tmp_path, capsys, oracle):
                 "images": ["a.ppm"],
                 "oracle": oracle,
                 "ground_truth": "gt.jsonl",
+                **extra,
             }
         )
     )
     return run(capsys, "sweep", "--config", str(config))
+
+
+def test_sweep_with_a_huge_timeout_runs(tmp_path, capsys):
+    # a selector refuses a wait this long; the oracle caps each wait instead
+    oracle = shlex.join([sys.executable, "-m", "freqfuse", "mock-oracle", "--mode", "gt"])
+    code, out, err = sweep_one_image(tmp_path, capsys, oracle, timeout=1e9)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "5,0.000000,0.000000,1"
 
 
 def test_sweep_bad_oracle_is_oracle_error(tmp_path, capsys):
@@ -498,6 +523,23 @@ def test_mock_oracle_flag_its_mode_ignores_is_usage_error(
     assert code == 1
     assert out == ""
     assert f"{flag} has no use with --mode {mode}" in err
+
+
+@pytest.mark.parametrize("mode", ["gt", "energy"])
+@pytest.mark.parametrize(
+    "line", ["[1]", '"x"', '{"id": "a", "image": 0}', "not json", '{"id": "a"}']
+)
+def test_mock_oracle_malformed_request_is_oracle_error(mode, line):
+    # an image that is not a string must not reach load_image, which would
+    # read a number as a file descriptor
+    proc = subprocess.run(
+        [sys.executable, "-m", "freqfuse", "mock-oracle", "--mode", mode],
+        input=line + "\n", capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("oracle error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

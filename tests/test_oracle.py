@@ -194,6 +194,13 @@ def test_timeout(tmp_path):
     assert time.monotonic() - start < 2.0
 
 
+def test_huge_timeout_answers_a_batch(tmp_path):
+    # a selector refuses a wait this long; each wait is capped instead
+    with CaptionOracle(child(ECHO_IMAGE), timeout=1e9) as oracle:
+        result = oracle.caption_batch(["a"], [tmp_path / "x.ppm"])
+    assert result["a"].endswith("x.ppm")
+
+
 def test_early_exit_reported():
     with pytest.raises(OracleProtocolError, match="unanswered"):
         caption_one(child("pass"), "x.ppm")

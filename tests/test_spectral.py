@@ -83,8 +83,25 @@ def test_huge_cutoff_is_near_allpass():
 
 
 def test_mask_matches_naive_oracle():
-    low, _ = gaussian_masks(9, 12, 4.5)
-    assert np.abs(low - naive_gaussian_low_mask(9, 12, 4.5)).max() < 1e-12
+    # 375x500 at cutoff 6 takes most of the grid into subnormals
+    for h, w, cutoff in [(9, 12, 4.5), (1, 1, 3.0), (7, 5, 0.3), (64, 48, 2.0),
+                         (375, 500, 6.0)]:
+        low, _ = gaussian_masks(h, w, cutoff)
+        assert np.abs(low - naive_gaussian_low_mask(h, w, cutoff)).max() < 1e-12
+
+
+def test_tiny_cutoff_passes_only_dc():
+    # 2 * cutoff**2 underflows to 0 here; the mask must not divide by it
+    low, high = gaussian_masks(5, 4, 1e-200)
+    want = np.zeros((5, 4))
+    want[2, 2] = 1.0
+    assert np.array_equal(low, want)
+    assert np.array_equal(high, 1.0 - want)
+    img = random_image(np.random.default_rng(17), 6, 7)
+    low, high = decompose(img, 1e-200)
+    mean = img.mean(axis=(0, 1))
+    assert np.abs(low - mean).max() < 1e-12
+    assert np.abs(high - (img - mean)).max() < 1e-12
 
 
 def test_mask_rejects_bad_cutoff():
@@ -177,20 +194,18 @@ def test_filter_branch_bit_identical_to_decompose(h, w):
             assert np.array_equal(filter_branch(spectrum, cutoff, which), want)
 
 
-
-def test_filter_branch_shared_weights_bit_identical():
+def test_filter_branch_bit_identical_across_shapes():
     # widths 4 and 5 have the same half-spectrum width, 3
     images = [random_image(np.random.default_rng(s), 6, w)
               for s, w in enumerate((4, 5, 4))]
     spectra = [image_spectrum(img) for img in images]
-    weights = {}
     for cutoff in (1.0, 2.5):
         for which in ("low", "high"):
             for img, spectrum in zip(images, spectra):
                 want = decompose(img, cutoff)[("low", "high").index(which)]
-                got = filter_branch(spectrum, cutoff, which, weights)
+                got = filter_branch(spectrum, cutoff, which)
                 assert np.array_equal(got, want)
-    assert len(weights) == 2 * 2 * 2  # shapes x cutoffs x branches
+
 
 def test_filter_branch_leaves_the_spectrum_alone():
     spectrum = image_spectrum(random_image(np.random.default_rng(15), 9, 10))
@@ -230,10 +245,8 @@ def test_one_mask_build_per_split(monkeypatch):
         return original(h, w, cutoff)
 
     monkeypatch.setattr(spectral, "_half_masks", counted)
-    decompose(img, 2.0)
-    assert built == [(12, 10, 2.0)]
     decompose_attenuated(img, 3.0, AttenuationSpec(0.5, seed=1))
-    assert built == [(12, 10, 2.0), (12, 10, 3.0)]
+    assert built == [(12, 10, 3.0)]
 
 
 def planar_copy(img):
@@ -301,10 +314,9 @@ def test_transforms_are_the_2d_numpy_calls_bit_for_bit(h, w, planar, cutoff, whi
     img = random_image(np.random.default_rng(seed), h, w)
     spectrum = image_spectrum(planar_copy(img) if planar else img)
     assert np.array_equal(spectrum.half, np.fft.rfft2(planar_copy(img), axes=(0, 1)))
-    weights = {}
-    branch = filter_branch(spectrum, cutoff, which, weights)
-    weight = weights[(spectrum.shape, cutoff, which)]
-    want = np.fft.irfft2(spectrum.half * weight, s=(h, w), axes=(0, 1))
+    branch = filter_branch(spectrum, cutoff, which)
+    weight = spectral._half_masks(h, w, cutoff)[spectral.BRANCHES.index(which)]
+    want = np.fft.irfft2(spectrum.half * weight[:, :, None], s=(h, w), axes=(0, 1))
     assert np.array_equal(branch, want)
 
 
@@ -323,8 +335,7 @@ def test_forward_transform_of_a_planar_image_allocates_one_half_spectrum():
 def test_filter_branch_allocates_one_half_spectrum_and_one_image():
     img = random_image(np.random.default_rng(6), BUDGET_H, BUDGET_W)
     spectrum = image_spectrum(img)
-    weights = {}  # as run_sweep shares them: built once, outside the budget
-    peak = traced_peak(lambda: filter_branch(spectrum, 7.0, "high", weights))
+    peak = traced_peak(lambda: filter_branch(spectrum, 7.0, "high"))
     assert peak <= 1.1 * (HALF_BYTES + IMAGE_BYTES)
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freqfuse import spectral
 from freqfuse.harness import sweep
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
@@ -299,35 +298,6 @@ def test_one_forward_transform_per_image(tmp_path, monkeypatch):
         "5,0.000000,0.000000,2\n"
         "30,0.000000,0.000000,2\n"
     )
-
-
-
-def test_one_weight_per_shape_and_cutoff(tmp_path, monkeypatch):
-    paths = small_images(tmp_path, ["a", "b"])
-    gt = write_jsonl(
-        tmp_path / "gt.jsonl",
-        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
-    )
-    built = []
-    original = spectral._half_masks
-
-    def counted(h, w, cutoff):
-        masks = original(h, w, cutoff)
-        built.append(tuple(mask.shape for mask in masks))
-        return masks
-
-    monkeypatch.setattr(spectral, "_half_masks", counted)
-    config = SweepConfig(
-        mode="low",
-        cutoffs=(1, 5, 30),
-        images=paths,
-        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
-        ground_truth=gt,
-    )
-    run_sweep(config)
-    # 2 images of one shape x 3 cutoffs: one pair of masks per cutoff, not
-    # per image, each on the (16, 16 // 2 + 1) half grid that rfft2 returns
-    assert built == [((16, 9), (16, 9))] * 3
 
 
 def slow_mock(delay, *extra):
