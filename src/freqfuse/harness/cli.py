@@ -261,14 +261,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         # each command is bound to its own subparser, so a post-parse
         # parser.error prints that subcommand's usage
         return args.func(args)
     except SystemExit as exc:
-        # post-parse validation routed through parser.error
+        # argparse's own exits, and post-parse validation through parser.error
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)

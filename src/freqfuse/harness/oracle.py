@@ -11,7 +11,6 @@ The harness does its I/O on the calling thread with a selector: POSIX only.
 Mock modes give the sweep deterministic stand-ins for a captioning model.
 """
 
-import collections
 import json
 import os
 import selectors
@@ -53,10 +52,10 @@ class OracleProtocolError(OracleError):
 class CaptionOracle:
     """One spawned oracle process handling any number of batches.
 
-    All I/O happens on the calling thread. Requests wait in a byte buffer;
-    each send and each wait for a reply writes what the child will take of
-    it and reads what the child has written, so a child that stops reading
-    its stdin still hits the reply deadline.
+    All I/O happens on the calling thread, with one byte buffer per pipe.
+    Each send and each wait for a reply writes what the child will take of
+    the requests and reads what it has written, so a child that stops
+    reading its stdin still hits the reply deadline.
     """
 
     def __init__(self, command, timeout=DEFAULT_TIMEOUT, prompt=DEFAULT_PROMPT):
@@ -75,9 +74,7 @@ class CaptionOracle:
         self._timeout = timeout
         self._prompt = prompt
         self._unsent = bytearray()  # request bytes the child has not taken yet
-        # lines the child has written and nobody has consumed yet
-        self._lines = collections.deque()
-        self._tail = bytearray()  # the child's last line, until its newline arrives
+        self._received = bytearray()  # reply bytes read and not taken yet
         self._eof = False
         self._line_no = 0
 
@@ -98,23 +95,20 @@ class CaptionOracle:
                     # the child closed stdin: its requests end in EOF or timeout
                     self._unsent.clear()
             else:
-                # all lines of one read land together, so a reply the child
-                # wrote along with an earlier one is visible as soon as that one is
                 chunk = os.read(key.fd, 1 << 16)
-                self._eof = not chunk
-                first, *rest = chunk.split(b"\n")
-                self._tail += first
-                if len(self._tail) > MAX_REPLY_LINE:
+                if not chunk:  # a newline ends a last line the child's exit cut short
+                    self._eof, chunk = True, b"\n"
+                # the line earlier reads left unfinished, up to this read's
+                # first newline; any later line of this read is shorter
+                head = chunk.find(b"\n")
+                unfinished = len(self._received) - self._received.rfind(b"\n") - 1
+                if unfinished + (len(chunk) if head < 0 else head) > MAX_REPLY_LINE:
                     self._eof = True  # read no more: close() ends the child
+                    line_no = self._line_no + self._received.count(b"\n") + 1
                     raise OracleProtocolError(
-                        f"oracle line {self._line_no + len(self._lines) + 1}: "
-                        f"reply longer than {MAX_REPLY_LINE} bytes"
+                        f"oracle line {line_no}: reply longer than {MAX_REPLY_LINE} bytes"
                     )
-                if rest:
-                    self._lines.extend([bytes(self._tail), *rest[:-1]])
-                    self._tail = bytearray(rest[-1])
-                if self._eof and self._tail:
-                    self._lines.append(bytes(self._tail))
+                self._received += chunk
 
     def __enter__(self):
         return self
@@ -133,6 +127,8 @@ class CaptionOracle:
                 if not self._unsent:
                     self._proc.stdin.close()
                 self._poll(remaining)
+                # nothing takes a reply after this: keep the unfinished line only
+                del self._received[: self._received.rfind(b"\n") + 1]
         finally:
             self._proc.stdin.close()
             self._proc.stdout.close()
@@ -152,12 +148,15 @@ class CaptionOracle:
 
     def _take_line(self):
         # the caller has seen a line waiting
+        end = self._received.index(b"\n") + 1
+        line = self._received[:end].decode("utf-8", "replace").strip()
+        del self._received[:end]
         self._line_no += 1
-        return self._lines.popleft().decode("utf-8", "replace").strip()
+        return line
 
     def _reject_stray_replies(self):
         self._poll(0)
-        while self._lines:
+        while b"\n" in self._received:
             line = self._take_line()
             if line:
                 raise OracleProtocolError(
@@ -168,7 +167,11 @@ class CaptionOracle:
     def _next_response(self, outstanding, answered, deadline):
         """Next valid reply to an outstanding id; blank lines keep the deadline."""
         while True:
-            while not (self._lines or self._eof):
+            while b"\n" not in self._received:
+                if self._eof:
+                    raise OracleProtocolError(
+                        f"oracle exited with {len(outstanding)} request(s) unanswered"
+                    )
                 remaining = deadline - time.monotonic()
                 if remaining < 0:
                     waiting = ", ".join(sorted(outstanding))
@@ -177,10 +180,6 @@ class CaptionOracle:
                         f"waiting for: {waiting}"
                     )
                 self._poll(remaining)
-            if not self._lines:
-                raise OracleProtocolError(
-                    f"oracle exited with {len(outstanding)} request(s) unanswered"
-                )
             line = self._take_line()
             if not line:
                 continue

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import shlex
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +39,14 @@ def _label(cutoff):
 
 
 def _number(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    # a real number that a float can hold
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _path(x):
@@ -49,12 +57,21 @@ def _list_of(ok):
     return lambda x: isinstance(x, (list, tuple)) and all(map(ok, x))
 
 
+def _command(x):
+    if isinstance(x, str):
+        try:
+            x = shlex.split(x)
+        except ValueError:  # an unclosed quote or a trailing backslash
+            return False
+    return _list_of(_path)(x) and len(x) > 0
+
+
 # (field, test, what the test asks for) for every field but mode
 _FIELD_TYPES = (
-    ("cutoffs", _list_of(_number), "a list of numbers"),
+    ("cutoffs", _list_of(_number), "a list of numbers a float can hold"),
     ("images", _list_of(_path), "a list of paths"),
-    ("oracle", lambda x: isinstance(x, str) or _list_of(_path)(x),
-     "a command string or a list of arguments"),
+    ("oracle", _command,
+     "a non-empty command string with closed quotes or a non-empty list of arguments"),
     ("ground_truth", _path, "a path"),
     ("synonyms", lambda x: x is None or _path(x), "a path"),
     ("timeout", lambda x: _number(x) and 0 < x < math.inf,
@@ -101,6 +118,7 @@ class SweepConfig:
             raise ValueError("image list must be non-empty")
         object.__setattr__(self, "cutoffs", cutoffs)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "timeout", float(self.timeout))
 
     @classmethod
     def from_json(cls, path):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from freqfuse.harness.imageio import load_image, save_image
 from freqfuse.harness.oracle import (
     DEFAULT_PROMPT,
+    MAX_REPLY_LINE,
     CaptionOracle,
     OracleError,
     OracleProtocolError,
@@ -135,6 +136,19 @@ sys.stdin.read()
 sys.stdout.write("x" * 200_000 + "\\n")
 """
 
+FLOOD_AFTER_STDIN_CLOSES = """
+import sys
+sys.stdin.read()
+sys.stdout.write("\\n" * (8 << 20))
+"""
+
+# answers the first request with one reply line of argv[1] bytes, newline excluded
+SIZED_REPLY = """
+import sys, json
+head = json.dumps({"id": json.loads(sys.stdin.readline())["id"], "caption": ""})
+sys.stdout.write(head[:-2] + "x" * (int(sys.argv[1]) - len(head)) + '"}\\n')
+"""
+
 # writes the bytes given as hex in argv[1], reading nothing, and exits
 SCRIPTED = "import sys; sys.stdout.buffer.write(bytes.fromhex(sys.argv[1]))"
 
@@ -251,6 +265,35 @@ def test_child_writing_after_stdin_closes_exits_on_its_own():
     with CaptionOracle(child(WRITES_AFTER_STDIN_CLOSES)) as oracle:
         pass
     assert oracle._proc.returncode == 0
+
+
+def test_reply_line_of_the_cap_comes_back_whole():
+    # with its newline it is one byte more than 16 reads of 64 KiB can hold
+    caption = caption_one(child(SIZED_REPLY) + [str(MAX_REPLY_LINE)], "x.ppm")
+    empty = json.dumps({"id": "req-1", "caption": ""})
+    assert caption == "x" * (MAX_REPLY_LINE - len(empty))
+
+
+def test_reply_line_one_byte_over_the_cap_is_refused():
+    # the read that brings its newline ends the line, so the cap must be checked
+    # there and not only against the line a read leaves unfinished
+    command = child(SIZED_REPLY) + [str(MAX_REPLY_LINE + 1)]
+    with pytest.raises(
+        OracleProtocolError, match=r"^oracle line 1: reply longer than 1048576 bytes$"
+    ):
+        caption_one(command, "x.ppm")
+
+
+def test_close_drops_what_the_child_writes_after_the_last_batch():
+    # 8 MiB of blank lines: close() keeps none of them, only the unfinished line
+    oracles = []
+
+    def open_and_close():
+        with CaptionOracle(child(FLOOD_AFTER_STDIN_CLOSES)) as oracle:
+            oracles.append(oracle)
+
+    assert traced_peak(open_and_close) < 1 << 20
+    assert [oracle._proc.returncode for oracle in oracles] == [0, 0]
 
 
 IDS = ("a", "b", "c")

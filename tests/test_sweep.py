@@ -134,6 +134,14 @@ def test_config_from_json_rejects_unknown_and_missing_keys(tmp_path):
         ("prompt", 5),
         # both print as "1" in the CSV and name the same export folder
         ("cutoffs", [1.0000001, 1.0000002]),
+        # too large for a float
+        pytest.param("cutoffs", [10**400], id="cutoffs-1e400"),
+        pytest.param("timeout", 10**400, id="timeout-1e400"),
+        # empty, or no closing quote
+        ("oracle", ""),
+        ("oracle", "   "),
+        ("oracle", []),
+        ("oracle", "python 'x"),
     ],
 )
 def test_config_from_json_rejects_bad_field_types(tmp_path, key, value):
