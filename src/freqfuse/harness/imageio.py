@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from ..spectral import check_image_shape
+from ..spectral import float_image
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 # width * height above which an image is refused from its header, before
@@ -44,8 +44,7 @@ class UnsupportedImageError(ImageError):
 
 
 def _quantize(image) -> np.ndarray:
-    arr = np.asarray(image, dtype=float)
-    check_image_shape(arr)
+    arr = float_image(image)  # float32 is rounded in float32, not upcast
     # clip's copy is the one float buffer: the rounding runs in place on it
     scaled = np.clip(arr, 0.0, 1.0)
     if np.isnan(scaled.max()):  # clip keeps NaN; +-inf clamp

@@ -4,12 +4,15 @@ The sweep goes image by image: it loads an image, takes its spectrum once,
 inverts the branch the mode names at every cutoff into that cutoff's
 folder, and drops the spectrum before the next image is loaded, so one
 spectrum is alive at a time; each filter_branch call builds its own mask.
-Each export is clamped to 8-bit, captioned by the oracle process, and
-scored against ground truth. One oracle process serves the whole sweep in
-one batch, started before any image is loaded: each export's request goes
-out as soon as it is written, under the id "<cutoff label>/<image id>", so
-the oracle answers while later exports are made. One CSV row per cutoff;
-results are all-or-nothing, a failure anywhere emits no partial rows.
+The spectrum and its branches are single precision, as an 8-bit export
+needs no more: a byte can differ by 1 from decompose's float64 branch
+exported. Each export is clamped to 8-bit, captioned by the oracle
+process, and scored against ground truth. One oracle process serves the
+whole sweep in one batch, started before any image is loaded: each
+export's request goes out as soon as it is written, under the id
+"<cutoff label>/<image id>", so the oracle answers while later exports are
+made. One CSV row per cutoff; results are all-or-nothing, a failure
+anywhere emits no partial rows.
 """
 
 import dataclasses
@@ -21,6 +24,8 @@ import shlex
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from ..metrics import CaptionRecord, SynonymTable, chair, extract_objects
 from ..spectral import BRANCHES, filter_branch, image_spectrum
@@ -197,7 +202,8 @@ def _exports(config, ids, directory):
     for folder in folders:
         folder.mkdir()
     for image_id, image_path in zip(ids, config.images):
-        spectrum = image_spectrum(load_image(image_path))
+        # single precision: each export is quantized to 8 bits
+        spectrum = image_spectrum(load_image(image_path), np.float32)
         for cutoff, folder in zip(config.cutoffs, folders):
             path = folder / f"{image_id}.ppm"
             save_image(filter_branch(spectrum, cutoff, config.mode), path)

@@ -2,16 +2,20 @@
 
 An image is an (h, w, 3) float array with intensities in [0, 1]. The split
 has two steps. image_spectrum validates the image and takes one real forward
-transform (rfft2) over all three channels. filter_branch builds a Gaussian
-low- or high-pass mask on the centered frequency grid, multiplies a copy of
-the half spectrum by it and returns through one normalized inverse (irfft2);
-the spectrum stays as it was, so a sweep transforms each image once for all
-its cutoffs. Both transforms run the 1-D steps of rfft2 and irfft2
-themselves, the complex step in place, so each takes at most one full-size
-buffer besides its result. decompose is filter_branch for each branch of one
-image_spectrum. The masks are exact complements, so undamped components sum
-back to the image. decompose_attenuated multiplies each mask by a damping
-gain first.
+transform (rfft2) over all three channels, in double precision unless it is
+asked for single. filter_branch builds a Gaussian low- or high-pass mask on
+the centered frequency grid, multiplies a copy of the half spectrum by it
+and returns through one normalized inverse (irfft2); the spectrum stays as
+it was, so a sweep transforms each image once for all its cutoffs. The
+precision follows the spectrum: a complex64 spectrum gives float32 masks
+and branches, a complex128 one float64. Only the sweep's exports, which
+are quantized to 8 bits, ask for single precision; every other result is
+float64, whatever the input's dtype. Both transforms run the 1-D steps of
+rfft2 and irfft2 themselves, the complex step in place, so each takes at
+most one full-size buffer besides its result. decompose is filter_branch
+for each branch of one image_spectrum. The masks are exact complements, so
+undamped components sum back to the image. decompose_attenuated multiplies
+each mask by a damping gain first.
 Outputs are not clamped to [0, 1]; export clamps.
 
 Spectra and branches keep the (h, w, 3) shape but live in channel-planar
@@ -63,18 +67,26 @@ class AttenuationSpec:
             raise ValueError(f"unknown attenuation mode {self.mode!r}")
 
 
-def check_image_shape(arr) -> None:
-    """Raise ValueError unless arr has shape (h, w, 3) with h, w >= 1."""
+def float_image(image) -> np.ndarray:
+    """image as an (h, w, 3) float array with h, w >= 1, else ValueError.
+
+    A float32 array is returned as it is, not upcast; anything else as
+    float64, without a copy where it already is float64.
+    """
+    arr = np.asarray(image)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected an (h, w, 3) image, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"image dimensions must be positive, got {arr.shape}")
+    return arr
 
 
 def validate_image(image) -> np.ndarray:
-    """Check (h, w, 3) shape and [0, 1] intensities; return a float64 view."""
-    arr = np.asarray(image, dtype=float)
-    check_image_shape(arr)
+    """float_image, checked for [0, 1] intensities: float32 or float64,
+    never cast to a lower precision, so no value is rounded into range."""
+    arr = float_image(image)
     # NaN propagates through min and max, and an infinity is at one end
     lo, hi = arr.min(), arr.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -92,23 +104,37 @@ def gaussian_masks(h: int, w: int, cutoff: float):
     """
     if h < 1 or w < 1:
         raise ValueError(f"mask dimensions must be positive, got {h}x{w}")
-    return _masks(np.arange(h) - h // 2, np.arange(w) - w // 2, cutoff)
+    return _masks(np.arange(h) - h // 2, np.arange(w) - w // 2, cutoff, np.float64)
 
 
-def _masks(du, dv, cutoff):
-    """(low, high) at row offsets du and column offsets dv from the center."""
+def _masks(du, dv, cutoff, dtype):
+    """(low, high) of dtype at row offsets du and column offsets dv from the
+    center."""
     if not cutoff > 0:  # NaN too
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     # exp(-D^2 / 2c^2) is separable. d / cutoff overflows to weight 0 off
     # center at a tiny cutoff, where 2c^2 would underflow and give 0/0 at DC
     with np.errstate(over="ignore"):
-        rows, cols = (np.exp(-0.5 * (d / cutoff) ** 2) for d in (du, dv))
+        rows, cols = (
+            np.exp(-0.5 * (d / cutoff) ** 2).astype(dtype, copy=False) for d in (du, dv)
+        )
     low = rows[:, None] * cols
+    if low.dtype == np.float32:
+        low[low < _FLOOR32] = 0.0
     return low, 1.0 - low
 
 
-def _half_masks(h, w, cutoff):
-    """gaussian_masks at the cells of the unshifted half spectrum.
+# Single-precision low-pass weights under this are zero. float32 holds normal
+# numbers down to about exp(-87), which a weight passes 13.2 cutoffs from the
+# center: a weight there, or its product with the spectrum, is subnormal, and
+# the inverse runs several times slower over subnormal numbers. A product of
+# two numbers of at least sqrt(tiny) is normal, and the weights dropped move
+# no branch value by more than 1.1e-19 * sqrt(h * w).
+_FLOOR32 = np.sqrt(np.finfo(np.float32).tiny)
+
+
+def _half_masks(h, w, cutoff, dtype=np.float64):
+    """gaussian_masks of dtype at the cells of the unshifted half spectrum.
 
     Unshifted row k lies (k + h//2) % h - h//2 rows from the center, and
     column k of the 0..w//2 that rfft2 keeps lies +-k columns from it.
@@ -116,7 +142,7 @@ def _half_masks(h, w, cutoff):
     so both masks are even: m(k) == m(-k) bitwise.
     """
     rows = (np.arange(h) + h // 2) % h - h // 2
-    return _masks(rows, np.arange(w // 2 + 1), cutoff)
+    return _masks(rows, np.arange(w // 2 + 1), cutoff, dtype)
 
 
 @dataclass(frozen=True)
@@ -125,7 +151,9 @@ class ImageSpectrum:
 
     half: complex (h, w // 2 + 1, 3) array, all channels at once, a view
         over channel-planar memory: each channel's half spectrum is one
-        contiguous block.
+        contiguous block. complex128 and unscaled, as rfft2 gives it; or,
+        when image_spectrum was asked for float32, complex64 and scaled by
+        1 / sqrt(h * w) (see _norm). filter_branch keeps its precision.
     shape: (h, w) of the image, which the inverse needs back for odd widths.
     """
 
@@ -133,20 +161,40 @@ class ImageSpectrum:
     shape: tuple
 
 
-def image_spectrum(image) -> ImageSpectrum:
-    """Validate an (h, w, 3) image and take its forward transform once."""
-    return _forward(validate_image(image))
+def image_spectrum(image, dtype=np.float64) -> ImageSpectrum:
+    """Validate an (h, w, 3) image and take its forward transform once.
+
+    dtype, float64 or float32, is the precision of the transform: the half
+    spectrum is complex128 or complex64, whatever the image's own dtype.
+    The image is checked as it is given and cast only after, so a value
+    outside [0, 1] is refused even where the cast would round it into range.
+    """
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
+    return _forward(validate_image(image), dtype)
 
 
-def _forward(arr):
+def _forward(arr, dtype):
     # The numpy transforms keep the memory order of their input, and run
     # faster over channel-planar memory; every value is the same either way.
-    # An image that is already planar, as load_image returns it, is not copied.
-    planar = np.ascontiguousarray(arr.transpose(2, 0, 1)).transpose(1, 2, 0)
+    # The planar copy is also the cast, so an image that is already planar
+    # and of dtype, as load_image returns it for float64, is not copied.
+    planar = np.ascontiguousarray(arr.transpose(2, 0, 1), dtype=dtype).transpose(1, 2, 0)
     # rfft2's two steps, the second in place: the same calls, so the same bits
-    half = np.fft.rfft(planar, axis=1)
-    np.fft.fft(half, axis=0, out=half)
+    norm = _norm(planar)
+    half = np.fft.rfft(planar, axis=1, norm=norm)
+    np.fft.fft(half, axis=0, out=half, norm=norm)
     return ImageSpectrum(half, arr.shape[:2])
+
+
+def _norm(arr):
+    """The numpy.fft norm for arr's precision: the default for double, and
+    "ortho" for single, which scales each forward and inverse step by
+    1 / sqrt(n), so a round trip is scaled as the default's. numpy.fft hands
+    its loops the default's unit forward scale as the int 1, which selects
+    the float64 loop: a single-precision forward step would run in double
+    through cast buffers, 3x slower than a float64 one at 224x224."""
+    return "ortho" if arr.dtype in (np.float32, np.complex64) else None
 
 
 def _damped_weight(mask, gain):
@@ -177,16 +225,20 @@ def _weighted(spectrum, weight):
 
 def _inverse(prod, w):
     # irfft2's two steps, the first in place on the weighted copy
-    np.fft.ifft(prod, axis=0, out=prod)
-    return np.fft.irfft(prod, n=w, axis=1)
+    norm = _norm(prod)
+    np.fft.ifft(prod, axis=0, out=prod, norm=norm)
+    return np.fft.irfft(prod, n=w, axis=1, norm=norm)
 
 
 def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndarray:
     """One branch, "low" or "high", of the image behind spectrum at cutoff:
-    its mask is built in the call, then one inverse. spectrum is unchanged."""
+    its mask is built in the call, then one inverse. spectrum is unchanged.
+    The branch is float32 for a complex64 spectrum, float64 otherwise."""
     if which not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {which!r}")
-    mask = _half_masks(*spectrum.shape, cutoff)[BRANCHES.index(which)]
+    # a mask of the spectrum's precision: a float64 one would upcast the product
+    real = spectrum.half.real.dtype
+    mask = _half_masks(*spectrum.shape, cutoff, real)[BRANCHES.index(which)]
     prod = _weighted(spectrum, mask[:, :, None])
     del mask  # before the inverse allocates: fewer page faults, faster
     return _inverse(prod, spectrum.shape[1])

@@ -74,6 +74,14 @@ def test_determinism():
     assert np.array_equal(patch_tokens(img, cfg), patch_tokens(img, cfg))
 
 
+def test_float32_image_gives_the_float64_tokens():
+    img = np.random.default_rng(3).uniform(size=(8, 12, 3)).astype(np.float32)
+    cfg = EncoderConfig(patch_size=4, dim=6)
+    tokens = patch_tokens(img, cfg)
+    assert tokens.dtype == np.float64
+    assert np.array_equal(tokens, patch_tokens(img.astype(np.float64), cfg))
+
+
 def test_projection_bound():
     cfg = EncoderConfig(patch_size=4, dim=16, projection_seed=2)
     proj = projection_matrix(cfg)

@@ -130,6 +130,15 @@ def test_ppm_export_allocates_one_float_and_two_byte_images(tmp_path):
     assert peak <= 1.1 * (h * w * 3 * 8 + 2 * h * w * 3)
 
 
+def test_single_precision_export_allocates_one_float_and_two_byte_images(tmp_path):
+    # a float32 image is rounded in float32: an upcast would not fit
+    h, w = 64, 80
+    img = random_image(8, h, w, lo=-0.2, hi=1.2).astype(np.float32)
+    path = tmp_path / "budget.ppm"
+    peak = traced_peak(lambda: save_image(img, path))
+    assert peak <= 1.1 * (h * w * 3 * 4 + 2 * h * w * 3)
+
+
 @pytest.mark.parametrize("ext", ["ppm", "png"])
 def test_save_rejects_nan_before_writing(tmp_path, ext):
     img = np.full((2, 2, 3), 0.5)

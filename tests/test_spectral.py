@@ -339,6 +339,86 @@ def test_filter_branch_allocates_one_half_spectrum_and_one_image():
     assert peak <= 1.1 * (HALF_BYTES + IMAGE_BYTES)
 
 
+# the same budgets in single precision: a complex64 spectrum is half the
+# bytes, and an upcast anywhere on the way would not fit
+HALF32_BYTES = HALF_BYTES // 2
+IMAGE32_BYTES = IMAGE_BYTES // 2
+
+
+def test_single_precision_forward_transform_allocates_one_half_spectrum():
+    img = planar_copy(random_image(np.random.default_rng(5), BUDGET_H, BUDGET_W))
+    img = img.astype(np.float32, order="K")
+    assert traced_peak(lambda: image_spectrum(img, np.float32)) <= 1.1 * HALF32_BYTES
+
+
+def test_single_precision_filter_branch_allocates_one_half_spectrum_and_one_image():
+    img = random_image(np.random.default_rng(6), BUDGET_H, BUDGET_W)
+    spectrum = image_spectrum(img, np.float32)
+    peak = traced_peak(lambda: filter_branch(spectrum, 7.0, "high"))
+    assert peak <= 1.1 * (HALF32_BYTES + IMAGE32_BYTES)
+
+
+def test_precision_follows_the_requested_dtype_not_the_image():
+    img = random_image(np.random.default_rng(17), 9, 12)
+    img32 = img.astype(np.float32)
+    for image in (img, img32):
+        assert image_spectrum(image).half.dtype == np.complex128
+        spectrum = image_spectrum(image, np.float32)
+        assert spectrum.half.dtype == np.complex64
+        for which in ("low", "high"):
+            assert filter_branch(spectrum, 2.5, which).dtype == np.float32
+
+
+def test_library_results_stay_double_precision_for_a_float32_image():
+    # a float32 image is widened exactly, so every result is the float64
+    # one of the same values, bit for bit
+    img32 = random_image(np.random.default_rng(18), 10, 7).astype(np.float32)
+    img64 = img32.astype(np.float64)
+    for got, want in zip(all_outputs(img32, 2.5), all_outputs(img64, 2.5)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+
+def test_single_precision_branches_match_the_naive_pipeline():
+    # float32 has a 1.2e-7 epsilon; a branch of [0, 1] pixels stays within
+    # a few dozen of them of the naive double-precision result
+    for h, w in [(6, 6), (5, 7), (8, 3)]:
+        img = random_image(np.random.default_rng(h * 10 + w), h, w)
+        spectrum = image_spectrum(img, np.float32)
+        for cutoff in (0.7, 2.0, 30.0):
+            for which, naive in zip(("low", "high"), naive_decompose(img, cutoff)):
+                assert np.abs(filter_branch(spectrum, cutoff, which) - naive).max() < 1e-5
+
+
+@pytest.mark.parametrize("h, w, cutoff", [(224, 224, 2.0), (375, 500, 6.0), (64, 80, 0.7)])
+def test_single_precision_masks_hold_no_subnormal_weights(h, w, cutoff):
+    # a subnormal weight, or one whose product with the spectrum is
+    # subnormal, slows the inverse several times over
+    floor = np.sqrt(np.finfo(np.float32).tiny)
+    for mask in spectral._half_masks(h, w, cutoff, np.float32):
+        assert mask.dtype == np.float32
+        assert not np.any((mask > 0) & (mask < floor))
+    low64, _ = spectral._half_masks(h, w, cutoff)
+    low32, _ = spectral._half_masks(h, w, cutoff, np.float32)
+    assert np.abs(low32 - low64).max() < 1e-7
+
+
+@pytest.mark.parametrize("bad", [1 + 1e-9, 1e300, -1e-9, -1e300])
+def test_image_is_checked_before_the_cast_to_single_precision(bad):
+    # cast first, 1 + 1e-9 would round to 1.0 and pass, and 1e300 would
+    # overflow to inf with a warning and read as non-finite
+    img = np.full((3, 4, 3), 0.5)
+    img[2, 1, 0] = bad
+    with pytest.raises(ValueError, match=r"intensities must lie in \[0, 1\]"):
+        image_spectrum(img, np.float32)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.complex64, np.complex128, np.int32])
+def test_image_spectrum_takes_only_single_or_double_precision(dtype):
+    with pytest.raises(ValueError, match="float32 or float64"):
+        image_spectrum(np.zeros((2, 2, 3)), dtype)
+
+
 def test_spectrum_and_branch_reject_bad_input():
     with pytest.raises(ValueError, match="intensities"):
         image_spectrum(np.full((2, 2, 3), 1.5))

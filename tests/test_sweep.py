@@ -8,13 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from freqfuse import spectral
 from freqfuse.harness import sweep
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
-from freqfuse.harness.imageio import save_image
+from freqfuse.harness.imageio import load_image, save_image
 from freqfuse.harness.oracle import CaptionOracle
 from freqfuse.harness.sweep import SweepConfig, SweepResult, SweepRow, run_sweep
-from util import cosine_image, random_image, traced_peak, write_jsonl
+from freqfuse.spectral import decompose, filter_branch
+from util import cosine_image, natural_image, random_image, traced_peak, write_jsonl
 
 
 def mock_command(*extra):
@@ -306,6 +308,60 @@ def test_one_forward_transform_per_image(tmp_path, monkeypatch):
         "5,0.000000,0.000000,2\n"
         "30,0.000000,0.000000,2\n"
     )
+
+
+def test_sweep_filters_single_precision_spectra(tmp_path, monkeypatch):
+    paths = small_images(tmp_path, ["a", "b"])
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    dtypes = []
+
+    def recording_filter(spectrum, cutoff, which):
+        dtypes.append(spectrum.half.dtype)
+        return filter_branch(spectrum, cutoff, which)
+
+    monkeypatch.setattr(sweep, "filter_branch", recording_filter)
+    config = SweepConfig(
+        mode="low",
+        cutoffs=(1, 5, 30),
+        images=paths,
+        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    run_sweep(config)
+    assert dtypes == [np.complex64] * 6
+
+
+@pytest.mark.parametrize("mode", ["low", "high"])
+def test_single_precision_exports_stay_within_one_level_of_decompose(tmp_path, mode):
+    # each sweep export against decompose's float64 branch exported: a byte
+    # may round the other way across a half level, and only rarely does
+    shapes = {"a": (64, 64), "b": (48, 80), "c": (75, 100), "d": (33, 57)}
+    paths = []
+    for seed, (image_id, (h, w)) in enumerate(shapes.items()):
+        paths.append(tmp_path / f"{image_id}.png")
+        save_image(natural_image(seed, h, w), paths[-1])
+    cutoffs = tuple(float(c) for c in np.geomspace(0.5, 60.0, 16))
+    config = SweepConfig(
+        mode=mode, cutoffs=cutoffs, images=paths, oracle="unused", ground_truth="unused"
+    )
+    exports = tmp_path / "exports"
+    exports.mkdir()
+    branch = spectral.BRANCHES.index(mode)
+    differing = total = count = 0
+    for path in sweep._exports(config, list(shapes), exports):
+        count += 1
+        image = load_image(tmp_path / f"{path.stem}.png")
+        save_image(decompose(image, float(path.parent.name))[branch], tmp_path / "want.ppm")
+        got, want = (np.frombuffer(p.read_bytes(), np.uint8).astype(int)
+                     for p in (path, tmp_path / "want.ppm"))
+        assert np.abs(got - want).max() <= 1
+        differing += np.count_nonzero(got != want)
+        total += got.size
+    assert count == len(shapes) * len(cutoffs)
+    assert differing <= 1e-4 * total
 
 
 def slow_mock(delay, *extra):

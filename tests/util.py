@@ -25,6 +25,25 @@ def cosine_image(freq, size=256, mean=0.5, amplitude=0.45):
     return np.repeat(wave[None, :, None], size, axis=0).repeat(3, axis=2)
 
 
+def natural_image(seed, h, w):
+    """(h, w, 3) image of 8-bit levels with a 1/f amplitude spectrum, as a
+    photograph has: a shared luminance field plus weaker per-channel colour,
+    its contrast and mean drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    radius = np.hypot(np.fft.fftfreq(h)[:, None], np.fft.rfftfreq(w)[None, :])
+    radius[0, 0] = 1.0 / max(h, w)
+
+    def field():
+        spec = rng.normal(size=radius.shape) + 1j * rng.normal(size=radius.shape)
+        plane = np.fft.irfft2(spec / radius, s=(h, w))
+        return (plane - plane.mean()) / plane.std()
+
+    lum = field()
+    contrast, mean = rng.uniform(0.04, 0.3), rng.uniform(0.2, 0.65)
+    img = np.stack([mean + contrast * (0.8 * lum + 0.35 * field()) for _ in range(3)], axis=-1)
+    return np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5) / 255.0
+
+
 def traced_peak(call):
     """Peak bytes tracemalloc sees during call(), its result included.
 
