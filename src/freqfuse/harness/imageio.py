@@ -70,18 +70,28 @@ def load_image(path) -> np.ndarray:
     The array is a view over channel-planar memory, each channel one
     contiguous (h, w) block, which is the layout the spectral transforms
     run fastest on; np.ascontiguousarray gives interleaved memory.
+    load_image is read_image, then float_pixels.
     """
+    return float_pixels(*read_image(path))
+
+
+def read_image(path):
+    """Read and decode a PPM or PNG file: (raw, h, w), raw a buffer of the
+    h * w * 3 interleaved bytes of the pixels. Errors name the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         if data[:2] == b"P6":
-            raw, h, w = _decode_ppm(data)
-        elif data[: len(PNG_SIGNATURE)] == PNG_SIGNATURE:
-            raw, h, w = _decode_png(data)
-        else:
-            raise ImageDecodeError("not a P6 PPM or PNG file")
+            return _decode_ppm(data)
+        if data[: len(PNG_SIGNATURE)] == PNG_SIGNATURE:
+            return _decode_png(data)
+        raise ImageDecodeError("not a P6 PPM or PNG file")
     except ImageError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def float_pixels(raw, h, w) -> np.ndarray:
+    """read_image's pixels as load_image returns them."""
     # one float buffer: the cast gathers the bytes into planes, then it is
     # scaled in place
     planes = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)

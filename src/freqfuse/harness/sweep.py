@@ -11,16 +11,22 @@ process, and scored against ground truth. One oracle process serves the
 whole sweep in one batch, started before any image is loaded: each
 export's request goes out as soon as it is written, under the id
 "<cutoff label>/<image id>", so the oracle answers while later exports are
-made. One CSV row per cutoff; results are all-or-nothing, a failure
-anywhere emits no partial rows.
+made. A sweep that lists a PNG has its images decoded in one forked
+process, up to two images ahead of the one being exported, since PNG
+decoding is pure Python and would leave the second core idle; a PPM-only
+sweep loads each image in the parent. One CSV row per cutoff; results are
+all-or-nothing, a failure anywhere emits no partial rows.
 """
 
+import contextlib
 import dataclasses
+import fcntl
 import json
 import math
 import numbers
 import os
 import shlex
+import signal
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +41,7 @@ from .formats import (
     canonical_set,
     load_ground_truth,
 )
-from .imageio import load_image, save_image
+from .imageio import ImageError, float_pixels, load_image, read_image, save_image
 from .oracle import DEFAULT_PROMPT, DEFAULT_TIMEOUT, CaptionOracle
 
 
@@ -190,25 +196,126 @@ def _image_ids(paths):
     return ids
 
 
-def _exports(config, ids, directory):
+def _exports(config, ids, images, directory):
     """Filter and write each image at every cutoff, image by image.
 
-    Yields each export's path as soon as it is written:
-    <directory>/<cutoff label>/<image id>.ppm.
+    images yields the float image of each id in turn. Yields each export's
+    path as soon as it is written: <directory>/<cutoff label>/<image id>.ppm.
     """
     # one folder per cutoff: ids and labels are each unique, so no
     # export overwrites another before the oracle has read it
     folders = [Path(directory) / _label(cutoff) for cutoff in config.cutoffs]
     for folder in folders:
         folder.mkdir()
-    for image_id, image_path in zip(ids, config.images):
+    for image_id in ids:
         # single precision: each export is quantized to 8 bits
-        spectrum = image_spectrum(load_image(image_path), np.float32)
+        spectrum = image_spectrum(next(images), np.float32)
         for cutoff, folder in zip(config.cutoffs, folders):
             path = folder / f"{image_id}.ppm"
             save_image(filter_branch(spectrum, cutoff, config.mode), path)
             yield path
         del spectrum  # before the next image's spectrum is taken
+
+
+# paths the decoder process holds beyond the image being exported
+DECODE_AHEAD = 2
+# the default pipe size limit on Linux: a 375x500 image is 0.54 MiB
+DECODER_PIPE_BYTES = 1 << 20
+
+
+@contextlib.contextmanager
+def _decoded(paths):
+    """An iterator over the float image of each path, as load_image gives it.
+
+    With no .png path, each image is loaded when it is taken. Otherwise one
+    forked process decodes them, up to DECODE_AHEAD paths ahead of the
+    image taken, while the caller filters and exports that image: PNG
+    decoding is pure Python, and the fork pays for itself only there. The
+    process is killed and reaped on the way out.
+    """
+    if not any(p.lower().endswith(".png") for p in paths):
+        yield map(load_image, paths)
+        return
+    # imported here: the captioner child imports this module, and loads no PNG
+    import multiprocessing
+
+    # fork, not the platform default, which becomes forkserver on Python 3.14
+    context = multiprocessing.get_context("fork")
+    requests, to_decoder = context.Pipe(duplex=False)
+    from_decoder, results = context.Pipe(duplex=False)
+    with requests, to_decoder, from_decoder, results:
+        # room for a decoded image, so that the decoder goes on to the next
+        # one without waiting for it to be taken; Linux only, and up to the
+        # system's pipe size limit: elsewhere, or past it, the decoder waits
+        with contextlib.suppress(AttributeError, OSError):
+            fcntl.fcntl(results.fileno(), fcntl.F_SETPIPE_SZ, DECODER_PIPE_BYTES)
+        decoder = context.Process(
+            target=_decode, args=(requests, results, (to_decoder, from_decoder))
+        )
+        decoder.start()
+        try:
+            # only the decoder holds its ends: its exit is EOF here, and
+            # ours is EOF there
+            requests.close()
+            results.close()
+            for path in paths[:DECODE_AHEAD]:
+                _request(to_decoder, path)
+            yield _received(paths, decoder, to_decoder, from_decoder)
+        finally:
+            decoder.kill()
+            decoder.join()
+            decoder.close()
+
+
+def _decode(requests, results, parent_ends):
+    """The decoder process: paths in; (h, w) and the pixel bytes, or the
+    error, out. It runs read_image alone, no transform and no BLAS: a fork
+    copies only the calling thread, and a lock that another thread of the
+    parent held then stays held here."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            path = requests.recv()
+        except EOFError:
+            return
+        try:
+            raw, h, w = read_image(path)
+        except Exception as exc:  # the parent raises it, in the image's turn
+            results.send(exc)
+        else:
+            results.send((h, w))
+            results.send_bytes(memoryview(raw).cast("B"))
+
+
+def _request(to_decoder, path):
+    try:
+        to_decoder.send(path)
+    except BrokenPipeError:
+        pass  # the decoder died: _received says so at the first image it owes
+
+
+def _received(paths, decoder, to_decoder, from_decoder):
+    """Each image from the decoder in turn; the path DECODE_AHEAD further
+    on is sent as one is taken. Only paths go to the decoder, so a send
+    never waits on the decoder, which waits to send an image back."""
+    for i, path in enumerate(paths):
+        try:
+            head = from_decoder.recv()
+            if not isinstance(head, BaseException):
+                raw = from_decoder.recv_bytes()
+        except EOFError:
+            decoder.join(1.0)
+            raise ImageError(
+                f"{path}: the image decoder process died "
+                f"(exit code {decoder.exitcode}) before decoding it"
+            ) from None
+        if isinstance(head, BaseException):
+            raise head
+        if i + DECODE_AHEAD < len(paths):
+            _request(to_decoder, paths[i + DECODE_AHEAD])
+        yield float_pixels(raw, *head)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -232,14 +339,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     # one request per export, in _exports' image-major order
     request_ids = [f"{label}/{image_id}" for image_id in ids for label in labels]
     # the oracle starts before any image is loaded, so it starts up while
-    # the first images decode
+    # the first images decode; a decoder process starts before it, so it
+    # holds no end of the oracle's pipes
     with (
         tempfile.TemporaryDirectory(prefix="freqfuse-sweep-") as tmp,
+        _decoded(config.images) as images,
         CaptionOracle(
             config.oracle, timeout=config.timeout, prompt=config.prompt
         ) as oracle,
     ):
-        captions = oracle.caption_batch(request_ids, _exports(config, ids, tmp))
+        captions = oracle.caption_batch(request_ids, _exports(config, ids, images, tmp))
     rows = []
     for cutoff, label in zip(config.cutoffs, labels):
         records = [

@@ -100,7 +100,8 @@ def gaussian_masks(h: int, w: int, cutoff: float):
     """Complementary Gaussian low/high masks on the centered frequency grid.
 
     low[u, v] = exp(-D^2 / (2 * cutoff^2)) with D the Euclidean distance from
-    (h//2, w//2); high = 1 - low, exact per cell.
+    (h//2, w//2), or 0 where that is under sqrt(float64 tiny) = 1.5e-154;
+    high = 1 - low, exact per cell.
     """
     if h < 1 or w < 1:
         raise ValueError(f"mask dimensions must be positive, got {h}x{w}")
@@ -119,18 +120,18 @@ def _masks(du, dv, cutoff, dtype):
             np.exp(-0.5 * (d / cutoff) ** 2).astype(dtype, copy=False) for d in (du, dv)
         )
     low = rows[:, None] * cols
-    if low.dtype == np.float32:
-        low[low < _FLOOR32] = 0.0
+    # Low-pass weights under sqrt(tiny) are zero. A weight passes tiny, the
+    # smallest normal number, 13.2 cutoffs from the center in float32 and
+    # 37.6 in float64: a weight there, or its product with the spectrum, is
+    # subnormal, and the inverse runs several times slower over subnormal
+    # numbers. A product of two numbers of at least sqrt(tiny) is normal.
+    # The weights dropped move no branch value by more than sqrt(tiny) *
+    # sqrt(h * w): 1.1e-19 * sqrt(h * w) in float32, 1.5e-154 * sqrt(h * w)
+    # in float64.
+    floor = np.sqrt(np.finfo(dtype).tiny)
+    if rows.min() * cols.min() < floor:  # the smallest weight: else no pass
+        low[low < floor] = 0.0
     return low, 1.0 - low
-
-
-# Single-precision low-pass weights under this are zero. float32 holds normal
-# numbers down to about exp(-87), which a weight passes 13.2 cutoffs from the
-# center: a weight there, or its product with the spectrum, is subnormal, and
-# the inverse runs several times slower over subnormal numbers. A product of
-# two numbers of at least sqrt(tiny) is normal, and the weights dropped move
-# no branch value by more than 1.1e-19 * sqrt(h * w).
-_FLOOR32 = np.sqrt(np.finfo(np.float32).tiny)
 
 
 def _half_masks(h, w, cutoff, dtype=np.float64):

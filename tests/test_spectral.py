@@ -390,17 +390,24 @@ def test_single_precision_branches_match_the_naive_pipeline():
                 assert np.abs(filter_branch(spectrum, cutoff, which) - naive).max() < 1e-5
 
 
-@pytest.mark.parametrize("h, w, cutoff", [(224, 224, 2.0), (375, 500, 6.0), (64, 80, 0.7)])
+@pytest.mark.parametrize(
+    "h, w, cutoff", [(224, 224, 2.0), (375, 500, 6.0), (64, 80, 0.7), (512, 512, 6.0)]
+)
 def test_single_precision_masks_hold_no_subnormal_weights(h, w, cutoff):
     # a subnormal weight, or one whose product with the spectrum is
-    # subnormal, slows the inverse several times over
-    floor = np.sqrt(np.finfo(np.float32).tiny)
-    for mask in spectral._half_masks(h, w, cutoff, np.float32):
-        assert mask.dtype == np.float32
-        assert not np.any((mask > 0) & (mask < floor))
-    low64, _ = spectral._half_masks(h, w, cutoff)
-    low32, _ = spectral._half_masks(h, w, cutoff, np.float32)
-    assert np.abs(low32 - low64).max() < 1e-7
+    # subnormal, slows the inverse several times over; float64 weights pass
+    # the normal range too, 37.6 cutoffs from the center
+    exact = np.fft.ifftshift(naive_gaussian_low_mask(h, w, cutoff))[:, : w // 2 + 1]
+    for dtype, tolerance in ((np.float32, 1e-7), (np.float64, 1e-15)):
+        floor = np.sqrt(np.finfo(dtype).tiny)
+        masks = spectral._half_masks(h, w, cutoff, dtype)
+        for mask in masks:
+            assert mask.dtype == dtype
+            assert not np.any((mask > 0) & (mask < floor))
+        # the floor drops weights, and does not round the ones it keeps
+        assert np.any(exact[exact < floor] > 0)
+        assert np.abs(masks[0] - exact).max() < tolerance
+        assert np.array_equal(masks[0] == 0, exact < floor)
 
 
 @pytest.mark.parametrize("bad", [1 + 1e-9, 1e300, -1e-9, -1e300])

@@ -1,6 +1,11 @@
 """Sweep experiment tests against the bundled deterministic mocks."""
 
+import dataclasses
 import json
+import multiprocessing
+import os
+import re
+import signal
 import sys
 import time
 from pathlib import Path
@@ -16,6 +21,7 @@ from freqfuse.harness.imageio import load_image, save_image
 from freqfuse.harness.oracle import CaptionOracle
 from freqfuse.harness.sweep import SweepConfig, SweepResult, SweepRow, run_sweep
 from freqfuse.spectral import decompose, filter_branch
+from oracles import build_png
 from util import cosine_image, natural_image, random_image, traced_peak, write_jsonl
 
 
@@ -351,7 +357,8 @@ def test_single_precision_exports_stay_within_one_level_of_decompose(tmp_path, m
     exports.mkdir()
     branch = spectral.BRANCHES.index(mode)
     differing = total = count = 0
-    for path in sweep._exports(config, list(shapes), exports):
+    images = map(load_image, paths)
+    for path in sweep._exports(config, list(shapes), images, exports):
         count += 1
         image = load_image(tmp_path / f"{path.stem}.png")
         save_image(decompose(image, float(path.parent.name))[branch], tmp_path / "want.ppm")
@@ -362,6 +369,274 @@ def test_single_precision_exports_stay_within_one_level_of_decompose(tmp_path, m
         total += got.size
     assert count == len(shapes) * len(cutoffs)
     assert differing <= 1e-4 * total
+
+
+# the decoder process of a sweep that lists a PNG
+
+
+def filtered_png(path, seed, h, w):
+    """A natural image as a PNG whose rows cycle through all five filters."""
+    pixels = np.round(natural_image(seed, h, w) * 255).astype(np.uint8)
+    path.write_bytes(build_png(pixels, [r % 5 for r in range(h)]))
+    return str(path)
+
+
+def recorded_exports(monkeypatch):
+    """{<cutoff>/<file name>: bytes} of every export the sweep writes."""
+    written = {}
+    save = sweep.save_image
+
+    def recording_save(image, path):
+        save(image, path)
+        written[f"{path.parent.name}/{path.name}"] = path.read_bytes()
+
+    monkeypatch.setattr(sweep, "save_image", recording_save)
+    return written
+
+
+@pytest.mark.parametrize("png_at", [0, 1, 2])
+def test_a_sweep_with_a_png_matches_decoding_each_image_with_load_image(
+    tmp_path, monkeypatch, png_at
+):
+    shapes = [(24, 32), (19, 27), (30, 21)]
+    ids = ["a", "b", "c"]
+    paths = []
+    for seed, (image_id, (h, w)) in enumerate(zip(ids, shapes)):
+        if seed == png_at:
+            paths.append(filtered_png(tmp_path / f"{image_id}.png", seed, h, w))
+        else:
+            paths.append(tmp_path / f"{image_id}.ppm")
+            save_image(natural_image(seed, h, w), paths[-1])
+    # the same pixels as PPM files: a sweep of these decodes each in the parent
+    twins = tmp_path / "twins"
+    twins.mkdir()
+    for image_id, path in zip(ids, paths):
+        save_image(load_image(path), twins / f"{image_id}.ppm")
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
+    )
+    config = SweepConfig(
+        mode="high",
+        cutoffs=(0.5, 2, 8),
+        images=paths,
+        oracle=mock_command(
+            "--mode", "energy", "--threshold", "0.003", "--ground-truth", gt
+        ),
+        ground_truth=gt,
+    )
+    twin_config = dataclasses.replace(
+        config, images=[str(twins / f"{i}.ppm") for i in ids]
+    )
+    written = recorded_exports(monkeypatch)
+    csv = run_sweep(config).to_csv()
+    exports = dict(written)
+    written.clear()
+    assert run_sweep(twin_config).to_csv() == csv
+    assert written == exports
+    # and each export is the one load_image's pixels give
+    want = tmp_path / "want"
+    want.mkdir()
+    for path in sweep._exports(config, ids, map(load_image, paths), want):
+        assert exports[f"{path.parent.name}/{path.name}"] == path.read_bytes()
+    assert len(exports) == 9
+    # the rates differ by cutoff, so a swapped image would show in the CSV
+    assert len({line.split(",", 1)[1] for line in csv.splitlines()[1:]}) > 1
+
+
+def counted_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_a_ppm_only_sweep_forks_nothing(tmp_path, monkeypatch):
+    paths = small_images(tmp_path, ["a", "b"])
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    config = SweepConfig(
+        mode="low",
+        cutoffs=(1, 5),
+        images=paths,
+        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    forks = counted_forks(monkeypatch)
+    run_sweep(config)
+    assert forks == []
+    # the count sees the decoder's fork: one per sweep that lists a PNG
+    png = filtered_png(tmp_path / "b.png", 1, 16, 16)
+    run_sweep(dataclasses.replace(config, images=[paths[0], png]))
+    assert forks == [1]
+
+
+def timed_closes(monkeypatch):
+    """(oracle, seconds) for each CaptionOracle.close()."""
+    closes = []
+    close = CaptionOracle.close
+
+    def timed_close(self):
+        start = time.monotonic()
+        try:
+            close(self)
+        finally:
+            closes.append((self, time.monotonic() - start))
+
+    monkeypatch.setattr(CaptionOracle, "close", timed_close)
+    return closes
+
+
+def test_a_png_sweeps_oracle_exits_by_itself(tmp_path, monkeypatch):
+    # a decoder forked after the oracle would hold the oracle's stdin open:
+    # the oracle would never see EOF, and close() would kill it at 5 s
+    ids = ["a", "b", "c"]
+    paths = [filtered_png(tmp_path / f"{i}.png", seed, 16, 20) for seed, i in enumerate(ids)]
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
+    )
+    closes = timed_closes(monkeypatch)
+    config = SweepConfig(
+        mode="low",
+        cutoffs=(1, 5),
+        images=paths,
+        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    assert run_sweep(config).to_csv() == (
+        "cutoff,chair_i,chair_s,n\n"
+        "1,0.000000,0.000000,3\n"
+        "5,0.000000,0.000000,3\n"
+    )
+    [(oracle, seconds)] = closes
+    assert oracle._proc.returncode == 0
+    assert seconds < 2.0
+
+
+def recorded_sends(monkeypatch):
+    sent = []
+    send = CaptionOracle._send
+
+    def recording_send(self, request_id, image_path):
+        sent.append(request_id)
+        send(self, request_id, image_path)
+
+    monkeypatch.setattr(CaptionOracle, "_send", recording_send)
+    return sent
+
+
+def test_a_corrupt_png_after_a_good_one_fails_in_its_turn(tmp_path, monkeypatch, capsys):
+    good = filtered_png(tmp_path / "a.png", 0, 16, 16)
+    blob = bytearray(Path(filtered_png(tmp_path / "b.png", 1, 16, 16)).read_bytes())
+    blob[-1] ^= 0xFF  # corrupt the IEND CRC
+    bad = tmp_path / "b.png"
+    bad.write_bytes(bytes(blob))
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    sent = recorded_sends(monkeypatch)
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({
+        "mode": "low",
+        "cutoffs": [1, 5],
+        "images": [good, str(bad)],
+        "oracle": mock_command("--mode", "gt", "--ground-truth", gt),
+        "ground_truth": gt,
+    }))
+    assert main(["sweep", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {bad}: PNG chunk b'IEND' fails its checksum" in captured.err
+    # the error came in b's turn: every request of a had gone out
+    assert sent == ["1/a", "5/a"]
+
+
+class Hung(Exception):
+    pass
+
+
+def test_a_killed_decoder_fails_the_sweep_within_a_second(tmp_path, monkeypatch, capsys):
+    ids = [f"img{i}" for i in range(6)]
+    paths = [filtered_png(tmp_path / f"{i}.png", seed, 16, 16) for seed, i in enumerate(ids)]
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
+    )
+    killed = []
+    save = sweep.save_image
+
+    def killing_save(image, path):
+        if not killed:
+            [decoder] = multiprocessing.active_children()
+            os.kill(decoder.pid, signal.SIGKILL)
+            killed.append(time.monotonic())
+        save(image, path)
+
+    monkeypatch.setattr(sweep, "save_image", killing_save)
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({
+        "mode": "low",
+        "cutoffs": [1, 5],
+        "images": paths,
+        "oracle": mock_command("--mode", "gt", "--ground-truth", gt),
+        "ground_truth": gt,
+    }))
+
+    def hung(*_):
+        raise Hung("the sweep did not fail within 10 s of the kill")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        code = main(["sweep", "--config", str(config_path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - killed[0] < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    # the first image whose pixels the decoder had not sent back when it died
+    assert re.search(
+        r"img[1-3]\.png: the image decoder process died \(exit code -9\)", err
+    ), err
+
+
+def test_the_decoder_ignores_sigint(tmp_path, monkeypatch):
+    # ^C reaches the whole process group; the parent alone decides to stop
+    ids = [f"img{i}" for i in range(4)]
+    paths = [filtered_png(tmp_path / f"{i}.png", seed, 16, 16) for seed, i in enumerate(ids)]
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
+    )
+    save = sweep.save_image
+    interrupted = []
+
+    def interrupting_save(image, path):
+        if not interrupted:
+            [decoder] = multiprocessing.active_children()
+            os.kill(decoder.pid, signal.SIGINT)
+            interrupted.append(decoder.pid)
+            time.sleep(0.2)
+        save(image, path)
+
+    monkeypatch.setattr(sweep, "save_image", interrupting_save)
+    config = SweepConfig(
+        mode="low",
+        cutoffs=(1, 5),
+        images=paths,
+        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    assert run_sweep(config).to_csv().splitlines()[1:] == [
+        "1,0.000000,0.000000,4", "5,0.000000,0.000000,4"
+    ]
+    assert interrupted
 
 
 def slow_mock(delay, *extra):
