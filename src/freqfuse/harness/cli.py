@@ -27,7 +27,7 @@ from .formats import (
     load_pope_records,
     load_ground_truth,
 )
-from .imageio import ImageError, load_image, save_image
+from .imageio import ImageError, image_encoder, load_image, save_image
 from .oracle import (
     DEFAULT_MOCK_OBJECTS,
     MOCK_MODES,
@@ -75,6 +75,9 @@ def cmd_decompose(parser, args):
         _at_least(parser, 0, seed=args.seed)
     if args.gamma is not None and not 0.0 <= args.gamma <= 1.0:
         parser.error(f"--gamma must lie in [0, 1], got {args.gamma:g}")
+    # both outputs' formats are known before anything is read or written
+    image_encoder(args.out_low)
+    image_encoder(args.out_high)
     image = load_image(args.input)
     if args.gamma is None:
         low, high = decompose(image, args.cutoff)

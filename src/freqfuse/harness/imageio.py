@@ -100,20 +100,25 @@ def float_pixels(raw, h, w) -> np.ndarray:
     return floats.transpose(1, 2, 0)
 
 
-def save_image(image, path) -> None:
-    """Write an image as PPM (.ppm/.pnm) or PNG (.png) based on extension.
-
-    Values are clamped to [0, 1]; an empty or non-(h, w, 3) image, or one
-    holding NaN, is a ValueError and no file is written.
-    """
+def image_encoder(path):
+    """The encoder that path's extension names: PPM (.ppm/.pnm) or PNG
+    (.png), else UnsupportedImageError."""
     name = str(path).lower()
-    pixels = _quantize(image)
     if name.endswith((".ppm", ".pnm")):
-        parts = _encode_ppm(pixels)
-    elif name.endswith(".png"):
-        parts = _encode_png(pixels)
-    else:
-        raise UnsupportedImageError(f"{path}: unknown extension, use .ppm or .png")
+        return _encode_ppm
+    if name.endswith(".png"):
+        return _encode_png
+    raise UnsupportedImageError(f"{path}: unknown extension, use .ppm or .png")
+
+
+def save_image(image, path) -> None:
+    """Write an image in the format image_encoder(path) names.
+
+    Values are clamped to [0, 1]; an empty or non-(h, w, 3) image, one
+    holding NaN, or one of a dtype other than bool, int or float, is a
+    ValueError and no file is written.
+    """
+    parts = image_encoder(path)(_quantize(image))
     with open(path, "wb") as fh:
         fh.writelines(parts)
 

@@ -12,7 +12,7 @@ whole sweep in one batch, started before any image is loaded: each
 export's request goes out as soon as it is written, under the id
 "<cutoff label>/<image id>", so the oracle answers while later exports are
 made. A sweep that lists a PNG has its images decoded in one forked
-process, up to two images ahead of the one being exported, since PNG
+process, as far ahead of the one being exported as a pipe holds, since PNG
 decoding is pure Python and would leave the second core idle; a PPM-only
 sweep loads each image in the parent. One CSV row per cutoff; results are
 all-or-nothing, a failure anywhere emits no partial rows.
@@ -217,8 +217,6 @@ def _exports(config, ids, images, directory):
         del spectrum  # before the next image's spectrum is taken
 
 
-# paths the decoder process holds beyond the image being exported
-DECODE_AHEAD = 2
 # the default pipe size limit on Linux: a 375x500 image is 0.54 MiB
 DECODER_PIPE_BYTES = 1 << 20
 
@@ -228,10 +226,10 @@ def _decoded(paths):
     """An iterator over the float image of each path, as load_image gives it.
 
     With no .png path, each image is loaded when it is taken. Otherwise one
-    forked process decodes them, up to DECODE_AHEAD paths ahead of the
-    image taken, while the caller filters and exports that image: PNG
-    decoding is pure Python, and the fork pays for itself only there. The
-    process is killed and reaped on the way out.
+    forked process decodes them all in order into a pipe, as far ahead of
+    the image taken as the pipe holds, while the caller filters and exports
+    that image: PNG decoding is pure Python, and the fork pays for itself
+    only there. The process is killed and reaped on the way out.
     """
     if not any(p.lower().endswith(".png") for p in paths):
         yield map(load_image, paths)
@@ -241,66 +239,50 @@ def _decoded(paths):
 
     # fork, not the platform default, which becomes forkserver on Python 3.14
     context = multiprocessing.get_context("fork")
-    requests, to_decoder = context.Pipe(duplex=False)
     from_decoder, results = context.Pipe(duplex=False)
-    with requests, to_decoder, from_decoder, results:
-        # room for a decoded image, so that the decoder goes on to the next
-        # one without waiting for it to be taken; Linux only, and up to the
-        # system's pipe size limit: elsewhere, or past it, the decoder waits
+    with from_decoder, results:
+        # room for decoded images, so that the decoder goes on without
+        # waiting for each to be taken; Linux only, and up to the system's
+        # pipe size limit: elsewhere, or past it, the decoder waits sooner
         with contextlib.suppress(AttributeError, OSError):
             fcntl.fcntl(results.fileno(), fcntl.F_SETPIPE_SZ, DECODER_PIPE_BYTES)
-        decoder = context.Process(
-            target=_decode, args=(requests, results, (to_decoder, from_decoder))
-        )
+        # the paths reach the decoder through the fork: nothing is sent to it
+        decoder = context.Process(target=_decode, args=(paths, results, from_decoder))
         decoder.start()
         try:
-            # only the decoder holds its ends: its exit is EOF here, and
-            # ours is EOF there
-            requests.close()
-            results.close()
-            for path in paths[:DECODE_AHEAD]:
-                _request(to_decoder, path)
-            yield _received(paths, decoder, to_decoder, from_decoder)
+            results.close()  # only the decoder writes: its exit is EOF here
+            yield _received(paths, decoder, from_decoder)
         finally:
             decoder.kill()
             decoder.join()
             decoder.close()
 
 
-def _decode(requests, results, parent_ends):
-    """The decoder process: paths in; (h, w) and the pixel bytes, or the
-    error, out. It runs read_image alone, no transform and no BLAS: a fork
-    copies only the calling thread, and a lock that another thread of the
-    parent held then stays held here."""
+def _decode(paths, results, from_decoder):
+    """The decoder process: (h, w) and the pixel bytes of each path in
+    turn, or at the first error the error and nothing more. It runs
+    read_image alone, no transform and no BLAS: a fork copies only the
+    calling thread, and a lock that another thread of the parent held then
+    stays held here."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
-    for end in parent_ends:
-        end.close()
-    while True:
-        try:
-            path = requests.recv()
-        except EOFError:
-            return
-        try:
-            raw, h, w = read_image(path)
-        except Exception as exc:  # the parent raises it, in the image's turn
-            results.send(exc)
-        else:
+    # the parent's end: with it closed here, the parent's exit breaks the pipe
+    from_decoder.close()
+    try:
+        for path in paths:
+            try:
+                raw, h, w = read_image(path)
+            except Exception as exc:  # the parent raises it, in the image's turn
+                results.send(exc)
+                return
             results.send((h, w))
             results.send_bytes(memoryview(raw).cast("B"))
-
-
-def _request(to_decoder, path):
-    try:
-        to_decoder.send(path)
     except BrokenPipeError:
-        pass  # the decoder died: _received says so at the first image it owes
+        return  # the parent is gone, and nobody is left to tell
 
 
-def _received(paths, decoder, to_decoder, from_decoder):
-    """Each image from the decoder in turn; the path DECODE_AHEAD further
-    on is sent as one is taken. Only paths go to the decoder, so a send
-    never waits on the decoder, which waits to send an image back."""
-    for i, path in enumerate(paths):
+def _received(paths, decoder, from_decoder):
+    """Each image from the decoder in turn."""
+    for path in paths:
         try:
             head = from_decoder.recv()
             if not isinstance(head, BaseException):
@@ -313,8 +295,6 @@ def _received(paths, decoder, to_decoder, from_decoder):
             ) from None
         if isinstance(head, BaseException):
             raise head
-        if i + DECODE_AHEAD < len(paths):
-            _request(to_decoder, paths[i + DECODE_AHEAD])
         yield float_pixels(raw, *head)
 
 

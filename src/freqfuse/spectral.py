@@ -70,10 +70,14 @@ class AttenuationSpec:
 def float_image(image) -> np.ndarray:
     """image as an (h, w, 3) float array with h, w >= 1, else ValueError.
 
-    A float32 array is returned as it is, not upcast; anything else as
-    float64, without a copy where it already is float64.
+    Only booleans, integers and floats are taken: a complex image would lose
+    its imaginary part in the cast, and strings would be parsed. A float32
+    array is returned as it is, not upcast; anything else as float64,
+    without a copy where it already is float64.
     """
     arr = np.asarray(image)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"image must hold real numbers, got dtype {arr.dtype}")
     if arr.dtype != np.float32:
         arr = np.asarray(arr, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 3:

@@ -139,6 +139,22 @@ def test_decompose_missing_input_is_data_error(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("outs", [("low.ppm", "high.jpg"), ("low.jpg", "high.ppm")])
+def test_decompose_bad_output_extension_writes_nothing(tmp_path, capsys, outs):
+    src = tmp_path / "src.ppm"
+    save_image(random_image(2, 8, 8), src)
+    out_low, out_high = (tmp_path / name for name in outs)
+    code, out, err = run(
+        capsys,
+        "decompose", "--input", str(src), "--cutoff", "3",
+        "--out-low", str(out_low), "--out-high", str(out_high),
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown extension" in err
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
 def test_decompose_zero_gamma_blacks_out(tmp_path, capsys):
     src = tmp_path / "src.ppm"
     save_image(random_image(2, 8, 8), src)

@@ -1,17 +1,22 @@
 """Frequency-decomposition tests against the naive-DFT oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqfuse import spectral
+from freqfuse.encoder import EncoderConfig, patch_tokens
+from freqfuse.harness.imageio import save_image
 from freqfuse.spectral import (
     AttenuationSpec,
     attenuation_matrix,
     decompose,
     decompose_attenuated,
     filter_branch,
+    float_image,
     gaussian_masks,
     image_spectrum,
     validate_image,
@@ -436,9 +441,26 @@ def test_spectrum_and_branch_reject_bad_input():
         filter_branch(spectrum, 0.0, "low")
 
 
-def test_validate_image_rejects_bad_input():
+def test_validate_image_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         validate_image(np.zeros((4, 4)))
+    # a cast would drop the imaginary part, or parse the strings
+    path = tmp_path / "img.ppm"
+    for bad in (
+        np.full((4, 4, 3), 0.5) + 0.3j,
+        np.full((4, 4, 3), "0.5"),
+        np.full((4, 4, 3), 0.5, dtype=object),
+    ):
+        for check in (
+            float_image,
+            validate_image,
+            lambda image: decompose(image, 3),
+            lambda image: save_image(image, path),
+            lambda image: patch_tokens(image, EncoderConfig(patch_size=2, dim=4)),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"got dtype {bad.dtype}")):
+                check(bad)
+    assert not path.exists()
     for bad in (1.5, -0.1):
         with pytest.raises(ValueError, match=r"intensities must lie in \[0, 1\]"):
             validate_image(np.full((2, 2, 3), bad))

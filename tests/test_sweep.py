@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -17,7 +18,7 @@ from freqfuse import spectral
 from freqfuse.harness import sweep
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
-from freqfuse.harness.imageio import load_image, save_image
+from freqfuse.harness.imageio import ImageError, load_image, save_image
 from freqfuse.harness.oracle import CaptionOracle
 from freqfuse.harness.sweep import SweepConfig, SweepResult, SweepRow, run_sweep
 from freqfuse.spectral import decompose, filter_branch
@@ -558,6 +559,26 @@ def test_a_corrupt_png_after_a_good_one_fails_in_its_turn(tmp_path, monkeypatch,
     assert sent == ["1/a", "5/a"]
 
 
+def stalled_decoder(monkeypatch, after=None, seconds=0.0, log=None):
+    """Patch read_image before the sweep forks its decoder, which inherits
+    the patch: the decoder reads `after` images, then sleeps `seconds`
+    before it reads the next. With `log`, each read first appends its path
+    to that file."""
+    read = sweep.read_image
+    reads = []
+
+    def stalling_read(path):
+        if len(reads) == after:
+            time.sleep(seconds)
+        reads.append(path)
+        if log is not None:
+            with open(log, "a") as fh:
+                fh.write(f"{path}\n")
+        return read(path)
+
+    monkeypatch.setattr(sweep, "read_image", stalling_read)
+
+
 class Hung(Exception):
     pass
 
@@ -568,6 +589,8 @@ def test_a_killed_decoder_fails_the_sweep_within_a_second(tmp_path, monkeypatch,
     gt = write_jsonl(
         tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
     )
+    # the decoder sends img0, then sleeps until it is killed
+    stalled_decoder(monkeypatch, after=1, seconds=60.0)
     killed = []
     save = sweep.save_image
 
@@ -601,9 +624,9 @@ def test_a_killed_decoder_fails_the_sweep_within_a_second(tmp_path, monkeypatch,
     assert time.monotonic() - killed[0] < 1.0
     assert code == 2
     err = capsys.readouterr().err
-    # the first image whose pixels the decoder had not sent back when it died
+    # the first image whose pixels the decoder had not sent when it died
     assert re.search(
-        r"img[1-3]\.png: the image decoder process died \(exit code -9\)", err
+        r"img1\.png: the image decoder process died \(exit code -9\)", err
     ), err
 
 
@@ -614,6 +637,8 @@ def test_the_decoder_ignores_sigint(tmp_path, monkeypatch):
     gt = write_jsonl(
         tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
     )
+    # the decoder sends img0 and is still alive, asleep, at the first export
+    stalled_decoder(monkeypatch, after=1, seconds=2.0)
     save = sweep.save_image
     interrupted = []
 
@@ -637,6 +662,143 @@ def test_the_decoder_ignores_sigint(tmp_path, monkeypatch):
         "1,0.000000,0.000000,4", "5,0.000000,0.000000,4"
     ]
     assert interrupted
+
+
+def png_sweep(tmp_path, n, h, w):
+    """A low-pass sweep of n natural PNGs of h x w at cutoffs 1 and 5, the
+    gt mock naming a dog in every one: each row reads 0, 0, n."""
+    ids = [f"img{i}" for i in range(n)]
+    paths = [filtered_png(tmp_path / f"{i}.png", seed, h, w) for seed, i in enumerate(ids)]
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
+    )
+    config = SweepConfig(
+        mode="low",
+        cutoffs=(1, 5),
+        images=paths,
+        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    csv = f"cutoff,chair_i,chair_s,n\n1,0.000000,0.000000,{n}\n5,0.000000,0.000000,{n}\n"
+    return config, csv
+
+
+def exit_before_the_first_image(monkeypatch):
+    """The sweep takes its first image only once the decoder has exited.
+    Returns the list that the decoder's exit code is appended to."""
+    exit_codes = []
+    received = sweep._received
+
+    def received_after_the_exit(paths, decoder, from_decoder):
+        decoder.join(10.0)
+        exit_codes.append(decoder.exitcode)
+        yield from received(paths, decoder, from_decoder)
+
+    monkeypatch.setattr(sweep, "_received", received_after_the_exit)
+    return exit_codes
+
+
+def test_a_decoder_that_has_exited_leaves_every_image_in_the_pipe(tmp_path, monkeypatch):
+    # EOF after the last image is no error
+    config, csv = png_sweep(tmp_path, 3, 16, 16)
+    exit_codes = exit_before_the_first_image(monkeypatch)
+    assert run_sweep(config).to_csv() == csv
+    assert exit_codes == [0]
+
+
+def test_the_decoder_stops_at_its_first_error(tmp_path, monkeypatch):
+    config, _ = png_sweep(tmp_path, 3, 16, 16)
+    bad = config.images[0]
+    Path(bad).write_bytes(b"GIF89a")
+    log = tmp_path / "reads.log"
+    stalled_decoder(monkeypatch, log=log)
+    exit_codes = exit_before_the_first_image(monkeypatch)
+    with pytest.raises(ImageError, match=re.escape(f"{bad}: not a P6 PPM or PNG file")):
+        run_sweep(config)
+    assert exit_codes == [0]
+    assert log.read_text().splitlines() == [bad]
+
+
+def test_the_decoder_runs_ahead_only_as_far_as_the_pipe_holds(tmp_path, monkeypatch):
+    h, w = 224, 224
+    config, csv = png_sweep(tmp_path, 12, h, w)
+    log = tmp_path / "reads.log"
+    stalled_decoder(monkeypatch, log=log)
+    counts = []
+    save = sweep.save_image
+
+    def stalled_save(image, path):
+        if not counts:
+            # before the first export, until the decoder has read nothing
+            # for half a second
+            reads = None
+            for _ in range(40):
+                time.sleep(0.5)
+                now = len(log.read_text().splitlines())
+                if now == reads:
+                    break
+                reads = now
+            counts.append(reads)
+        save(image, path)
+
+    monkeypatch.setattr(sweep, "save_image", stalled_save)
+    assert run_sweep(config).to_csv() == csv
+    # the image taken, the images the pipe holds, and one being written
+    limit = sweep.DECODER_PIPE_BYTES // (3 * h * w) + 2
+    assert counts[0] <= limit < len(config.images)
+    assert len(log.read_text().splitlines()) == len(config.images)
+
+
+def test_the_decoder_returns_quietly_when_the_parent_is_gone(tmp_path):
+    path = filtered_png(tmp_path / "a.png", 0, 16, 16)
+    from_decoder, results = multiprocessing.Pipe(duplex=False)
+    from_decoder.close()
+    previous = signal.getsignal(signal.SIGINT)
+    try:
+        assert sweep._decode([path], results, from_decoder) is None
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        results.close()
+
+
+# argv: a config and a log. The sweep's decoder appends each path it reads
+# to the log and takes 0.3 s an image; the sweep's own process dies at its
+# first export.
+DYING_SWEEP = """
+import os, signal, sys, time
+from freqfuse.harness import sweep
+from freqfuse.harness.cli import main
+read = sweep.read_image
+
+def slow_read(path):
+    with open(sys.argv[2], "a") as log:
+        log.write(path + "\\n")
+    time.sleep(0.3)
+    return read(path)
+
+def dying_save(image, path):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+sweep.read_image, sweep.save_image = slow_read, dying_save
+main(["sweep", "--config", sys.argv[1]])
+"""
+
+
+def test_a_decoder_whose_parent_dies_stops_quietly(tmp_path):
+    config, _ = png_sweep(tmp_path, 6, 16, 16)
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(dataclasses.asdict(config)))
+    log = tmp_path / "reads.log"
+    # the decoder and the oracle hold stderr too: it ends when they exit
+    proc = subprocess.run(
+        [sys.executable, "-c", DYING_SWEEP, str(config_path), str(log)],
+        capture_output=True,
+        timeout=30,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    assert proc.stderr == b""
+    # it stopped at the first image it could not send, not at the last
+    assert len(log.read_text().splitlines()) < len(config.images)
 
 
 def slow_mock(delay, *extra):
