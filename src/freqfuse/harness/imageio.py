@@ -72,12 +72,12 @@ def load_image(path) -> np.ndarray:
     run fastest on; np.ascontiguousarray gives interleaved memory.
     load_image is read_image, then float_pixels.
     """
-    return float_pixels(*read_image(path))
+    return float_pixels(read_image(path))
 
 
-def read_image(path):
-    """Read and decode a PPM or PNG file: (raw, h, w), raw a buffer of the
-    h * w * 3 interleaved bytes of the pixels. Errors name the path."""
+def read_image(path) -> np.ndarray:
+    """Read and decode a PPM or PNG file into its pixels, an (h, w, 3)
+    uint8 array, interleaved as the file holds them. Errors name the path."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -90,12 +90,11 @@ def read_image(path):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def float_pixels(raw, h, w) -> np.ndarray:
-    """read_image's pixels as load_image returns them."""
+def float_pixels(pixels) -> np.ndarray:
+    """read_image's (h, w, 3) uint8 pixels as load_image returns them."""
     # one float buffer: the cast gathers the bytes into planes, then it is
     # scaled in place
-    planes = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
-    floats = planes.astype(float, order="C")
+    floats = pixels.transpose(2, 0, 1).astype(float, order="C")
     floats /= 255.0
     return floats.transpose(1, 2, 0)
 
@@ -152,7 +151,7 @@ def _decode_ppm(data):
         raise ImageDecodeError(
             f"PPM pixel data truncated: want {expected} bytes, have {len(pixels)}"
         )
-    return pixels[:expected], h, w
+    return np.frombuffer(pixels[:expected], np.uint8).reshape(h, w, 3)
 
 
 # PNG
@@ -325,4 +324,4 @@ def _decode_png(data):
         raise ImageDecodeError(
             f"PNG pixel data has {len(raw)} bytes, expected {expected}"
         )
-    return _unfilter(raw, h, w), h, w
+    return _unfilter(raw, h, w).reshape(h, w, 3)

@@ -118,17 +118,16 @@ class CaptionOracle:
 
     def close(self):
         """Write what is left of the requests, close stdin and read stdout to
-        EOF; the child gets the reply timeout, at most 5 s, in all for this
-        and to exit, and is killed past it. Both pipes end up closed, also
-        when an overlong reply line stops the reading."""
+        EOF, dropping all it reads, an unfinished line too; the child gets the
+        reply timeout, at most 5 s, in all for this and to exit, and is killed
+        past it. Both pipes end up closed."""
         deadline = time.monotonic() + min(self._timeout, 5.0)
         try:
             while not self._eof and (remaining := deadline - time.monotonic()) > 0:
                 if not self._unsent:
                     self._proc.stdin.close()
+                self._received.clear()  # nothing takes a reply after this
                 self._poll(remaining)
-                # nothing takes a reply after this: keep the unfinished line only
-                del self._received[: self._received.rfind(b"\n") + 1]
         finally:
             self._proc.stdin.close()
             self._proc.stdout.close()

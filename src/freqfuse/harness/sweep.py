@@ -259,9 +259,9 @@ def _decoded(paths):
 
 
 def _decode(paths, results, from_decoder):
-    """The decoder process: (h, w) and the pixel bytes of each path in
-    turn, or at the first error the error and nothing more. It runs
-    read_image alone, no transform and no BLAS: a fork copies only the
+    """The decoder process: each path's pixels as read_image returns them,
+    one message each, or at the first error the error and nothing more. It
+    runs read_image alone, no transform and no BLAS: a fork copies only the
     calling thread, and a lock that another thread of the parent held then
     stays held here."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
@@ -270,32 +270,29 @@ def _decode(paths, results, from_decoder):
     try:
         for path in paths:
             try:
-                raw, h, w = read_image(path)
+                pixels = read_image(path)
             except Exception as exc:  # the parent raises it, in the image's turn
                 results.send(exc)
                 return
-            results.send((h, w))
-            results.send_bytes(memoryview(raw).cast("B"))
+            results.send(pixels)
     except BrokenPipeError:
         return  # the parent is gone, and nobody is left to tell
 
 
 def _received(paths, decoder, from_decoder):
-    """Each image from the decoder in turn."""
+    """Each image in turn, from one message: its pixels or its error."""
     for path in paths:
         try:
-            head = from_decoder.recv()
-            if not isinstance(head, BaseException):
-                raw = from_decoder.recv_bytes()
+            pixels = from_decoder.recv()
         except EOFError:
             decoder.join(1.0)
             raise ImageError(
                 f"{path}: the image decoder process died "
                 f"(exit code {decoder.exitcode}) before decoding it"
             ) from None
-        if isinstance(head, BaseException):
-            raise head
-        yield float_pixels(raw, *head)
+        if isinstance(pixels, BaseException):
+            raise pixels
+        yield float_pixels(pixels)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

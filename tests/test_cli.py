@@ -155,6 +155,21 @@ def test_decompose_bad_output_extension_writes_nothing(tmp_path, capsys, outs):
     assert sorted(tmp_path.iterdir()) == [src]
 
 
+def test_decompose_one_file_for_both_outputs_is_usage_error(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "src.ppm"
+    save_image(random_image(2, 8, 8), src)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys,
+        "decompose", "--input", str(src), "--cutoff", "3",
+        "--out-low", "x.ppm", "--out-high", "./x.ppm",
+    )
+    assert code == 1
+    assert out == ""
+    assert "--out-low and --out-high name the same file" in err
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
 def test_decompose_zero_gamma_blacks_out(tmp_path, capsys):
     src = tmp_path / "src.ppm"
     save_image(random_image(2, 8, 8), src)

@@ -17,6 +17,7 @@ from freqfuse.harness.imageio import (
     UnsupportedImageError,
     _paeth_table,
     load_image,
+    read_image,
     save_image,
 )
 from oracles import (
@@ -185,6 +186,9 @@ def test_rounding_is_half_up(tmp_path):
 def test_direct_p6_decode(tmp_path):
     path = tmp_path / "two.ppm"
     path.write_bytes(b"P6\n2 1\n255\n" + bytes([255, 0, 0, 0, 0, 255]))
+    pixels = read_image(path)
+    assert pixels.dtype == np.uint8
+    assert np.array_equal(pixels, [[[255, 0, 0], [0, 0, 255]]])
     img = load_image(path)
     assert img.shape == (1, 2, 3)
     assert np.array_equal(img[0, 0], [1.0, 0.0, 0.0])
@@ -298,6 +302,9 @@ def test_png_all_filter_types_decode(tmp_path):
     pixels = (random_image(4, 5, 6) * 255).astype(np.uint8)
     path = tmp_path / "filters.png"
     path.write_bytes(build_png(pixels, filter_types=[0, 1, 2, 3, 4]))
+    decoded = read_image(path)
+    assert decoded.dtype == np.uint8
+    assert np.array_equal(decoded, pixels)  # shape (4, 5, 3) too
     back = (load_image(path) * 255).astype(np.uint8)
     assert np.array_equal(back, pixels)
 

@@ -142,6 +142,13 @@ sys.stdin.read()
 sys.stdout.write("\\n" * (8 << 20))
 """
 
+# answers its one request, then writes 2 MiB with no newline
+UNFINISHED_AFTER_REPLY = """
+import sys, json
+print(json.dumps({"id": json.loads(sys.stdin.readline())["id"], "caption": "x"}), flush=True)
+sys.stdout.write("x" * (2 << 20))
+"""
+
 # answers the first request with one reply line of argv[1] bytes, newline excluded
 SIZED_REPLY = """
 import sys, json
@@ -284,13 +291,20 @@ def test_reply_line_one_byte_over_the_cap_is_refused():
         caption_one(command, "x.ppm")
 
 
-def test_close_drops_what_the_child_writes_after_the_last_batch():
-    # 8 MiB of blank lines: close() keeps none of them, only the unfinished line
+@pytest.mark.parametrize(
+    "script, batch",
+    [(FLOOD_AFTER_STDIN_CLOSES, {}), (UNFINISHED_AFTER_REPLY, {"a": "x"})],
+    ids=["blank_lines", "unfinished_line"],
+)
+def test_close_drops_what_the_child_writes_after_the_last_batch(script, batch):
+    # 8 MiB of blank lines, or a 2 MiB line with no newline after the one
+    # reply: close() keeps none of it, and an overlong line raises nothing
     oracles = []
 
     def open_and_close():
-        with CaptionOracle(child(FLOOD_AFTER_STDIN_CLOSES)) as oracle:
+        with CaptionOracle(child(script)) as oracle:
             oracles.append(oracle)
+            assert oracle.caption_batch(batch, ["x.ppm"] * len(batch)) == batch
 
     assert traced_peak(open_and_close) < 1 << 20
     assert [oracle._proc.returncode for oracle in oracles] == [0, 0]

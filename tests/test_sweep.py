@@ -532,12 +532,28 @@ def recorded_sends(monkeypatch):
     return sent
 
 
-def test_a_corrupt_png_after_a_good_one_fails_in_its_turn(tmp_path, monkeypatch, capsys):
-    good = filtered_png(tmp_path / "a.png", 0, 16, 16)
-    blob = bytearray(Path(filtered_png(tmp_path / "b.png", 1, 16, 16)).read_bytes())
+def corrupt_png(path):
+    blob = bytearray(Path(filtered_png(path, 1, 16, 16)).read_bytes())
     blob[-1] ^= 0xFF  # corrupt the IEND CRC
-    bad = tmp_path / "b.png"
-    bad.write_bytes(bytes(blob))
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, error",
+    [
+        ("b.png", corrupt_png, "PNG chunk b'IEND' fails its checksum"),
+        # a PPM in a sweep that lists a PNG is decoded in the decoder too
+        ("b.ppm", lambda path: path.write_bytes(b"P6\n16 16\n255\n" + bytes(10)),
+         "PPM pixel data truncated"),
+    ],
+    ids=["png", "ppm"],
+)
+def test_a_corrupt_png_after_a_good_one_fails_in_its_turn(
+    tmp_path, monkeypatch, capsys, name, corrupt, error
+):
+    good = filtered_png(tmp_path / "a.png", 0, 16, 16)
+    bad = tmp_path / name
+    corrupt(bad)
     gt = write_jsonl(
         tmp_path / "gt.jsonl",
         [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
@@ -554,7 +570,7 @@ def test_a_corrupt_png_after_a_good_one_fails_in_its_turn(tmp_path, monkeypatch,
     assert main(["sweep", "--config", str(config_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: {bad}: PNG chunk b'IEND' fails its checksum" in captured.err
+    assert f"error: {bad}: {error}" in captured.err
     # the error came in b's turn: every request of a had gone out
     assert sent == ["1/a", "5/a"]
 
