@@ -75,7 +75,12 @@ def cmd_decompose(parser, args):
         _at_least(parser, 0, seed=args.seed)
     if args.gamma is not None and not 0.0 <= args.gamma <= 1.0:
         parser.error(f"--gamma must lie in [0, 1], got {args.gamma:g}")
-    if os.path.realpath(args.out_low) == os.path.realpath(args.out_high):
+    # realpath sees symlinks; samefile sees hard links, once both exist
+    if os.path.realpath(args.out_low) == os.path.realpath(args.out_high) or (
+        os.path.exists(args.out_low)
+        and os.path.exists(args.out_high)
+        and os.path.samefile(args.out_low, args.out_high)
+    ):
         parser.error("--out-low and --out-high name the same file")
     # both outputs' formats are known before anything is read or written
     image_encoder(args.out_low)

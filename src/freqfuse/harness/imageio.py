@@ -90,11 +90,12 @@ def read_image(path) -> np.ndarray:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def float_pixels(pixels) -> np.ndarray:
-    """read_image's (h, w, 3) uint8 pixels as load_image returns them."""
+def float_pixels(pixels, dtype=float) -> np.ndarray:
+    """read_image's (h, w, 3) uint8 pixels as load_image returns them, in
+    dtype. In float32 each value is float32(x / 255.0), bit for bit."""
     # one float buffer: the cast gathers the bytes into planes, then it is
     # scaled in place
-    floats = pixels.transpose(2, 0, 1).astype(float, order="C")
+    floats = pixels.transpose(2, 0, 1).astype(dtype, order="C")
     floats /= 255.0
     return floats.transpose(1, 2, 0)
 
@@ -255,10 +256,10 @@ def _paeth_table() -> bytes:
 
     p - a = d, p - b = u and p - c = u + d, so the choice depends on u and d
     alone: u (take a), d (take b) or 0 (take c), ties in that order. Cell
-    ((u + 255) << 9) + (d + 255) holds it; built on first use, not on import.
+    ((d + 255) << 9) + (u + 255) holds it; built on first use, not on import.
     """
-    u = np.arange(-255, 257, dtype=np.int16)[:, None]
-    d = np.arange(-255, 257, dtype=np.int16)
+    d = np.arange(-255, 257, dtype=np.int16)[:, None]
+    u = np.arange(-255, 257, dtype=np.int16)
     pa, pb, pc = abs(d), abs(u), abs(u + d)
     take = np.where((pa <= pb) & (pa <= pc), u, np.where(pb <= pc, d, 0))
     return (take & 0xFF).astype(np.uint8).tobytes()
@@ -266,18 +267,18 @@ def _paeth_table() -> bytes:
 
 def _undo_paeth(row, prior):
     # The decoded byte is (x + c + T[cell]) & 255, and the cell of (a, b, c)
-    # is (a << 9) + k with k = ((255 - c) << 9) + (b - c + 255): numpy builds
-    # k and x + c for the row, and only the lookup runs per byte.
+    # is k + a with k = ((b - c + 255) << 9) + 255 - c: numpy builds k and
+    # x + c for the row, and only an add and the lookup run per byte.
     table = _paeth_table()
     c = np.zeros(len(row), np.intp)
     c[3:] = prior[:-3]
-    ks = (((255 - c) << 9) + (prior - c + 255)).tolist()
+    ks = (((prior - c + 255) << 9) + 255 - c).tolist()
     ys = (row + c).tolist()
     decoded = bytearray(len(row))
     for ch in range(3):
         a = 0
         decoded[ch::3] = [
-            a := (y + table[(a << 9) + k]) & 0xFF
+            a := (y + table[k + a]) & 0xFF
             for y, k in zip(ys[ch::3], ks[ch::3])
         ]
     row[:] = np.frombuffer(decoded, np.uint8)

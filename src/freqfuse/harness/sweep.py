@@ -11,16 +11,18 @@ process, and scored against ground truth. One oracle process serves the
 whole sweep in one batch, started before any image is loaded: each
 export's request goes out as soon as it is written, under the id
 "<cutoff label>/<image id>", so the oracle answers while later exports are
-made. A sweep that lists a PNG has its images decoded in one forked
-process, as far ahead of the one being exported as a pipe holds, since PNG
-decoding is pure Python and would leave the second core idle; a PPM-only
-sweep loads each image in the parent. One CSV row per cutoff; results are
+made. A sweep that lists a PNG has its images decoded round-robin in
+forked processes, one per usable CPU and each into a pipe of its own, as
+far ahead of the one being exported as its pipe holds, since PNG decoding
+is pure Python and would leave the other cores idle; a PPM-only sweep
+loads each image in the parent. One CSV row per cutoff; results are
 all-or-nothing, a failure anywhere emits no partial rows.
 """
 
 import contextlib
 import dataclasses
 import fcntl
+import itertools
 import json
 import math
 import numbers
@@ -221,15 +223,26 @@ def _exports(config, ids, images, directory):
 DECODER_PIPE_BYTES = 1 << 20
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 @contextlib.contextmanager
 def _decoded(paths):
-    """An iterator over the float image of each path, as load_image gives it.
+    """An iterator over the float image of each path.
 
-    With no .png path, each image is loaded when it is taken. Otherwise one
-    forked process decodes them all in order into a pipe, as far ahead of
-    the image taken as the pipe holds, while the caller filters and exports
-    that image: PNG decoding is pure Python, and the fork pays for itself
-    only there. The process is killed and reaped on the way out.
+    With no .png path, each image is loaded when it is taken, as load_image
+    gives it. Otherwise n forked processes, one per usable CPU up to one per
+    image, decode them while the caller filters and exports the image taken:
+    decoder j decodes paths[j::n] in order into a pipe of its own, as far
+    ahead as that pipe holds, and image i is taken from pipe i % n, in
+    float32: load_image's values cast to the sweep's precision. PNG decoding
+    is pure Python, and the forks pay for themselves only there. Every
+    decoder is killed and reaped on the way out.
     """
     if not any(p.lower().endswith(".png") for p in paths):
         yield map(load_image, paths)
@@ -239,34 +252,48 @@ def _decoded(paths):
 
     # fork, not the platform default, which becomes forkserver on Python 3.14
     context = multiprocessing.get_context("fork")
-    from_decoder, results = context.Pipe(duplex=False)
-    with from_decoder, results:
-        # room for decoded images, so that the decoder goes on without
-        # waiting for each to be taken; Linux only, and up to the system's
-        # pipe size limit: elsewhere, or past it, the decoder waits sooner
-        with contextlib.suppress(AttributeError, OSError):
-            fcntl.fcntl(results.fileno(), fcntl.F_SETPIPE_SZ, DECODER_PIPE_BYTES)
-        # the paths reach the decoder through the fork: nothing is sent to it
-        decoder = context.Process(target=_decode, args=(paths, results, from_decoder))
-        decoder.start()
-        try:
-            results.close()  # only the decoder writes: its exit is EOF here
-            yield _received(paths, decoder, from_decoder)
-        finally:
+    n = min(_usable_cpus(), len(paths))
+    pipes, decoders = [], []
+    try:
+        for j in range(n):
+            from_decoder, results = context.Pipe(duplex=False)
+            pipes.append(from_decoder)
+            # only decoder j holds this end once the parent's is closed, so
+            # its exit is EOF here; decoders forked later never see it
+            with results:
+                # room for decoded images, so that the decoder goes on without
+                # waiting for each to be taken; Linux only, and up to the
+                # system's pipe size limit: elsewhere, or past it, it waits sooner
+                with contextlib.suppress(AttributeError, OSError):
+                    fcntl.fcntl(results.fileno(), fcntl.F_SETPIPE_SZ, DECODER_PIPE_BYTES)
+                # the paths reach the decoder through the fork: nothing is sent
+                decoder = context.Process(
+                    target=_decode, args=(paths[j::n], results, tuple(pipes))
+                )
+                decoder.start()
+                decoders.append(decoder)
+        yield _received(paths, decoders, pipes)
+    finally:
+        for decoder in decoders:
             decoder.kill()
+        for decoder in decoders:
             decoder.join()
             decoder.close()
+        for from_decoder in pipes:
+            from_decoder.close()
 
 
-def _decode(paths, results, from_decoder):
-    """The decoder process: each path's pixels as read_image returns them,
+def _decode(paths, results, parent_ends):
+    """A decoder process: each path's pixels as read_image returns them,
     one message each, or at the first error the error and nothing more. It
     runs read_image alone, no transform and no BLAS: a fork copies only the
     calling thread, and a lock that another thread of the parent held then
     stays held here."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
-    # the parent's end: with it closed here, the parent's exit breaks the pipe
-    from_decoder.close()
+    # the parent's ends of this pipe and of every pipe forked before it: with
+    # them closed here, the parent's exit breaks every decoder's pipe
+    for end in parent_ends:
+        end.close()
     try:
         for path in paths:
             try:
@@ -279,9 +306,12 @@ def _decode(paths, results, from_decoder):
         return  # the parent is gone, and nobody is left to tell
 
 
-def _received(paths, decoder, from_decoder):
-    """Each image in turn, from one message: its pixels or its error."""
-    for path in paths:
+def _received(paths, decoders, pipes):
+    """Each image in turn, from one message of the decoder that has it:
+    its pixels or its error."""
+    for path, (decoder, from_decoder) in zip(
+        paths, itertools.cycle(zip(decoders, pipes))
+    ):
         try:
             pixels = from_decoder.recv()
         except EOFError:
@@ -292,7 +322,8 @@ def _received(paths, decoder, from_decoder):
             ) from None
         if isinstance(pixels, BaseException):
             raise pixels
-        yield float_pixels(pixels)
+        # float32, as _exports takes the spectrum: no float64 copy is made
+        yield float_pixels(pixels, np.float32)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests through main(argv)."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -168,6 +169,23 @@ def test_decompose_one_file_for_both_outputs_is_usage_error(tmp_path, capsys, mo
     assert out == ""
     assert "--out-low and --out-high name the same file" in err
     assert sorted(tmp_path.iterdir()) == [src]
+
+
+def test_decompose_two_hard_links_to_one_file_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "src.ppm"
+    save_image(random_image(2, 8, 8), src)
+    low, high = tmp_path / "a.ppm", tmp_path / "b.ppm"
+    low.write_bytes(b"old")
+    os.link(low, high)
+    code, out, err = run(
+        capsys,
+        "decompose", "--input", str(src), "--cutoff", "3",
+        "--out-low", str(low), "--out-high", str(high),
+    )
+    assert code == 1
+    assert out == ""
+    assert "--out-low and --out-high name the same file" in err
+    assert low.read_bytes() == b"old"
 
 
 def test_decompose_zero_gamma_blacks_out(tmp_path, capsys):

@@ -16,6 +16,7 @@ from freqfuse.harness.imageio import (
     ImageError,
     UnsupportedImageError,
     _paeth_table,
+    float_pixels,
     load_image,
     read_image,
     save_image,
@@ -195,6 +196,17 @@ def test_direct_p6_decode(tmp_path):
     assert np.array_equal(img[0, 1], [0.0, 0.0, 1.0])
 
 
+def test_float32_pixels_are_the_float64_values_cast():
+    # every byte value, so every pixel of every image: the sweep takes its
+    # spectrum of either in float32, and gets the same bits
+    pixels = np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2)
+    floats = float_pixels(pixels, np.float32)
+    assert floats.dtype == np.float32
+    assert floats.transpose(2, 0, 1).flags.c_contiguous  # planar, as float64
+    want = float_pixels(pixels).astype(np.float32)
+    assert np.array_equal(floats.view(np.uint32), want.view(np.uint32))
+
+
 def test_ppm_header_comments(tmp_path):
     path = tmp_path / "c.ppm"
     path.write_bytes(b"P6 # eh\n# full line\n1 1 # dims\n255\n\xff\x00\x00")
@@ -347,7 +359,7 @@ def test_paeth_table_matches_the_naive_predictor_on_every_reachable_cell():
             lo, hi = max(0, -u, -d), min(255, 255 - u, 255 - d)
             if lo > hi:
                 continue
-            cell = table[((u + 255) << 9) + (d + 255)]
+            cell = table[((d + 255) << 9) + (u + 255)]
             for c in {lo, hi}:
                 assert (naive_paeth(c + u, c + d, c) - c) % 256 == cell, (u, d, c)
             checked += 1

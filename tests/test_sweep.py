@@ -444,6 +444,26 @@ def test_a_sweep_with_a_png_matches_decoding_each_image_with_load_image(
     assert len({line.split(",", 1)[1] for line in csv.splitlines()[1:]}) > 1
 
 
+def fork_decoders(monkeypatch, n):
+    """Have a sweep that lists a PNG see n usable CPUs, whatever the
+    machine's count: it forks n decoders, or one per image if fewer."""
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: n)
+
+
+def recorded_decoders(monkeypatch):
+    """The list that the decoder processes of each sweep are put in, in
+    order, as the sweep takes its first image."""
+    decoders = []
+    received = sweep._received
+
+    def recording(paths, forked, pipes):
+        decoders[:] = forked
+        return received(paths, forked, pipes)
+
+    monkeypatch.setattr(sweep, "_received", recording)
+    return decoders
+
+
 def counted_forks(monkeypatch):
     forks = []
     fork = os.fork
@@ -472,10 +492,14 @@ def test_a_ppm_only_sweep_forks_nothing(tmp_path, monkeypatch):
     forks = counted_forks(monkeypatch)
     run_sweep(config)
     assert forks == []
-    # the count sees the decoder's fork: one per sweep that lists a PNG
+    # the count sees the decoders' forks: one per usable CPU, up to one per
+    # image, in a sweep that lists a PNG
     png = filtered_png(tmp_path / "b.png", 1, 16, 16)
-    run_sweep(dataclasses.replace(config, images=[paths[0], png]))
-    assert forks == [1]
+    for cpus, n in [(1, 1), (2, 2), (3, 2)]:
+        fork_decoders(monkeypatch, cpus)
+        forks.clear()
+        run_sweep(dataclasses.replace(config, images=[paths[0], png]))
+        assert forks == [1] * n
 
 
 def timed_closes(monkeypatch):
@@ -503,6 +527,7 @@ def test_a_png_sweeps_oracle_exits_by_itself(tmp_path, monkeypatch):
         tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
     )
     closes = timed_closes(monkeypatch)
+    fork_decoders(monkeypatch, 2)
     config = SweepConfig(
         mode="low",
         cutoffs=(1, 5),
@@ -567,17 +592,21 @@ def test_a_corrupt_png_after_a_good_one_fails_in_its_turn(
         "oracle": mock_command("--mode", "gt", "--ground-truth", gt),
         "ground_truth": gt,
     }))
-    assert main(["sweep", "--config", str(config_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"error: {bad}: {error}" in captured.err
-    # the error came in b's turn: every request of a had gone out
-    assert sent == ["1/a", "5/a"]
+    # with two decoders, b is the second decoder's
+    for n in (1, 2):
+        fork_decoders(monkeypatch, n)
+        sent.clear()
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {bad}: {error}" in captured.err
+        # the error came in b's turn: a was exported and its requests sent
+        assert sent == ["1/a", "5/a"]
 
 
 def stalled_decoder(monkeypatch, after=None, seconds=0.0, log=None):
-    """Patch read_image before the sweep forks its decoder, which inherits
-    the patch: the decoder reads `after` images, then sleeps `seconds`
+    """Patch read_image before the sweep forks its decoders, which inherit
+    the patch: each decoder reads `after` images, then sleeps `seconds`
     before it reads the next. With `log`, each read first appends its path
     to that file."""
     read = sweep.read_image
@@ -605,15 +634,15 @@ def test_a_killed_decoder_fails_the_sweep_within_a_second(tmp_path, monkeypatch,
     gt = write_jsonl(
         tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
     )
-    # the decoder sends img0, then sleeps until it is killed
+    # each decoder sends its first image, then sleeps until it is killed
     stalled_decoder(monkeypatch, after=1, seconds=60.0)
+    decoders = recorded_decoders(monkeypatch)
     killed = []
     save = sweep.save_image
 
     def killing_save(image, path):
         if not killed:
-            [decoder] = multiprocessing.active_children()
-            os.kill(decoder.pid, signal.SIGKILL)
+            os.kill(decoders[0].pid, signal.SIGKILL)
             killed.append(time.monotonic())
         save(image, path)
 
@@ -630,20 +659,24 @@ def test_a_killed_decoder_fails_the_sweep_within_a_second(tmp_path, monkeypatch,
     def hung(*_):
         raise Hung("the sweep did not fail within 10 s of the kill")
 
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.setitimer(signal.ITIMER_REAL, 10.0)
-    try:
-        code = main(["sweep", "--config", str(config_path)])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.monotonic() - killed[0] < 1.0
-    assert code == 2
-    err = capsys.readouterr().err
-    # the first image whose pixels the decoder had not sent when it died
-    assert re.search(
-        r"img1\.png: the image decoder process died \(exit code -9\)", err
-    ), err
+    for n in (1, 2):
+        fork_decoders(monkeypatch, n)
+        killed.clear()
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            code = main(["sweep", "--config", str(config_path)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - killed[0] < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        # the first image whose pixels the killed decoder had not sent: it
+        # decodes img0, img1, ... alone, and img0, img2, ... of two
+        assert re.search(
+            rf"img{n}\.png: the image decoder process died \(exit code -9\)", err
+        ), err
 
 
 def test_the_decoder_ignores_sigint(tmp_path, monkeypatch):
@@ -653,16 +686,24 @@ def test_the_decoder_ignores_sigint(tmp_path, monkeypatch):
     gt = write_jsonl(
         tmp_path / "gt.jsonl", [{"id": i, "ground_truth": ["dog"]} for i in ids]
     )
-    # the decoder sends img0 and is still alive, asleep, at the first export
-    stalled_decoder(monkeypatch, after=1, seconds=2.0)
+    # each decoder sends its first image and is still alive, asleep, at the
+    # first export
+    log = tmp_path / "reads.log"
+    stalled_decoder(monkeypatch, after=1, seconds=2.0, log=log)
+    fork_decoders(monkeypatch, 2)
+    decoders = recorded_decoders(monkeypatch)
     save = sweep.save_image
     interrupted = []
 
     def interrupting_save(image, path):
         if not interrupted:
-            [decoder] = multiprocessing.active_children()
-            os.kill(decoder.pid, signal.SIGINT)
-            interrupted.append(decoder.pid)
+            # once each decoder has read an image, its SIGINT is ignored
+            deadline = time.monotonic() + 10.0
+            while len(log.read_text().splitlines()) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for decoder in decoders:
+                os.kill(decoder.pid, signal.SIGINT)
+                interrupted.append(decoder.pid)
             time.sleep(0.2)
         save(image, path)
 
@@ -677,7 +718,7 @@ def test_the_decoder_ignores_sigint(tmp_path, monkeypatch):
     assert run_sweep(config).to_csv().splitlines()[1:] == [
         "1,0.000000,0.000000,4", "5,0.000000,0.000000,4"
     ]
-    assert interrupted
+    assert len(interrupted) == 2
 
 
 def png_sweep(tmp_path, n, h, w):
@@ -700,15 +741,16 @@ def png_sweep(tmp_path, n, h, w):
 
 
 def exit_before_the_first_image(monkeypatch):
-    """The sweep takes its first image only once the decoder has exited.
-    Returns the list that the decoder's exit code is appended to."""
+    """The sweep takes its first image only once every decoder has exited.
+    Returns the list that the decoders' exit codes are appended to."""
     exit_codes = []
     received = sweep._received
 
-    def received_after_the_exit(paths, decoder, from_decoder):
-        decoder.join(10.0)
-        exit_codes.append(decoder.exitcode)
-        yield from received(paths, decoder, from_decoder)
+    def received_after_the_exit(paths, decoders, pipes):
+        for decoder in decoders:
+            decoder.join(10.0)
+            exit_codes.append(decoder.exitcode)
+        yield from received(paths, decoders, pipes)
 
     monkeypatch.setattr(sweep, "_received", received_after_the_exit)
     return exit_codes
@@ -718,26 +760,35 @@ def test_a_decoder_that_has_exited_leaves_every_image_in_the_pipe(tmp_path, monk
     # EOF after the last image is no error
     config, csv = png_sweep(tmp_path, 3, 16, 16)
     exit_codes = exit_before_the_first_image(monkeypatch)
-    assert run_sweep(config).to_csv() == csv
-    assert exit_codes == [0]
+    for n in (1, 2):
+        fork_decoders(monkeypatch, n)
+        exit_codes.clear()
+        assert run_sweep(config).to_csv() == csv
+        assert exit_codes == [0] * n
 
 
 def test_the_decoder_stops_at_its_first_error(tmp_path, monkeypatch):
-    config, _ = png_sweep(tmp_path, 3, 16, 16)
-    bad = config.images[0]
+    config, _ = png_sweep(tmp_path, 4, 16, 16)
+    bad = config.images[1]
     Path(bad).write_bytes(b"GIF89a")
     log = tmp_path / "reads.log"
     stalled_decoder(monkeypatch, log=log)
     exit_codes = exit_before_the_first_image(monkeypatch)
-    with pytest.raises(ImageError, match=re.escape(f"{bad}: not a P6 PPM or PNG file")):
-        run_sweep(config)
-    assert exit_codes == [0]
-    assert log.read_text().splitlines() == [bad]
+    # one decoder reads img0 and img1, and stops; of two, the first reads
+    # img0 and img2, and the second img1, and stops before img3
+    for n, reads in [(1, [0, 1]), (2, [0, 1, 2])]:
+        fork_decoders(monkeypatch, n)
+        exit_codes.clear()
+        log.write_text("")
+        with pytest.raises(ImageError, match=re.escape(f"{bad}: not a P6 PPM or PNG file")):
+            run_sweep(config)
+        assert exit_codes == [0] * n
+        assert sorted(log.read_text().splitlines()) == [config.images[i] for i in reads]
 
 
 def test_the_decoder_runs_ahead_only_as_far_as_the_pipe_holds(tmp_path, monkeypatch):
     h, w = 224, 224
-    config, csv = png_sweep(tmp_path, 12, h, w)
+    config, csv = png_sweep(tmp_path, 16, h, w)
     log = tmp_path / "reads.log"
     stalled_decoder(monkeypatch, log=log)
     counts = []
@@ -745,7 +796,7 @@ def test_the_decoder_runs_ahead_only_as_far_as_the_pipe_holds(tmp_path, monkeypa
 
     def stalled_save(image, path):
         if not counts:
-            # before the first export, until the decoder has read nothing
+            # before the first export, until the decoders have read nothing
             # for half a second
             reads = None
             for _ in range(40):
@@ -758,11 +809,16 @@ def test_the_decoder_runs_ahead_only_as_far_as_the_pipe_holds(tmp_path, monkeypa
         save(image, path)
 
     monkeypatch.setattr(sweep, "save_image", stalled_save)
-    assert run_sweep(config).to_csv() == csv
-    # the image taken, the images the pipe holds, and one being written
-    limit = sweep.DECODER_PIPE_BYTES // (3 * h * w) + 2
-    assert counts[0] <= limit < len(config.images)
-    assert len(log.read_text().splitlines()) == len(config.images)
+    for n in (1, 2):
+        fork_decoders(monkeypatch, n)
+        counts.clear()
+        log.write_text("")
+        assert run_sweep(config).to_csv() == csv
+        # the image taken, and per decoder the images its pipe holds and one
+        # being written
+        limit = 1 + n * (sweep.DECODER_PIPE_BYTES // (3 * h * w) + 1)
+        assert counts[0] <= limit < len(config.images)
+        assert len(log.read_text().splitlines()) == len(config.images)
 
 
 def test_the_decoder_returns_quietly_when_the_parent_is_gone(tmp_path):
@@ -771,50 +827,68 @@ def test_the_decoder_returns_quietly_when_the_parent_is_gone(tmp_path):
     from_decoder.close()
     previous = signal.getsignal(signal.SIGINT)
     try:
-        assert sweep._decode([path], results, from_decoder) is None
+        assert sweep._decode([path], results, [from_decoder]) is None
     finally:
         signal.signal(signal.SIGINT, previous)
         results.close()
 
 
-# argv: a config and a log. The sweep's decoder appends each path it reads
-# to the log and takes 0.3 s an image; the sweep's own process dies at its
-# first export.
+# argv: a config, a log and a decoder count n. Each of the sweep's decoders
+# appends each path it reads to the log, and reads its second image only
+# once the sweep's own process is gone; that process dies at the first
+# export of img<n - 1>, once it has taken each decoder's first image.
 DYING_SWEEP = """
 import os, signal, sys, time
 from freqfuse.harness import sweep
 from freqfuse.harness.cli import main
-read = sweep.read_image
+read, save = sweep.read_image, sweep.save_image
+n = int(sys.argv[3])
+sweep_pid = os.getpid()
+reads = []
 
 def slow_read(path):
     with open(sys.argv[2], "a") as log:
         log.write(path + "\\n")
-    time.sleep(0.3)
+    deadline = time.monotonic() + 10.0
+    while reads and os.getppid() == sweep_pid and time.monotonic() < deadline:
+        time.sleep(0.01)
+    reads.append(path)
     return read(path)
 
 def dying_save(image, path):
-    os.kill(os.getpid(), signal.SIGKILL)
+    if path.stem == f"img{n - 1}":
+        os.kill(os.getpid(), signal.SIGKILL)
+    save(image, path)
 
 sweep.read_image, sweep.save_image = slow_read, dying_save
+sweep._usable_cpus = lambda: n
 main(["sweep", "--config", sys.argv[1]])
 """
 
 
 def test_a_decoder_whose_parent_dies_stops_quietly(tmp_path):
     config, _ = png_sweep(tmp_path, 6, 16, 16)
+    # an oracle that answers nothing: a reply written after the sweep's
+    # process died would be the captioner's broken pipe, on stderr
+    config = dataclasses.replace(
+        config, oracle=[sys.executable, "-c", "import sys; sys.stdin.read()"]
+    )
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps(dataclasses.asdict(config)))
     log = tmp_path / "reads.log"
-    # the decoder and the oracle hold stderr too: it ends when they exit
-    proc = subprocess.run(
-        [sys.executable, "-c", DYING_SWEEP, str(config_path), str(log)],
-        capture_output=True,
-        timeout=30,
-    )
-    assert proc.returncode == -signal.SIGKILL
-    assert proc.stderr == b""
-    # it stopped at the first image it could not send, not at the last
-    assert len(log.read_text().splitlines()) < len(config.images)
+    for n in (1, 2):
+        log.write_text("")
+        # the decoders and the oracle hold stderr too: it ends when they exit
+        proc = subprocess.run(
+            [sys.executable, "-c", DYING_SWEEP, str(config_path), str(log), str(n)],
+            capture_output=True,
+            timeout=30,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        assert proc.stderr == b""
+        # each decoder stopped at the first image it could not send, its
+        # second: the pipe of each is broken once the sweep's process is gone
+        assert sorted(log.read_text().splitlines()) == list(config.images[: 2 * n])
 
 
 def slow_mock(delay, *extra):
