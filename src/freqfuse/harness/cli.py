@@ -195,10 +195,14 @@ def cmd_mock_oracle(parser, args):
         given["objects"] = tuple(o for o in names if o)
     if "ground_truth" in given:
         given["ground_truth"] = load_ground_truth(given["ground_truth"])
-    mock_oracle_loop(args.mode, sys.stdin, sys.stdout, **given)
-    # every reply is written: skip the interpreter's teardown, which the
-    # harness's close() would otherwise wait out
-    sys.stdout.flush()
+    try:
+        mock_oracle_loop(args.mode, sys.stdin, sys.stdout, **given)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass  # the reader is gone, and nobody is left to tell
+    # every reply is written or has no reader: skip the interpreter's
+    # teardown, which the harness's close() would otherwise wait out, and
+    # which would report the unflushed replies of a broken pipe
     os._exit(EXIT_OK)
 
 

@@ -254,6 +254,10 @@ def _decoded(paths):
     context = multiprocessing.get_context("fork")
     n = min(_usable_cpus(), len(paths))
     pipes, decoders = [], []
+    # SIGINT stays blocked across the forks, so that one arriving before a
+    # decoder ignores it stays pending there until _decode discards it; the
+    # parent's mask is back before the captioner starts, or a fork fails
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for j in range(n):
             from_decoder, results = context.Pipe(duplex=False)
@@ -272,8 +276,10 @@ def _decoded(paths):
                 )
                 decoder.start()
                 decoders.append(decoder)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         yield _received(paths, decoders, pipes)
     finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for decoder in decoders:
             decoder.kill()
         for decoder in decoders:
@@ -290,6 +296,8 @@ def _decode(paths, results, parent_ends):
     calling thread, and a lock that another thread of the parent held then
     stays held here."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
+    # blocked since the fork: a SIGINT pending from then is discarded
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     # the parent's ends of this pipe and of every pipe forked before it: with
     # them closed here, the parent's exit breaks every decoder's pipe
     for end in parent_ends:

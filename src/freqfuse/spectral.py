@@ -12,10 +12,11 @@ and branches, a complex128 one float64. Only the sweep's exports, which
 are quantized to 8 bits, ask for single precision; every other result is
 float64, whatever the input's dtype. Both transforms run the 1-D steps of
 rfft2 and irfft2 themselves, the complex step in place, so each takes at
-most one full-size buffer besides its result. decompose is filter_branch
-for each branch of one image_spectrum. The masks are exact complements, so
-undamped components sum back to the image. decompose_attenuated multiplies
-each mask by a damping gain first.
+most one full-size buffer besides its result. decompose inverts the low
+branch alone and returns the image minus it as the high branch: the masks
+are exact complements, so that is filter_branch's high branch up to
+round-off (about 1e-15 on [0, 1] images). decompose_attenuated multiplies
+each mask by a damping draw of its own first, so it inverts both branches.
 Outputs are not clamped to [0, 1]; export clamps.
 
 Spectra and branches keep the (h, w, 3) shape but live in channel-planar
@@ -176,20 +177,24 @@ def image_spectrum(image, dtype=np.float64) -> ImageSpectrum:
     """
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
-    return _forward(validate_image(image), dtype)
+    return _forward(_planar(validate_image(image), dtype))
 
 
-def _forward(arr, dtype):
-    # The numpy transforms keep the memory order of their input, and run
-    # faster over channel-planar memory; every value is the same either way.
-    # The planar copy is also the cast, so an image that is already planar
-    # and of dtype, as load_image returns it for float64, is not copied.
-    planar = np.ascontiguousarray(arr.transpose(2, 0, 1), dtype=dtype).transpose(1, 2, 0)
+def _planar(arr, dtype):
+    """arr cast to dtype in channel-planar memory. The numpy transforms keep
+    the memory order of their input, and run faster over channel-planar
+    memory; every value is the same either way. The planar copy is also the
+    cast, so an image that is already planar and of dtype, as load_image
+    returns it for float64, is arr itself, not a copy."""
+    return np.ascontiguousarray(arr.transpose(2, 0, 1), dtype=dtype).transpose(1, 2, 0)
+
+
+def _forward(planar):
     # rfft2's two steps, the second in place: the same calls, so the same bits
     norm = _norm(planar)
     half = np.fft.rfft(planar, axis=1, norm=norm)
     np.fft.fft(half, axis=0, out=half, norm=norm)
-    return ImageSpectrum(half, arr.shape[:2])
+    return ImageSpectrum(half, planar.shape[:2])
 
 
 def _norm(arr):
@@ -211,11 +216,18 @@ def _damped_weight(mask, gain):
     it exactly. The mask is even, so only the gain is gathered at -k.
     """
     h, w, _ = gain.shape
-    half = w // 2 + 1
+    # unshifted cell (r, c) is centered cell ((r + h//2) % h, (c + w//2) % w),
+    # and its mirror (-r, -c) is centered cell ((h//2 - r) % h, (w//2 - c) % w);
+    # one take per axis, columns first, is faster than indexing both at once
+    rows, cols = np.arange(h), np.arange(w // 2 + 1)
+    g = gain.take((cols + w // 2) % w, axis=1).take((rows + h // 2) % h, axis=0)
+    mirror = gain.take((w // 2 - cols) % w, axis=1).take((h // 2 - rows) % h, axis=0)
     m = mask[:, :, None]
-    g = np.fft.ifftshift(gain, axes=(0, 1))
-    mirror = g[(-np.arange(h) % h)[:, None], -np.arange(half) % w]
-    return (m * g[:, :half] + m * mirror) / 2.0
+    g *= m
+    mirror *= m
+    g += mirror
+    g /= 2.0
+    return g
 
 
 def _weighted(spectrum, weight):
@@ -252,12 +264,17 @@ def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndar
 def decompose(image, cutoff: float = DEFAULT_CUTOFF):
     """Split an image into its low- and high-frequency components.
 
-    filter_branch for each branch of one image_spectrum: (low, high) as
-    (h, w, 3) float arrays in channel-planar memory, with low + high ==
-    image up to transform round-off. Not clamped.
+    (low, high) as (h, w, 3) float64 arrays in channel-planar memory: low is
+    filter_branch(image_spectrum(image), cutoff, "low"), bit for bit, and
+    high is the image minus low, one inverse transform fewer. The masks are
+    exact complements, so high equals filter_branch's "high" branch up to
+    transform round-off (about 1e-15 on [0, 1] images), and low + high ==
+    image up to the round-off of one subtraction. Not clamped.
     """
-    spectrum = image_spectrum(image)
-    return tuple(filter_branch(spectrum, cutoff, which) for which in BRANCHES)
+    planar = _planar(validate_image(image), np.float64)
+    low = filter_branch(_forward(planar), cutoff, "low")
+    # a new array: planar may be the caller's own image
+    return low, planar - low
 
 
 def _draw_gains(h, w, spec, count):

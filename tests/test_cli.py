@@ -591,6 +591,19 @@ def test_mock_oracle_malformed_request_is_oracle_error(mode, line):
     assert proc.stdout == ""
 
 
+def test_mock_oracle_whose_reader_is_gone_exits_quietly():
+    # as when the sweep's process dies with replies owed: the reply meets a
+    # broken pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freqfuse", "mock-oracle", "--mode", "echo"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(b'{"id": "a", "image": "a.ppm"}\n', timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from freqfuse import spectral
 from freqfuse.encoder import EncoderConfig, patch_tokens
-from freqfuse.harness.imageio import save_image
+from freqfuse.harness.imageio import load_image, save_image
 from freqfuse.spectral import (
     AttenuationSpec,
     attenuation_matrix,
@@ -190,26 +190,58 @@ def test_filter_branch_naive_oracle_property(h, w, cutoff, seed):
         assert np.abs(got - want).max() < 1e-9
 
 
+def assert_decompose_is_low_and_the_rest(img, spectrum, cutoff):
+    """decompose's low branch is filter_branch's, bit for bit; its high
+    branch is the float64 image minus that, bit for bit, and within
+    round-off of filter_branch's high branch."""
+    low, high = decompose(img, cutoff)
+    assert np.array_equal(low, filter_branch(spectrum, cutoff, "low"))
+    assert np.array_equal(high, np.asarray(img, dtype=np.float64) - low)
+    assert np.abs(filter_branch(spectrum, cutoff, "high") - high).max() <= 1e-12
+
+
 @pytest.mark.parametrize("h, w", [(224, 224), (375, 500), (1, 1)])
-def test_filter_branch_bit_identical_to_decompose(h, w):
+def test_decompose_is_filter_branchs_low_and_the_image_minus_it(h, w):
     img = random_image(np.random.default_rng(h + w), h, w)
     spectrum = image_spectrum(img)
     for cutoff in (1.0, 30.0, 120.0):
-        for which, want in zip(("low", "high"), decompose(img, cutoff)):
-            assert np.array_equal(filter_branch(spectrum, cutoff, which), want)
+        assert_decompose_is_low_and_the_rest(img, spectrum, cutoff)
 
 
-def test_filter_branch_bit_identical_across_shapes():
+def test_decompose_is_filter_branchs_low_and_the_image_minus_it_across_shapes():
     # widths 4 and 5 have the same half-spectrum width, 3
     images = [random_image(np.random.default_rng(s), 6, w)
               for s, w in enumerate((4, 5, 4))]
     spectra = [image_spectrum(img) for img in images]
     for cutoff in (1.0, 2.5):
-        for which in ("low", "high"):
-            for img, spectrum in zip(images, spectra):
-                want = decompose(img, cutoff)[("low", "high").index(which)]
-                got = filter_branch(spectrum, cutoff, which)
-                assert np.array_equal(got, want)
+        for img, spectrum in zip(images, spectra):
+            assert_decompose_is_low_and_the_rest(img, spectrum, cutoff)
+
+
+def test_decompose_takes_one_inverse_transform(monkeypatch):
+    img = random_image(np.random.default_rng(17), 12, 10)
+    inverted = []
+    original = spectral._inverse
+
+    def counted(prod, w):
+        inverted.append(prod.shape)
+        return original(prod, w)
+
+    monkeypatch.setattr(spectral, "_inverse", counted)
+    decompose(img, 3.0)
+    assert inverted == [(12, 6, 3)]
+
+
+def test_decompose_leaves_a_loaded_image_alone(tmp_path):
+    # load_image gives float64 channel-planar memory, which decompose
+    # transforms as it stands, without a copy
+    save_image(random_image(np.random.default_rng(18), 9, 7), tmp_path / "a.ppm")
+    img = load_image(tmp_path / "a.ppm")
+    assert img.dtype == np.float64 and img.transpose(2, 0, 1).flags.c_contiguous
+    before = img.copy()
+    low, high = decompose(img, 2.0)
+    assert np.array_equal(img, before)
+    assert not np.shares_memory(high, img) and not np.shares_memory(low, img)
 
 
 def test_filter_branch_leaves_the_spectrum_alone():

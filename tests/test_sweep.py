@@ -721,6 +721,36 @@ def test_the_decoder_ignores_sigint(tmp_path, monkeypatch):
     assert len(interrupted) == 2
 
 
+# argv: a config. Every process forked in the sweep's process sends itself
+# SIGINT as soon as it exists, before any code of its own runs; the sweep
+# sees two CPUs, so it forks two decoders. A decoder that takes the signal
+# there raises KeyboardInterrupt in the hook, which reports it on stderr; a
+# moment later, the same signal would kill the decoder.
+FORK_INTERRUPTED_SWEEP = """
+import os, signal, sys
+from freqfuse.harness import sweep
+from freqfuse.harness.cli import main
+os.register_at_fork(after_in_child=lambda: os.kill(os.getpid(), signal.SIGINT))
+sweep._usable_cpus = lambda: 2
+sys.exit(main(["sweep", "--config", sys.argv[1]]))
+"""
+
+
+def test_a_sigint_right_after_a_decoders_fork_is_ignored(tmp_path):
+    # at-fork hooks cannot be removed, so the sweep runs in a process of its own
+    config, csv = png_sweep(tmp_path, 4, 16, 16)
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(dataclasses.asdict(config)))
+    proc = subprocess.run(
+        [sys.executable, "-c", FORK_INTERRUPTED_SWEEP, str(config_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == csv
+
+
 def png_sweep(tmp_path, n, h, w):
     """A low-pass sweep of n natural PNGs of h x w at cutoffs 1 and 5, the
     gt mock naming a dog in every one: each row reads 0, 0, n."""
