@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import validate_image
+from .spectral import check_seed, validate_image
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class EncoderConfig:
             raise ValueError(f"patch_size must be >= 1, got {self.patch_size}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        check_seed("projection_seed", self.projection_seed)
 
 
 def projection_matrix(cfg: EncoderConfig) -> np.ndarray:

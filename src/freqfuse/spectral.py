@@ -11,13 +11,18 @@ precision follows the spectrum: a complex64 spectrum gives float32 masks
 and branches, a complex128 one float64. Only the sweep's exports, which
 are quantized to 8 bits, ask for single precision; every other result is
 float64, whatever the input's dtype. Both transforms run the 1-D steps of
-rfft2 and irfft2 themselves, the complex step in place, so each takes at
-most one full-size buffer besides its result. decompose inverts the low
-branch alone and returns the image minus it as the high branch: the masks
-are exact complements, so that is filter_branch's high branch up to
-round-off (about 1e-15 on [0, 1] images). decompose_attenuated multiplies
-each mask by a damping draw of its own first, so it inverts both branches.
-Outputs are not clamped to [0, 1]; export clamps.
+rfft2 and irfft2 themselves, the complex step in place: the forward
+allocates its half spectrum and the inverse its branch, nothing else of
+full size, because a branch's half spectrum is weighted and inverted in
+place. filter_branch copies the spectrum first, as it is the caller's;
+decompose and decompose_attenuated build their own spectrum and drop it on
+return, so they weight it as it is for the last branch they take from it.
+decompose inverts the low branch alone and returns the image minus it as
+the high branch: the masks are exact complements, so that is
+filter_branch's high branch up to round-off (about 1e-15 on [0, 1] images).
+decompose_attenuated multiplies each mask by a damping draw of its own
+first, so it inverts both branches, the low one from a copy. Outputs are
+not clamped to [0, 1]; export clamps.
 
 Spectra and branches keep the (h, w, 3) shape but live in channel-planar
 memory, each channel one contiguous block: the transforms run faster there
@@ -66,6 +71,14 @@ class AttenuationSpec:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.mode not in (MODE_RANDOM, MODE_CONSTANT):
             raise ValueError(f"unknown attenuation mode {self.mode!r}")
+        check_seed("seed", self.seed)
+
+
+def check_seed(field, seed):
+    """ValueError naming field unless seed is a non-negative int, as numpy's
+    generators take it; a bool is refused, though Python counts it an int."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"{field} must be a non-negative int, got {seed!r}")
 
 
 def float_image(image) -> np.ndarray:
@@ -230,21 +243,25 @@ def _damped_weight(mask, gain):
     return g
 
 
-def _weighted(spectrum, weight):
-    """spectrum.half * weight, a real weight, signed zeros aside: a copy
-    weighted in place, where a broadcast complex-by-real product would hold
-    an iterator buffer of up to 128 KiB besides."""
-    prod = spectrum.half.copy(order="K")
-    prod.real *= weight
-    prod.imag *= weight
-    return prod
+def _branch(half, weight, w):
+    """The inverse of half * weight, a real weight, signed zeros aside.
+
+    half is weighted in place, where a broadcast product would hold an
+    iterator buffer of up to 128 KiB besides, and then overwritten: the
+    caller gives a half spectrum of its own, a copy where the spectrum must
+    survive, and weight as a temporary, freed before the inverse allocates:
+    fewer page faults, faster."""
+    half.real *= weight
+    half.imag *= weight
+    del weight
+    return _inverse(half, w)
 
 
-def _inverse(prod, w):
-    # irfft2's two steps, the first in place on the weighted copy
-    norm = _norm(prod)
-    np.fft.ifft(prod, axis=0, out=prod, norm=norm)
-    return np.fft.irfft(prod, n=w, axis=1, norm=norm)
+def _inverse(half, w):
+    # irfft2's two steps, the first in place on the weighted half spectrum
+    norm = _norm(half)
+    np.fft.ifft(half, axis=0, out=half, norm=norm)
+    return np.fft.irfft(half, n=w, axis=1, norm=norm)
 
 
 def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndarray:
@@ -253,12 +270,11 @@ def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndar
     The branch is float32 for a complex64 spectrum, float64 otherwise."""
     if which not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {which!r}")
-    # a mask of the spectrum's precision: a float64 one would upcast the product
-    real = spectrum.half.real.dtype
-    mask = _half_masks(*spectrum.shape, cutoff, real)[BRANCHES.index(which)]
-    prod = _weighted(spectrum, mask[:, :, None])
-    del mask  # before the inverse allocates: fewer page faults, faster
-    return _inverse(prod, spectrum.shape[1])
+    h, w = spectrum.shape
+    real = spectrum.half.real.dtype  # a float64 mask would upcast the product
+    # a copy to weight: the spectrum is the caller's, for every cutoff of a sweep
+    return _branch(spectrum.half.copy(order="K"),
+                   _half_masks(h, w, cutoff, real)[BRANCHES.index(which)][:, :, None], w)
 
 
 def decompose(image, cutoff: float = DEFAULT_CUTOFF):
@@ -272,7 +288,10 @@ def decompose(image, cutoff: float = DEFAULT_CUTOFF):
     image up to the round-off of one subtraction. Not clamped.
     """
     planar = _planar(validate_image(image), np.float64)
-    low = filter_branch(_forward(planar), cutoff, "low")
+    h, w = planar.shape[:2]
+    # the spectrum is this call's own: weighted as it is, and freed before
+    # high is allocated
+    low = _branch(_forward(planar).half, _half_masks(h, w, cutoff)[0][:, :, None], w)
     # a new array: planar may be the caller's own image
     return low, planar - low
 
@@ -295,7 +314,11 @@ def decompose_attenuated(image, cutoff: float, spec: AttenuationSpec):
     """Decompose with each branch's masked spectrum damped elementwise,
     by one damping draw per branch as AttenuationSpec describes."""
     spectrum = image_spectrum(image)
-    masks = _half_masks(*spectrum.shape, cutoff)
-    gains = _draw_gains(*spectrum.shape, spec, 2)[..., None]
-    weighted = (_weighted(spectrum, _damped_weight(m, g)) for m, g in zip(masks, gains))
-    return tuple(_inverse(prod, spectrum.shape[1]) for prod in weighted)
+    h, w = spectrum.shape
+    masks = _half_masks(h, w, cutoff)
+    gains = _draw_gains(h, w, spec, 2)[..., None]
+    # the low branch weights a copy, and the high branch, the spectrum's last
+    # use, the spectrum itself. The masks and draws live to the end: freed
+    # earlier, they left heap that raised the decompose benchmark's peak RSS
+    low = _branch(spectrum.half.copy(order="K"), _damped_weight(masks[0], gains[0]), w)
+    return low, _branch(spectrum.half, _damped_weight(masks[1], gains[1]), w)

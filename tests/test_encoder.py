@@ -100,3 +100,9 @@ def test_rejects_bad_config():
         EncoderConfig(patch_size=0, dim=2)
     with pytest.raises(ValueError):
         EncoderConfig(patch_size=2, dim=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_config_checks_its_seed_where_it_is_stored(seed):
+    with pytest.raises(ValueError, match="projection_seed must be a non-negative int"):
+        EncoderConfig(2, 4, projection_seed=seed)

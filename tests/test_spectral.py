@@ -244,6 +244,18 @@ def test_decompose_leaves_a_loaded_image_alone(tmp_path):
     assert not np.shares_memory(high, img) and not np.shares_memory(low, img)
 
 
+def test_decompose_attenuated_leaves_a_loaded_image_alone(tmp_path):
+    # the damped split weights its own spectrum in place, never the image
+    save_image(random_image(np.random.default_rng(19), 9, 7), tmp_path / "a.ppm")
+    img = load_image(tmp_path / "a.ppm")
+    assert img.dtype == np.float64 and img.transpose(2, 0, 1).flags.c_contiguous
+    before = img.copy()
+    low, high = decompose_attenuated(img, 2.0, AttenuationSpec(0.5, seed=4))
+    assert np.array_equal(img, before)
+    assert not np.shares_memory(high, img) and not np.shares_memory(low, img)
+    assert not np.shares_memory(low, high)
+
+
 def test_filter_branch_leaves_the_spectrum_alone():
     spectrum = image_spectrum(random_image(np.random.default_rng(15), 9, 10))
     before = spectrum.half.copy()
@@ -374,6 +386,24 @@ def test_filter_branch_allocates_one_half_spectrum_and_one_image():
     spectrum = image_spectrum(img)
     peak = traced_peak(lambda: filter_branch(spectrum, 7.0, "high"))
     assert peak <= 1.1 * (HALF_BYTES + IMAGE_BYTES)
+
+
+def test_decompose_of_a_planar_image_allocates_one_half_spectrum_and_one_image():
+    # the spectrum is weighted in place and freed before high is allocated,
+    # so low and high are the only full-size buffers at once
+    img = planar_copy(random_image(np.random.default_rng(7), BUDGET_H, BUDGET_W))
+    assert traced_peak(lambda: decompose(img, 7.0)) <= 1.1 * (HALF_BYTES + IMAGE_BYTES)
+
+
+def test_decompose_attenuated_allocates_one_spectrum_copy():
+    # while the low branch is inverted: the spectrum, the copy the low branch
+    # weights, the low branch, both masks and both (h, w) damping draws; the
+    # high branch then weights the spectrum itself, not a second copy
+    img = planar_copy(random_image(np.random.default_rng(8), BUDGET_H, BUDGET_W))
+    masks_bytes = 2 * BUDGET_H * (BUDGET_W // 2 + 1) * 8
+    draws_bytes = 2 * BUDGET_H * BUDGET_W * 8
+    peak = traced_peak(lambda: decompose_attenuated(img, 7.0, AttenuationSpec(0.5, seed=2)))
+    assert peak <= 1.1 * (2 * HALF_BYTES + IMAGE_BYTES + masks_bytes + draws_bytes)
 
 
 # the same budgets in single precision: a complex64 spectrum is half the
@@ -533,6 +563,12 @@ def test_attenuation_spec_rejects_bad_values():
         AttenuationSpec(gamma=-0.1)
     with pytest.raises(ValueError):
         AttenuationSpec(mode="gaussian")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_attenuation_spec_checks_its_seed_where_it_is_stored(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        AttenuationSpec(0.5, seed=seed)
 
 
 def test_zero_gamma_decomposition_is_zero():
