@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import check_seed, validate_image
+from .spectral import check_int, validate_image
 
 
 @dataclass(frozen=True)
@@ -20,11 +20,9 @@ class EncoderConfig:
     projection_seed: int = 0
 
     def __post_init__(self):
-        if self.patch_size < 1:
-            raise ValueError(f"patch_size must be >= 1, got {self.patch_size}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        check_seed("projection_seed", self.projection_seed)
+        check_int("patch_size", self.patch_size, 1)
+        check_int("dim", self.dim, 1)
+        check_int("projection_seed", self.projection_seed, 0)
 
 
 def projection_matrix(cfg: EncoderConfig) -> np.ndarray:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import check_int
+
 
 def _as_matrix(name, value, dim):
     arr = np.asarray(value, dtype=float)
@@ -63,8 +65,8 @@ class FusionGradients:
 
 def init_params(dim: int, seed: int) -> FusionParams:
     """Three dim x dim matrices, entries i.i.d. uniform +-1/sqrt(dim)."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    check_int("dim", dim, 1)
+    check_int("seed", seed, 0)
     bound = 1.0 / np.sqrt(dim)
     rng = np.random.default_rng(seed)
     shape = (dim, dim)
@@ -237,10 +239,11 @@ def gradient_check(dim: int, positions: int, seed: int, tol: float = 1e-4):
     view floored at 1e-3: at the default tol an entry fails only when off by
     over 1e-7 absolute and 1e-4 relative. Used by the CLI self-check.
     """
-    if dim < 1 or positions < 1:
-        raise ValueError("dim and positions must be >= 1")
+    check_int("positions", positions, 1)
+    if not tol > 0:  # NaN too
+        raise ValueError(f"tol must be > 0, got {tol}")
+    params = init_params(dim, seed)  # first: it names a bad dim or seed
     rng = np.random.default_rng(seed)
-    params = init_params(dim, seed)
     v_o = rng.normal(size=(positions, dim))
     v_l = rng.normal(size=(positions, dim))
     v_h = rng.normal(size=(positions, dim))

@@ -1,6 +1,6 @@
 """Cutoff-frequency sweep: caption filtered images, score hallucinations.
 
-The sweep goes image by image: it loads an image, takes its spectrum once,
+The sweep goes image by image: it reads an image, takes its spectrum once,
 inverts the branch the mode names at every cutoff into that cutoff's
 folder, and drops the spectrum before the next image is loaded, so one
 spectrum is alive at a time; each filter_branch call builds its own mask.
@@ -15,7 +15,7 @@ made. A sweep that lists a PNG has its images decoded round-robin in
 forked processes, one per usable CPU and each into a pipe of its own, as
 far ahead of the one being exported as its pipe holds, since PNG decoding
 is pure Python and would leave the other cores idle; a PPM-only sweep
-loads each image in the parent. One CSV row per cutoff; results are
+reads each image in the parent. One CSV row per cutoff; results are
 all-or-nothing, a failure anywhere emits no partial rows.
 """
 
@@ -43,7 +43,7 @@ from .formats import (
     canonical_set,
     load_ground_truth,
 )
-from .imageio import ImageError, float_pixels, load_image, read_image, save_image
+from .imageio import ImageError, float_pixels, read_image, save_image
 from .oracle import DEFAULT_PROMPT, DEFAULT_TIMEOUT, CaptionOracle
 
 
@@ -201,7 +201,7 @@ def _image_ids(paths):
 def _exports(config, ids, images, directory):
     """Filter and write each image at every cutoff, image by image.
 
-    images yields the float image of each id in turn. Yields each export's
+    images yields each id's read_image pixels in turn. Yields each export's
     path as soon as it is written: <directory>/<cutoff label>/<image id>.ppm.
     """
     # one folder per cutoff: ids and labels are each unique, so no
@@ -210,8 +210,8 @@ def _exports(config, ids, images, directory):
     for folder in folders:
         folder.mkdir()
     for image_id in ids:
-        # single precision: each export is quantized to 8 bits
-        spectrum = image_spectrum(next(images), np.float32)
+        # the one cast of both routes' pixels: 8-bit exports need no more
+        spectrum = image_spectrum(float_pixels(next(images), np.float32), np.float32)
         for cutoff, folder in zip(config.cutoffs, folders):
             path = folder / f"{image_id}.ppm"
             save_image(filter_branch(spectrum, cutoff, config.mode), path)
@@ -233,19 +233,18 @@ def _usable_cpus():
 
 @contextlib.contextmanager
 def _decoded(paths):
-    """An iterator over the float image of each path.
+    """An iterator over each path's pixels, as read_image returns them.
 
-    With no .png path, each image is loaded when it is taken, as load_image
-    gives it. Otherwise n forked processes, one per usable CPU up to one per
-    image, decode them while the caller filters and exports the image taken:
-    decoder j decodes paths[j::n] in order into a pipe of its own, as far
-    ahead as that pipe holds, and image i is taken from pipe i % n, in
-    float32: load_image's values cast to the sweep's precision. PNG decoding
-    is pure Python, and the forks pay for themselves only there. Every
-    decoder is killed and reaped on the way out.
+    The extension decides only where read_image runs. With no .png path,
+    each image is read here when it is taken; otherwise n forked processes,
+    one per usable CPU up to one per image, decode them while the caller
+    exports the image taken: decoder j decodes paths[j::n] in order into a
+    pipe of its own, as far ahead as that pipe holds, and image i is taken
+    from pipe i % n. PNG decoding is pure Python, and the forks pay for
+    themselves only there. Every decoder is killed and reaped on the way out.
     """
     if not any(p.lower().endswith(".png") for p in paths):
-        yield map(load_image, paths)
+        yield map(read_image, paths)
         return
     # imported here: the captioner child imports this module, and loads no PNG
     import multiprocessing
@@ -315,8 +314,8 @@ def _decode(paths, results, parent_ends):
 
 
 def _received(paths, decoders, pipes):
-    """Each image in turn, from one message of the decoder that has it:
-    its pixels or its error."""
+    """Each image's pixels in turn, as received in one message from the
+    decoder that has it, or its error, raised."""
     for path, (decoder, from_decoder) in zip(
         paths, itertools.cycle(zip(decoders, pipes))
     ):
@@ -330,8 +329,7 @@ def _received(paths, decoders, pipes):
             ) from None
         if isinstance(pixels, BaseException):
             raise pixels
-        # float32, as _exports takes the spectrum: no float64 copy is made
-        yield float_pixels(pixels, np.float32)
+        yield pixels
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:

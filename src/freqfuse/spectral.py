@@ -71,14 +71,15 @@ class AttenuationSpec:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.mode not in (MODE_RANDOM, MODE_CONSTANT):
             raise ValueError(f"unknown attenuation mode {self.mode!r}")
-        check_seed("seed", self.seed)
+        check_int("seed", self.seed, 0)
 
 
-def check_seed(field, seed):
-    """ValueError naming field unless seed is a non-negative int, as numpy's
-    generators take it; a bool is refused, though Python counts it an int."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"{field} must be a non-negative int, got {seed!r}")
+def check_int(field, value, least):
+    """ValueError naming field unless value is an int, Python's or numpy's,
+    >= least; a bool is refused, though Python counts it an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        bound = "a non-negative int" if least == 0 else f"an int >= {least}"
+        raise ValueError(f"{field} must be {bound}, got {value!r}")
 
 
 def float_image(image) -> np.ndarray:
@@ -197,8 +198,7 @@ def _planar(arr, dtype):
     """arr cast to dtype in channel-planar memory. The numpy transforms keep
     the memory order of their input, and run faster over channel-planar
     memory; every value is the same either way. The planar copy is also the
-    cast, so an image that is already planar and of dtype, as load_image
-    returns it for float64, is arr itself, not a copy."""
+    cast: a planar image of dtype, as float_pixels gives, is arr itself."""
     return np.ascontiguousarray(arr.transpose(2, 0, 1), dtype=dtype).transpose(1, 2, 0)
 
 

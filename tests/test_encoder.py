@@ -102,6 +102,20 @@ def test_rejects_bad_config():
         EncoderConfig(patch_size=2, dim=0)
 
 
+@pytest.mark.parametrize("field", ["patch_size", "dim"])
+@pytest.mark.parametrize("value", [2.0, True, "2"])
+def test_config_names_a_size_that_is_not_an_int(field, value):
+    sizes = {"patch_size": 2, "dim": 2, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an int >= 1"):
+        EncoderConfig(**sizes)
+
+
+def test_config_takes_numpy_integer_sizes():
+    image = np.random.default_rng(0).uniform(size=(4, 4, 3))
+    cfg = EncoderConfig(patch_size=np.int64(2), dim=np.int32(3))
+    assert np.array_equal(patch_tokens(image, cfg), patch_tokens(image, EncoderConfig(2, 3)))
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_config_checks_its_seed_where_it_is_stored(seed):
     with pytest.raises(ValueError, match="projection_seed must be a non-negative int"):

@@ -56,6 +56,20 @@ def test_init_rejects_bad_dim():
         init_params(0, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_init_and_gradient_check_name_a_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        init_params(4, seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        gradient_check(2, 1, seed)
+
+
+def test_init_takes_a_numpy_integer_seed():
+    a, b = init_params(3, np.int64(3)), init_params(3, 3)
+    assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("w_q", "w_k", "w_v"))
+    assert gradient_check(2, 1, np.int64(3)) == gradient_check(2, 1, 3)
+
+
 # fuse_token
 
 
@@ -240,6 +254,12 @@ def test_backward_rejects_mismatched_upstream():
 def test_gradient_check_helper():
     ok, worst = gradient_check(4, 2, 13, tol=1e-4)
     assert ok and worst < 1e-4
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
+def test_gradient_check_rejects_a_tol_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        gradient_check(2, 1, 0, tol)
 
 
 @pytest.mark.parametrize("seed", [1058, 944133698])

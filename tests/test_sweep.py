@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from freqfuse import spectral
-from freqfuse.harness import sweep
+from freqfuse.harness import imageio, sweep
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
-from freqfuse.harness.imageio import ImageError, load_image, save_image
+from freqfuse.harness.imageio import ImageError, load_image, read_image, save_image
 from freqfuse.harness.oracle import CaptionOracle
 from freqfuse.harness.sweep import SweepConfig, SweepResult, SweepRow, run_sweep
 from freqfuse.spectral import decompose, filter_branch
@@ -341,6 +341,49 @@ def test_sweep_filters_single_precision_spectra(tmp_path, monkeypatch):
     assert dtypes == [np.complex64] * 6
 
 
+@pytest.mark.parametrize("png", [False, True], ids=["ppm-only", "with-png"])
+def test_both_image_routes_hand_on_pixels_made_float32_once(tmp_path, monkeypatch, png):
+    paths = small_images(tmp_path, ["a", "b"])
+    if png:
+        paths[1] = filtered_png(tmp_path / "b.png", 1, 16, 16)
+    gt = write_jsonl(
+        tmp_path / "gt.jsonl",
+        [{"id": "a", "ground_truth": ["dog"]}, {"id": "b", "ground_truth": []}],
+    )
+    taken, transformed = [], []
+    exports, spectrum = sweep._exports, sweep.image_spectrum
+
+    def recording_exports(config, ids, images, directory):
+        def recorded():
+            for pixels in images:
+                taken.append((pixels.dtype, pixels.shape))
+                yield pixels
+
+        return exports(config, ids, recorded(), directory)
+
+    def recording_spectrum(image, dtype):
+        transformed.append((image.dtype, np.dtype(dtype)))
+        return spectrum(image, dtype)
+
+    def no_load(path):
+        raise AssertionError(f"the sweep called load_image({path!r})")
+
+    monkeypatch.setattr(sweep, "_exports", recording_exports)
+    monkeypatch.setattr(sweep, "image_spectrum", recording_spectrum)
+    monkeypatch.setattr(imageio, "load_image", no_load)
+    config = SweepConfig(
+        mode="low",
+        cutoffs=(1, 5),
+        images=paths,
+        oracle=mock_command("--mode", "gt", "--ground-truth", gt),
+        ground_truth=gt,
+    )
+    run_sweep(config)
+    # either route yields read_image's 8-bit pixels, cast once, to float32
+    assert taken == [(np.uint8, (16, 16, 3))] * 2
+    assert transformed == [(np.float32, np.float32)] * 2
+
+
 @pytest.mark.parametrize("mode", ["low", "high"])
 def test_single_precision_exports_stay_within_one_level_of_decompose(tmp_path, mode):
     # each sweep export against decompose's float64 branch exported: a byte
@@ -358,7 +401,7 @@ def test_single_precision_exports_stay_within_one_level_of_decompose(tmp_path, m
     exports.mkdir()
     branch = spectral.BRANCHES.index(mode)
     differing = total = count = 0
-    images = map(load_image, paths)
+    images = map(read_image, paths)
     for path in sweep._exports(config, list(shapes), images, exports):
         count += 1
         image = load_image(tmp_path / f"{path.stem}.png")
@@ -434,10 +477,10 @@ def test_a_sweep_with_a_png_matches_decoding_each_image_with_load_image(
     written.clear()
     assert run_sweep(twin_config).to_csv() == csv
     assert written == exports
-    # and each export is the one load_image's pixels give
+    # and each export is the one read_image's pixels give
     want = tmp_path / "want"
     want.mkdir()
-    for path in sweep._exports(config, ids, map(load_image, paths), want):
+    for path in sweep._exports(config, ids, map(read_image, paths), want):
         assert exports[f"{path.parent.name}/{path.name}"] == path.read_bytes()
     assert len(exports) == 9
     # the rates differ by cutoff, so a swapped image would show in the CSV
