@@ -186,8 +186,7 @@ def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    check_int("steps", steps, 0)
     if not lr >= 0:  # NaN too
         raise ValueError(f"lr must be >= 0, got {lr}")
     samples = []

@@ -21,7 +21,6 @@ from ..spectral import (
     decompose_attenuated,
 )
 from .formats import (
-    DataFormatError,
     bundled_synonyms_path,
     load_caption_records,
     load_pope_records,
@@ -196,7 +195,7 @@ def cmd_mock_oracle(parser, args):
     if "ground_truth" in given:
         given["ground_truth"] = load_ground_truth(given["ground_truth"])
     try:
-        mock_oracle_loop(args.mode, sys.stdin, sys.stdout, **given)
+        mock_oracle_loop(args.mode, sys.stdin.buffer, sys.stdout, **given)
         sys.stdout.flush()
     except BrokenPipeError:
         pass  # the reader is gone, and nobody is left to tell
@@ -284,7 +283,7 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (ImageError, DataFormatError, OSError, ValueError) as exc:
+    except (ImageError, OSError, ValueError) as exc:  # DataFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,15 +1,25 @@
-"""Line-delimited JSON record files for captions, probes, and ground truth."""
+"""Every JSON input the program reads, decoded, parsed and checked here.
+
+Whole files (the sweep config, the synonym table), JSONL record files
+(captions, probes, ground truth), a captioner's reply lines and the mock
+captioner's request lines are all strict UTF-8 JSON; a line, read from a
+file or a pipe, is capped at MAX_LINE bytes. A fault raises the caller's
+error class, DataFormatError unless it passes another (the oracle's
+OracleProtocolError), with a message that starts with where it is:
+"<path>", "<path>:<line>", "oracle line <n>" or "stdin:<line>".
+"""
 
 import functools
 import importlib.resources
 import json
 
 from ..metrics import CaptionRecord, PopeRecord, extract_objects
-from .oracle import MAX_REPLY_LINE
+
+MAX_LINE = 1 << 20  # bytes in one line of JSON, newline excluded
 
 
-class DataFormatError(Exception):
-    """A record file that cannot be parsed into valid records."""
+class DataFormatError(ValueError):
+    """An input file that cannot be parsed into valid records."""
 
 
 def bundled_synonyms_path() -> str:
@@ -17,66 +27,78 @@ def bundled_synonyms_path() -> str:
     return str(importlib.resources.files("freqfuse") / "data" / "synonyms.json")
 
 
-def _iter_jsonl(path):
-    """(line number, JSON object) for each non-blank line of a JSONL file.
+def decode_utf8(data, where, error=DataFormatError):
+    """Bytes as text, or error "<where>: not valid UTF-8"."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise error(f"{where}: not valid UTF-8") from None
 
-    A line is read up to the oracle's cap on a reply line, MAX_REPLY_LINE
-    bytes with the newline excluded, so an over-long line is refused before
-    it is held whole; lines must be UTF-8 and end at "\n" ("\r\n" is fine).
-    """
+
+def parse_json(text, where, error=DataFormatError):
+    """The JSON value of text, or error "<where>: invalid JSON (<why>)"."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON ({exc.msg})") from None
+
+
+def read_json(path):
+    """The JSON value of a whole UTF-8 file."""
     with open(path, "rb") as fh:
-        read_line = functools.partial(fh.readline, MAX_REPLY_LINE + 1)
-        for line_no, raw in enumerate(iter(read_line, b""), start=1):
-            if len(raw) > MAX_REPLY_LINE and not raw.endswith(b"\n"):
-                raise DataFormatError(
-                    f"{path}:{line_no}: line longer than {MAX_REPLY_LINE} bytes"
-                )
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise DataFormatError(f"{path}:{line_no}: not valid UTF-8") from None
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(
-                    f"{path}:{line_no}: invalid JSON ({exc.msg})"
-                ) from None
-            if not isinstance(record, dict):
-                raise DataFormatError(f"{path}:{line_no}: expected a JSON object")
-            yield line_no, record
+        return parse_json(decode_utf8(fh.read(), path), path)
 
 
-def _require(record, key, kind, path, line_no):
+def json_lines(stream, where, error=DataFormatError):
+    """("<where>:<line number>", JSON value) for each non-blank line of a
+    binary stream.
+
+    A line is read up to MAX_LINE + 1 bytes, so an over-long line is refused
+    before it is held whole; lines end at "\n" ("\r\n" is fine) and are
+    stripped before they are parsed.
+    """
+    read_line = functools.partial(stream.readline, MAX_LINE + 1)
+    for line_no, raw in enumerate(iter(read_line, b""), start=1):
+        at = f"{where}:{line_no}"
+        if len(raw) > MAX_LINE and not raw.endswith(b"\n"):
+            raise error(f"{at}: line longer than {MAX_LINE} bytes")
+        line = decode_utf8(raw, at, error).strip()
+        if line:
+            yield at, parse_json(line, at, error)
+
+
+def json_field(record, key, kind, where, error=DataFormatError):
+    """record[key] if record is a JSON object and the value a `kind`, else
+    error naming where."""
+    if not isinstance(record, dict):
+        raise error(f"{where}: expected a JSON object")
     value = record.get(key)
     if not isinstance(value, kind):
-        raise DataFormatError(
-            f"{path}:{line_no}: field {key!r} must be {kind.__name__}"
-        )
+        raise error(f"{where}: field {key!r} must be {kind.__name__}")
     return value
 
 
-def _ground_truth_names(record, path, line_no):
-    names = _require(record, "ground_truth", list, path, line_no)
+def _jsonl(path):
+    with open(path, "rb") as fh:
+        # a str formats faster than a Path, once per line
+        yield from json_lines(fh, str(path))
+
+
+def _ground_truth_names(record, where):
+    names = json_field(record, "ground_truth", list, where)
     if not all(isinstance(n, str) for n in names):
-        raise DataFormatError(
-            f"{path}:{line_no}: ground-truth entries must be strings"
-        )
+        raise DataFormatError(f"{where}: ground-truth entries must be strings")
     return names
 
 
 def canonical_set(names, table, where):
-    """Canonical classes of ground-truth names, as a frozenset.
-
-    An unknown name is an error whose message starts with `where()`; it is
-    called only then, so formatting the location costs nothing per record.
-    """
+    """Canonical classes of ground-truth names, as a frozenset; an unknown
+    name is an error whose message starts with where."""
     out = frozenset(map(table.canonicalize, names))
     if None in out:
         name = next(n for n in names if table.canonicalize(n) is None)
         raise DataFormatError(
-            f"{where()}: unknown object class {name!r} (not in the synonym table)"
+            f"{where}: unknown object class {name!r} (not in the synonym table)"
         )
     return out
 
@@ -88,17 +110,15 @@ def load_caption_records(path, table):
     surface form in the table and is stored as its canonical class.
     """
     records = []
-    for line_no, record in _iter_jsonl(path):
-        rid = _require(record, "id", str, path, line_no)
-        caption = _require(record, "caption", str, path, line_no)
-        gt_names = _ground_truth_names(record, path, line_no)
+    for at, record in _jsonl(path):
+        rid = json_field(record, "id", str, at)
+        caption = json_field(record, "caption", str, at)
+        gt_names = _ground_truth_names(record, at)
         records.append(
             CaptionRecord(
                 id=rid,
                 mentioned=extract_objects(caption, table),
-                ground_truth=canonical_set(
-                    gt_names, table, lambda: f"{path}:{line_no}"
-                ),
+                ground_truth=canonical_set(gt_names, table, at),
             )
         )
     if not records:
@@ -109,14 +129,14 @@ def load_caption_records(path, table):
 def load_pope_records(path):
     """Probe JSONL {"id","predicted":"yes|no","gold":"yes|no"} -> PopeRecords."""
     records = []
-    for line_no, record in _iter_jsonl(path):
-        rid = _require(record, "id", str, path, line_no)
-        predicted = _require(record, "predicted", str, path, line_no)
-        gold = _require(record, "gold", str, path, line_no)
+    for at, record in _jsonl(path):
+        rid = json_field(record, "id", str, at)
+        predicted = json_field(record, "predicted", str, at)
+        gold = json_field(record, "gold", str, at)
         try:
             records.append(PopeRecord(id=rid, predicted=predicted, gold=gold))
         except ValueError as exc:
-            raise DataFormatError(f"{path}:{line_no}: {exc}") from None
+            raise DataFormatError(f"{at}: {exc}") from None
     if not records:
         raise DataFormatError(f"{path}: no probe records")
     return records
@@ -125,10 +145,10 @@ def load_pope_records(path):
 def load_ground_truth(path):
     """Ground-truth JSONL {"id","ground_truth":[...]} -> {id: [names]}."""
     table = {}
-    for line_no, record in _iter_jsonl(path):
-        rid = _require(record, "id", str, path, line_no)
-        names = _ground_truth_names(record, path, line_no)
+    for at, record in _jsonl(path):
+        rid = json_field(record, "id", str, at)
+        names = _ground_truth_names(record, at)
         if rid in table:
-            raise DataFormatError(f"{path}:{line_no}: duplicate id {rid!r}")
+            raise DataFormatError(f"{at}: duplicate id {rid!r}")
         table[rid] = list(names)
     return table

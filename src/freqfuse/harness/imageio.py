@@ -132,10 +132,10 @@ def _encode_ppm(pixels):
     return b"P6\n%d %d\n255\n" % (w, h), pixels
 
 
-# P6, then width, height and maxval as unsigned decimals, each after
-# whitespace or "#" comments that run to a newline, then exactly one
-# whitespace byte before the pixels
-_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+# P6, then width, height and maxval as unsigned decimals of at most 20
+# digits (int() refuses over 4300), each after whitespace or "#" comments
+# that run to a newline, then exactly one whitespace byte before the pixels
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d{1,20})" * 3 + rb"\s")
 
 
 def _decode_ppm(data):

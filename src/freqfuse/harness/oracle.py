@@ -7,11 +7,16 @@ serve any number of batches, so a reply must depend only on its request.
 The sweep starts one per run and sends it one batch, whose ids
 "<cutoff label>/<image id>" are unique within it; the mocks look ground
 truth up by the image file's stem, not by the id.
+Both ends read lines as formats.py does: strict UTF-8 JSON objects, each
+line at most MAX_LINE bytes, and a line that breaks these is an
+OracleProtocolError naming its line.
 The harness does its I/O on the calling thread with a selector: POSIX only.
 Mock modes give the sweep deterministic stand-ins for a captioning model.
 """
 
 import json
+import math
+import numbers
 import os
 import selectors
 import shlex
@@ -21,11 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .formats import MAX_LINE, decode_utf8, json_field, json_lines, parse_json
 from .imageio import load_image
 
 DEFAULT_PROMPT = "Please describe this image in detail."
 DEFAULT_TIMEOUT = 60.0
-MAX_REPLY_LINE = 1 << 20  # bytes in one reply line, newline excluded
 # a selector refuses far longer waits; every caller rechecks its deadline
 MAX_POLL_WAIT = 86400.0
 
@@ -59,6 +64,11 @@ class CaptionOracle:
     """
 
     def __init__(self, command, timeout=DEFAULT_TIMEOUT, prompt=DEFAULT_PROMPT):
+        real = isinstance(timeout, numbers.Real) and not isinstance(timeout, bool)
+        if not (real and 0 < timeout < math.inf):  # NaN too
+            raise ValueError(
+                f"timeout must be a positive, finite number of seconds, got {timeout!r}"
+            )
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
             raise OracleSpawnError("oracle command is empty")
@@ -102,11 +112,11 @@ class CaptionOracle:
                 # first newline; any later line of this read is shorter
                 head = chunk.find(b"\n")
                 unfinished = len(self._received) - self._received.rfind(b"\n") - 1
-                if unfinished + (len(chunk) if head < 0 else head) > MAX_REPLY_LINE:
+                if unfinished + (len(chunk) if head < 0 else head) > MAX_LINE:
                     self._eof = True  # read no more: close() ends the child
                     line_no = self._line_no + self._received.count(b"\n") + 1
                     raise OracleProtocolError(
-                        f"oracle line {line_no}: reply longer than {MAX_REPLY_LINE} bytes"
+                        f"oracle line {line_no}: reply longer than {MAX_LINE} bytes"
                     )
                 self._received += chunk
 
@@ -148,10 +158,13 @@ class CaptionOracle:
     def _take_line(self):
         # the caller has seen a line waiting
         end = self._received.index(b"\n") + 1
-        line = self._received[:end].decode("utf-8", "replace").strip()
-        del self._received[:end]
         self._line_no += 1
-        return line
+        line = decode_utf8(self._received[:end], self._where(), OracleProtocolError)
+        del self._received[:end]
+        return line.strip()
+
+    def _where(self):
+        return f"oracle line {self._line_no}"
 
     def _reject_stray_replies(self):
         self._poll(0)
@@ -159,8 +172,7 @@ class CaptionOracle:
             line = self._take_line()
             if line:
                 raise OracleProtocolError(
-                    f"oracle line {self._line_no}: reply with no request "
-                    f"outstanding: {line[:120]!r}"
+                    f"{self._where()}: reply with no request outstanding: {line[:120]!r}"
                 )
 
     def _next_response(self, outstanding, answered, deadline):
@@ -182,32 +194,15 @@ class CaptionOracle:
             line = self._take_line()
             if not line:
                 continue
-            try:
-                reply = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise OracleProtocolError(
-                    f"oracle line {self._line_no}: invalid JSON ({exc.msg}): "
-                    f"{line[:120]!r}"
-                ) from None
-            if (
-                not isinstance(reply, dict)
-                or not isinstance(reply.get("id"), str)
-                or not isinstance(reply.get("caption"), str)
-            ):
-                raise OracleProtocolError(
-                    f"oracle line {self._line_no}: response must carry "
-                    f"string 'id' and 'caption': {line[:120]!r}"
-                )
-            rid = reply["id"]
+            where = self._where()
+            reply = parse_json(line, where, OracleProtocolError)
+            rid = json_field(reply, "id", str, where, OracleProtocolError)
+            caption = json_field(reply, "caption", str, where, OracleProtocolError)
             if rid in answered:
-                raise OracleProtocolError(
-                    f"oracle line {self._line_no}: duplicate response id {rid!r}"
-                )
+                raise OracleProtocolError(f"{where}: duplicate response id {rid!r}")
             if rid not in outstanding:
-                raise OracleProtocolError(
-                    f"oracle line {self._line_no}: unknown response id {rid!r}"
-                )
-            return rid, reply["caption"]
+                raise OracleProtocolError(f"{where}: unknown response id {rid!r}")
+            return rid, caption
 
     def caption_batch(self, ids, paths) -> dict:
         """Caption one batch of images; returns {id: caption}.
@@ -264,7 +259,9 @@ def mock_oracle_loop(
     objects=DEFAULT_MOCK_OBJECTS,
     ground_truth=None,
 ):
-    """Serve the oracle protocol with a deterministic captioning rule.
+    """Serve the oracle protocol with a deterministic captioning rule,
+    reading request lines from stdin, a binary stream, and writing replies
+    to stdout, a text stream.
 
     Modes: "echo" answers a fixed template naming the image path; "gt"
     answers exactly the ground-truth objects of the image, looked up by
@@ -276,20 +273,9 @@ def mock_oracle_loop(
     if mode not in MOCK_MODES:
         raise ValueError(f"unknown mock mode {mode!r}")
     ground_truth = dict(ground_truth or {})
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise OracleProtocolError(f"malformed request line: {exc.msg}") from None
-        rid, image_path = (request.get(k) if isinstance(request, dict) else None
-                           for k in ("id", "image"))
-        if not (isinstance(rid, str) and isinstance(image_path, str)):
-            raise OracleProtocolError(
-                f"request must carry string 'id' and 'image': {line[:120]!r}"
-            )
+    for where, request in json_lines(stdin, "stdin", OracleProtocolError):
+        rid = json_field(request, "id", str, where, OracleProtocolError)
+        image_path = json_field(request, "image", str, where, OracleProtocolError)
         if mode == "echo":
             caption = f"A picture stored at {image_path}."
         elif mode == "gt" or (

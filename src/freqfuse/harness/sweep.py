@@ -23,7 +23,6 @@ import contextlib
 import dataclasses
 import fcntl
 import itertools
-import json
 import math
 import numbers
 import os
@@ -42,6 +41,7 @@ from .formats import (
     bundled_synonyms_path,
     canonical_set,
     load_ground_truth,
+    read_json,
 )
 from .imageio import ImageError, float_pixels, read_image, save_image
 from .oracle import DEFAULT_PROMPT, DEFAULT_TIMEOUT, CaptionOracle
@@ -137,12 +137,7 @@ class SweepConfig:
     def from_json(cls, path):
         """Load a config file; relative paths resolve against its directory."""
         path = Path(path)
-        try:
-            raw = json.loads(path.read_bytes().decode("utf-8"))
-        except UnicodeDecodeError:
-            raise DataFormatError(f"{path}: not valid UTF-8") from None
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON ({exc.msg})") from None
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise DataFormatError(f"{path}: config must be a JSON object")
         fields = dataclasses.fields(cls)
@@ -344,9 +339,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 f"{config.ground_truth}: no ground truth for image {image_id!r}"
             )
         ground_truth[image_id] = canonical_set(
-            gt_raw[image_id],
-            table,
-            lambda: f"{config.ground_truth}: image {image_id!r}",
+            gt_raw[image_id], table, f"{config.ground_truth}: image {image_id!r}"
         )
 
     labels = [_label(cutoff) for cutoff in config.cutoffs]

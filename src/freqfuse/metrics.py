@@ -10,7 +10,6 @@ yes/no probe scorer is a plain confusion-matrix F1 with "yes" as the
 positive class.
 """
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -72,19 +71,20 @@ class SynonymTable:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            mapping = json.loads(data.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: not valid UTF-8") from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc.msg})") from None
+        """The table in a JSON file; a file fault is a DataFormatError, a
+        ValueError, naming the path."""
+        # imported here: formats imports this module
+        from .harness.formats import DataFormatError, read_json
+
+        mapping = read_json(path)
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
         ):
-            raise ValueError(f"{path}: synonym file must map strings to strings")
-        return cls(mapping)
+            raise DataFormatError(f"{path}: synonym file must map strings to strings")
+        try:
+            return cls(mapping)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
 
     @property
     def canonical_classes(self) -> frozenset:

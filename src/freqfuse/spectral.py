@@ -122,8 +122,8 @@ def gaussian_masks(h: int, w: int, cutoff: float):
     (h//2, w//2), or 0 where that is under sqrt(float64 tiny) = 1.5e-154;
     high = 1 - low, exact per cell.
     """
-    if h < 1 or w < 1:
-        raise ValueError(f"mask dimensions must be positive, got {h}x{w}")
+    check_int("h", h, 1)
+    check_int("w", w, 1)
     return _masks(np.arange(h) - h // 2, np.arange(w) - w // 2, cutoff, np.float64)
 
 
@@ -305,8 +305,8 @@ def _draw_gains(h, w, spec, count):
 
 def attenuation_matrix(h: int, w: int, spec: AttenuationSpec) -> np.ndarray:
     """Damping matrix per the spec: U(0, gamma) draws or the constant gamma."""
-    if h < 1 or w < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {h}x{w}")
+    check_int("h", h, 1)
+    check_int("w", w, 1)
     return _draw_gains(h, w, spec, 1)[0]
 
 

@@ -321,12 +321,12 @@ def naive_batch(output, ids):
     for raw in output.split(b"\n"):
         if not outstanding:
             break
-        line = raw.decode("utf-8", "replace").strip()
-        if not line:
-            continue
         try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
             reply = json.loads(line)
-        except ValueError:
+        except ValueError:  # not UTF-8, or not JSON
             return None
         if not isinstance(reply, dict):
             return None

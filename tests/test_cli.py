@@ -576,19 +576,22 @@ def test_mock_oracle_flag_its_mode_ignores_is_usage_error(
 
 @pytest.mark.parametrize("mode", ["gt", "energy"])
 @pytest.mark.parametrize(
-    "line", ["[1]", '"x"', '{"id": "a", "image": 0}', "not json", '{"id": "a"}']
+    "line",
+    [b"[1]", b'"x"', b'{"id": "a", "image": 0}', b"not json", b'{"id": "a"}',
+     pytest.param(b'{"id": "a", "image": "\xff.ppm"}', id="not-utf8"),
+     pytest.param(b'{"id": "a", "image": "' + b"x" * (2 << 20) + b'"}', id="over-the-cap")],
 )
 def test_mock_oracle_malformed_request_is_oracle_error(mode, line):
     # an image that is not a string must not reach load_image, which would
     # read a number as a file descriptor
     proc = subprocess.run(
         [sys.executable, "-m", "freqfuse", "mock-oracle", "--mode", mode],
-        input=line + "\n", capture_output=True, text=True, timeout=60,
+        input=line + b"\n", capture_output=True, timeout=60,
     )
     assert proc.returncode == 3
-    assert proc.stderr.startswith("oracle error: ")
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+    assert proc.stderr.startswith(b"oracle error: stdin:1: ")
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
 
 
 def test_mock_oracle_whose_reader_is_gone_exits_quietly():

@@ -7,13 +7,13 @@ import time
 import pytest
 
 from freqfuse.harness.formats import (
+    MAX_LINE,
     DataFormatError,
     bundled_synonyms_path,
     load_caption_records,
     load_ground_truth,
     load_pope_records,
 )
-from freqfuse.harness.oracle import MAX_REPLY_LINE
 from freqfuse.metrics import SynonymTable
 from util import write_jsonl
 
@@ -116,6 +116,24 @@ def test_ground_truth_rejects_duplicate_ids(tmp_path):
         load_ground_truth(path)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"dog": "\xff"}', "not valid UTF-8"),
+        (b"", "invalid JSON (Expecting value)"),
+        (b'["dog"]', "synonym file must map strings to strings"),
+        (b'{"car": "vehicle", "vehicle": "car"}',
+         "canonical class 'vehicle' is mapped away to 'car'"),
+    ],
+)
+def test_synonym_file_faults_are_data_format_errors_naming_it(tmp_path, content, message):
+    # the config and the record files raise the same class, a ValueError
+    path = tmp_path / "syn.json"
+    path.write_bytes(content)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        SynonymTable.from_json(path)
+
+
 def test_bundled_synonyms_path_is_loadable():
     table = SynonymTable.from_json(bundled_synonyms_path())
     assert "dog" in table.canonical_classes
@@ -158,11 +176,11 @@ def _line_of(size):
 
 def test_line_at_the_cap_loads(tmp_path):
     path = tmp_path / "caps.jsonl"
-    path.write_text(_line_of(MAX_REPLY_LINE) + "\n")
+    path.write_text(_line_of(MAX_LINE) + "\n")
     assert len(load_caption_records(path, TABLE)) == 1
 
 
-@pytest.mark.parametrize("size", [MAX_REPLY_LINE + 1, 16 << 20], ids=["cap+1", "16MiB"])
+@pytest.mark.parametrize("size", [MAX_LINE + 1, 16 << 20], ids=["cap+1", "16MiB"])
 def test_line_over_the_cap_is_refused_quickly(tmp_path, size):
     # refused after reading the cap plus one byte, never held whole
     path = tmp_path / "caps.jsonl"

@@ -334,6 +334,14 @@ def test_fit_rejects_empty_dataset():
         fit_demo([], init_params(2, 0), steps=1, lr=0.1)
 
 
+@pytest.mark.parametrize("steps", [-1, 1.5, True])
+def test_fit_names_steps_that_are_not_a_non_negative_int(steps):
+    # True once ran one step, and 1.5 raised a bare TypeError
+    dataset = make_teacher_problem(2, 3, 44)
+    with pytest.raises(ValueError, match="^steps must be a non-negative int, got"):
+        fit_demo(dataset, init_params(2, 45), steps=steps, lr=0.1)
+
+
 @pytest.mark.parametrize("lr", [-0.1, float("nan")])
 def test_fit_rejects_bad_lr(lr):
     dataset = make_teacher_problem(2, 3, 44)

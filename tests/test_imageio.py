@@ -243,6 +243,7 @@ def test_ppm_rejects_truncation_and_garbage(tmp_path):
         (b"P6 2#right after a number\n1 255\n", (1, 2)),
         (b"P6\t1\r2\x0b255\x0c", (2, 1)),
         (b"P6 002 0001 0255\n", (1, 2)),
+        (b"P6 " + b"0" * 19 + b"2 1 " + b"0" * 17 + b"255\n", (1, 2)),
     ],
 )
 def test_ppm_header_grammar_accepts(tmp_path, header, shape):
@@ -391,6 +392,23 @@ def decompose_exit_code(path, tmp_path):
     return main(["decompose", "--input", str(path), "--cutoff", "5",
                  "--out-low", str(tmp_path / "l.ppm"),
                  "--out-high", str(tmp_path / "h.ppm")])
+
+
+@pytest.mark.parametrize("digits", [21, 4301])
+@pytest.mark.parametrize("field", range(3))
+def test_ppm_header_number_of_more_than_20_digits_names_the_file(
+    tmp_path, capsys, digits, field
+):
+    # int() refuses more than 4300 digits with a bare ValueError
+    numbers = [b"2", b"1", b"255"]
+    numbers[field] = b"9" * digits
+    path = tmp_path / "long.ppm"
+    path.write_bytes(b"P6 " + b" ".join(numbers) + b"\n" + bytes(6))
+    with pytest.raises(ImageDecodeError) as info:
+        read_image(path)
+    assert str(info.value) == f"{path}: malformed or truncated PPM header"
+    assert decompose_exit_code(path, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {path}: malformed or truncated PPM header\n"
 
 
 @pytest.mark.parametrize("bad", [5, 255])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import select
 import subprocess
 import sys
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqfuse.harness.formats import MAX_LINE
 from freqfuse.harness.imageio import load_image, save_image
 from freqfuse.harness.oracle import (
     DEFAULT_PROMPT,
-    MAX_REPLY_LINE,
     CaptionOracle,
     OracleError,
     OracleProtocolError,
@@ -206,6 +207,20 @@ def test_non_string_caption_rejected():
         caption_one(child(BAD_SHAPE), "x.ppm")
 
 
+def test_reply_that_is_not_utf8_names_its_line():
+    # it was once decoded with replacement characters, as "a \ufffd dog"
+    output = b'\n{"id": "req-1", "caption": "a \xff dog"}\n'
+    with pytest.raises(OracleProtocolError, match=r"^oracle line 2: not valid UTF-8$"):
+        caption_one(child(SCRIPTED) + [output.hex()], "x.ppm")
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), True, "5"])
+def test_timeout_that_is_not_positive_and_finite_is_refused_before_spawning(timeout):
+    # no_child_left fails the test if the sleeping child was started
+    with pytest.raises(ValueError, match="timeout must be a positive, finite number"):
+        CaptionOracle(child("import time; time.sleep(3)"), timeout=timeout)
+
+
 def test_timeout(tmp_path):
     # the shutdown grace is the reply timeout, capped at 5 s: a short
     # timeout must not leave close() waiting on a stuck child for long
@@ -276,15 +291,15 @@ def test_child_writing_after_stdin_closes_exits_on_its_own():
 
 def test_reply_line_of_the_cap_comes_back_whole():
     # with its newline it is one byte more than 16 reads of 64 KiB can hold
-    caption = caption_one(child(SIZED_REPLY) + [str(MAX_REPLY_LINE)], "x.ppm")
+    caption = caption_one(child(SIZED_REPLY) + [str(MAX_LINE)], "x.ppm")
     empty = json.dumps({"id": "req-1", "caption": ""})
-    assert caption == "x" * (MAX_REPLY_LINE - len(empty))
+    assert caption == "x" * (MAX_LINE - len(empty))
 
 
 def test_reply_line_one_byte_over_the_cap_is_refused():
     # the read that brings its newline ends the line, so the cap must be checked
     # there and not only against the line a read leaves unfinished
-    command = child(SIZED_REPLY) + [str(MAX_REPLY_LINE + 1)]
+    command = child(SIZED_REPLY) + [str(MAX_LINE + 1)]
     with pytest.raises(
         OracleProtocolError, match=r"^oracle line 1: reply longer than 1048576 bytes$"
     ):
@@ -509,7 +524,7 @@ def test_mock_subprocess_answers_every_request_then_exits_zero():
 
 
 def run_loop(requests, **kwargs):
-    stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
+    stdin = io.BytesIO(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
     stdout = io.StringIO()
     mock_oracle_loop(kwargs.pop("mode"), stdin, stdout, **kwargs)
     return [json.loads(line) for line in stdout.getvalue().splitlines()]
@@ -545,9 +560,48 @@ def test_mean_energy_allocates_one_float_and_two_byte_images(tmp_path, ext):
     assert peak <= 1.1 * (h * w * 3 * 8 + 2 * h * w * 3)
 
 
+class CountingReader:
+    """A binary stream that counts the bytes its readline hands out."""
+
+    def __init__(self, data):
+        self._stream = io.BytesIO(data)
+        self.bytes_read = 0
+
+    def readline(self, size=-1):
+        line = self._stream.readline(size)
+        self.bytes_read += len(line)
+        return line
+
+
+def test_loop_refuses_an_overlong_request_line_after_the_cap():
+    stdin = CountingReader(b'{"id": "a", "image": "' + b"x" * (8 << 20) + b'"}\n')
+    stdout = io.StringIO()
+    with pytest.raises(OracleProtocolError, match=r"^stdin:1: line longer than 1048576 bytes$"):
+        mock_oracle_loop("echo", stdin, stdout)
+    assert stdin.bytes_read <= MAX_LINE + 1
+    assert stdout.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b'{"id": "a", "image": "\xff.ppm"}', "stdin:2: not valid UTF-8"),
+        (b"not json", "stdin:2: invalid JSON (Expecting value)"),
+        (b"[1]", "stdin:2: expected a JSON object"),
+        (b'{"id": "a", "image": 0}', "stdin:2: field 'image' must be str"),
+    ],
+)
+def test_loop_names_the_line_of_a_bad_request(line, message):
+    stdin = io.BytesIO(b'{"id": "ok", "image": "x.ppm"}\n' + line + b"\n")
+    stdout = io.StringIO()
+    with pytest.raises(OracleProtocolError, match=f"^{re.escape(message)}$"):
+        mock_oracle_loop("echo", stdin, stdout)
+    assert [json.loads(r)["id"] for r in stdout.getvalue().splitlines()] == ["ok"]
+
+
 def test_loop_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
-        mock_oracle_loop("wild", io.StringIO(), io.StringIO())
+        mock_oracle_loop("wild", io.BytesIO(), io.StringIO())
 
 
 def test_object_sentence():

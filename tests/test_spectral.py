@@ -571,6 +571,22 @@ def test_attenuation_spec_checks_its_seed_where_it_is_stored(seed):
         AttenuationSpec(0.5, seed=seed)
 
 
+@pytest.mark.parametrize("size", [2.5, True, 0, "3"])
+@pytest.mark.parametrize("field", ["h", "w"])
+def test_masks_and_damping_matrix_name_a_size_that_is_not_an_int(field, size):
+    # 2.5 and True once built a mask of 3 and 1 rows; "3" raised a bare TypeError
+    sizes = {"h": 3, "w": 3, field: size}
+    with pytest.raises(ValueError, match=f"^{field} must be an int >= 1, got"):
+        gaussian_masks(sizes["h"], sizes["w"], 1.0)
+    with pytest.raises(ValueError, match=f"^{field} must be an int >= 1, got"):
+        attenuation_matrix(sizes["h"], sizes["w"], AttenuationSpec(0.5))
+
+
+def test_masks_take_numpy_integer_sizes():
+    for a, b in zip(gaussian_masks(np.int64(3), np.int32(4), 1.0), gaussian_masks(3, 4, 1.0)):
+        assert np.array_equal(a, b)
+
+
 def test_zero_gamma_decomposition_is_zero():
     img = random_image(np.random.default_rng(4), 6, 8)
     low, high = decompose_attenuated(img, 30.0, AttenuationSpec(gamma=0.0))
