@@ -107,18 +107,23 @@ def load_caption_records(path, table):
     """Captions JSONL {"id","caption","ground_truth":[...]} -> CaptionRecords.
 
     Captions go through synonym extraction; each ground-truth name must be a
-    surface form in the table and is stored as its canonical class.
+    surface form in the table and is stored as its canonical class. Records
+    share one frozenset per distinct class set, mentioned or ground truth:
+    a file holds far fewer distinct sets than captions.
     """
     records = []
+    shared = {}  # class set -> the first frozenset seen with it
     for at, record in _jsonl(path):
         rid = json_field(record, "id", str, at)
         caption = json_field(record, "caption", str, at)
         gt_names = _ground_truth_names(record, at)
+        mentioned = frozenset(extract_objects(caption, table))
+        ground_truth = canonical_set(gt_names, table, at)
         records.append(
             CaptionRecord(
                 id=rid,
-                mentioned=extract_objects(caption, table),
-                ground_truth=canonical_set(gt_names, table, at),
+                mentioned=shared.setdefault(mentioned, mentioned),
+                ground_truth=shared.setdefault(ground_truth, ground_truth),
             )
         )
     if not records:

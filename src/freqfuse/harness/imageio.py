@@ -51,8 +51,13 @@ def _quantize(image) -> np.ndarray:
         raise ValueError("image contains non-finite values")
     scaled *= 255.0
     scaled += 0.5
-    np.floor(scaled, out=scaled)
-    return scaled.astype(np.uint8, order="C")  # interleaved, as files hold it
+    # the cast truncates, which is floor on [0.5, 255.5]; it runs plane by
+    # plane, since a planar image cast whole into interleaved bytes (as
+    # files hold them) takes an inner loop of 3 elements
+    pixels = np.empty(scaled.shape, np.uint8)
+    for c in range(3):
+        pixels[:, :, c] = scaled[:, :, c]
+    return pixels
 
 
 def _check_dimensions(kind, w, h):

@@ -124,15 +124,29 @@ def extract_objects(caption: str, table: SynonymTable) -> set:
     return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaptionRecord:
+    """A caption's mentioned classes and its ground truth, as frozensets.
+
+    A frozenset is kept as the same object, so records may share one; any
+    other iterable is made one, but a str or bytes is a TypeError naming
+    the field, since it would become the set of its characters.
+    """
+
     id: str
     mentioned: frozenset
     ground_truth: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "mentioned", frozenset(self.mentioned))
-        object.__setattr__(self, "ground_truth", frozenset(self.ground_truth))
+        for field in ("mentioned", "ground_truth"):
+            value = getattr(self, field)
+            if type(value) is not frozenset:
+                if isinstance(value, (str, bytes)):
+                    raise TypeError(
+                        f"{field} must be a set of class names, "
+                        f"not {type(value).__name__}"
+                    )
+                object.__setattr__(self, field, frozenset(value))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import json
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from freqfuse.harness.formats import (
     load_ground_truth,
     load_pope_records,
 )
-from freqfuse.metrics import SynonymTable
+from freqfuse.metrics import CaptionRecord, SynonymTable
 from util import write_jsonl
 
 TABLE = SynonymTable({"dog": "dog", "cat": "cat", "puppy": "dog", "car": "car"})
@@ -32,6 +33,51 @@ def test_load_caption_records(tmp_path):
     assert records[0].mentioned == {"dog", "cat"}
     assert records[0].ground_truth == {"dog"}
     assert records[1].mentioned == set()
+
+
+def test_records_share_one_frozenset_per_distinct_class_set(tmp_path):
+    path = write_jsonl(
+        tmp_path / "caps.jsonl",
+        [
+            {"id": "a", "caption": "a dog", "ground_truth": ["dog"]},
+            {"id": "b", "caption": "a puppy and a cat", "ground_truth": ["cat", "puppy"]},
+            {"id": "c", "caption": "a cat, then a dog", "ground_truth": ["puppy"]},
+            {"id": "d", "caption": "nothing here", "ground_truth": []},
+            {"id": "e", "caption": "a puppy", "ground_truth": ["dog", "cat", "dog"]},
+        ],
+    )
+    records = load_caption_records(path, TABLE)
+    assert records == [
+        CaptionRecord("a", {"dog"}, {"dog"}),
+        CaptionRecord("b", {"dog", "cat"}, {"cat", "dog"}),
+        CaptionRecord("c", {"cat", "dog"}, {"dog"}),
+        CaptionRecord("d", set(), set()),
+        CaptionRecord("e", {"dog"}, {"dog", "cat"}),
+    ]
+    sets = [s for r in records for s in (r.mentioned, r.ground_truth)]
+    assert len({id(s) for s in sets}) == len(set(sets)) == 3
+
+
+def test_caption_records_hold_under_200_bytes_each(tmp_path):
+    # four caption rows, cycled: every set repeats, every id is new
+    rows = [
+        {"caption": "a dog and a cat", "ground_truth": ["dog"]},
+        {"caption": "a car", "ground_truth": ["car", "puppy"]},
+        {"caption": "a puppy near a car", "ground_truth": ["car", "dog"]},
+        {"caption": "nothing here", "ground_truth": ["cat"]},
+    ]
+    n = 4000
+    lines = [{"id": f"cap{i:06d}", **rows[i % len(rows)]} for i in range(n)]
+    path = write_jsonl(tmp_path / "caps.jsonl", lines)
+    load_caption_records(path, TABLE)  # state built on first use is not counted
+    tracemalloc.start()
+    try:
+        records = load_caption_records(path, TABLE)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == n
+    assert held <= 200 * n
 
 
 def test_ground_truth_goes_through_synonyms(tmp_path):

@@ -141,6 +141,35 @@ def test_single_precision_export_allocates_one_float_and_two_byte_images(tmp_pat
     assert peak <= 1.1 * (h * w * 3 * 4 + 2 * h * w * 3)
 
 
+# the same edges in float32, where rounding in float64 would part from
+# rounding in float32 on some of the half steps' neighbours
+HALF_STEPS_32 = HALF_STEPS.astype(np.float32)
+EDGE_VALUES_32 = np.concatenate(
+    [
+        np.array([-np.inf, np.inf, -0.5, -0.0, 0.0, 1.0, 2.0], np.float32),
+        HALF_STEPS_32,
+        np.nextafter(HALF_STEPS_32, np.float32(0.0)),
+        np.nextafter(HALF_STEPS_32, np.float32(1.0)),
+    ]
+)
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_single_precision_export_bytes_are_the_rounding_in_single_precision(
+    tmp_path, planar
+):
+    rng = np.random.default_rng(30)
+    img = np.resize(rng.permutation(EDGE_VALUES_32), (16, 18, 3))
+    if planar:
+        img = np.ascontiguousarray(img.transpose(2, 0, 1)).transpose(1, 2, 0)
+    one = np.float32(1.0)
+    want = np.floor(np.clip(img, 0, one) * np.float32(255.0) + np.float32(0.5))
+    want = want.astype(np.uint8)
+    assert not np.array_equal(want, naive_quantize(img))  # float64 rounds otherwise
+    save_image(img, tmp_path / "x.ppm")
+    assert (tmp_path / "x.ppm").read_bytes() == b"P6\n18 16\n255\n" + want.tobytes()
+
+
 @pytest.mark.parametrize("ext", ["ppm", "png"])
 def test_save_rejects_nan_before_writing(tmp_path, ext):
     img = np.full((2, 2, 3), 0.5)

@@ -1,7 +1,9 @@
 """Metric tests against hand fixtures and brute-force recounts."""
 
+import dataclasses
 import importlib.resources
 import json
+import pickle
 import random
 
 import pytest
@@ -276,6 +278,32 @@ def test_chair_randomized_recounts():
 def test_chair_rejects_empty():
     with pytest.raises(ValueError):
         chair([])
+
+
+# CaptionRecord
+
+
+def test_caption_record_keeps_a_frozenset_and_has_no_dict():
+    dog = frozenset({"dog"})
+    rec = CaptionRecord("a", dog, ["dog", "cat", "dog"])
+    assert rec.mentioned is dog
+    assert type(rec.ground_truth) is frozenset and rec.ground_truth == {"dog", "cat"}
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.id = "b"
+    back = pickle.loads(pickle.dumps(rec))
+    assert back == rec and hash(back) == hash(rec)
+    assert rec == CaptionRecord("a", {"dog"}, {"cat", "dog"})
+
+
+@pytest.mark.parametrize("field", ["mentioned", "ground_truth"])
+@pytest.mark.parametrize("value", ["dog", b"dog"])
+def test_caption_record_refuses_a_string_for_a_set(field, value):
+    # a string would be taken as the set of its characters: {"d", "o", "g"}
+    sets = {"mentioned": {"dog"}, "ground_truth": {"dog"}, field: value}
+    kind = type(value).__name__
+    with pytest.raises(TypeError, match=rf"^{field} must be a set of class names, not {kind}$"):
+        CaptionRecord("a", **sets)
 
 
 # pope_f1
