@@ -17,6 +17,8 @@ from ..metrics import CaptionRecord, PopeRecord, extract_objects
 
 MAX_LINE = 1 << 20  # bytes in one line of JSON, newline excluded
 
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 class DataFormatError(ValueError):
     """An input file that cannot be parsed into valid records."""
@@ -36,11 +38,27 @@ def decode_utf8(data, where, error=DataFormatError):
 
 
 def parse_json(text, where, error=DataFormatError):
-    """The JSON value of text, or error "<where>: invalid JSON (<why>)"."""
+    """The JSON value of text, as json.loads gives it, or error
+    "<where>: invalid JSON (<why>)" with json.loads's reason.
+
+    Text that is one JSON value and nothing else is parsed once, by the
+    decoder json.loads wraps; anything else goes to json.loads itself.
+    """
     try:
+        try:
+            value, end = _raw_decode(text)
+        except json.JSONDecodeError:
+            pass
+        else:
+            if end == len(text):
+                return value
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise error(f"{where}: invalid JSON (nested too deeply)") from None
+    except ValueError:  # the only other ValueError is int()'s digit limit
+        raise error(f"{where}: invalid JSON (number too long)") from None
 
 
 def read_json(path):

@@ -1,6 +1,9 @@
 """Object-hallucination metrics over captions and yes/no probes.
 
-A caption is scored against a ground-truth object set: mentions are
+A caption is scored against a ground-truth object set. Its tokens, like
+those of every surface form, are the runs of ASCII a-z and 0-9 after
+str.lower(); every other character separates tokens, non-ASCII ones
+included (U+212A KELVIN SIGN lowercases to "k"). Mentions are
 extracted with a synonym table (longest surface match wins, so "hot dog"
 never counts as "dog"), and a mention outside the ground truth is a
 hallucination. The table indexes its forms once, by exact name and by
@@ -10,14 +13,19 @@ yes/no probe scorer is a plain confusion-matrix F1 with "yes" as the
 positive class.
 """
 
-import re
 from dataclasses import dataclass
 
-_TOKEN = re.compile(r"[a-z0-9]+")
+# a-z and 0-9 stay, every other byte becomes a space. The UTF-8 bytes of a
+# non-ASCII character (and, under surrogatepass, of a lone surrogate) are
+# all >= 0x80, so each separates tokens, as in re.findall(r"[a-z0-9]+", ...)
+_TOKEN_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789"
+_SEPARATORS = bytes(b if b in _TOKEN_BYTES else 0x20 for b in range(256))
 
 
 def _tokenize(text: str):
-    return tuple(_TOKEN.findall(text.lower()))
+    """Runs of ASCII a-z and 0-9 in text.lower(), as a tuple."""
+    raw = text.lower().encode("utf-8", "surrogatepass")
+    return tuple(raw.translate(_SEPARATORS).decode("ascii").split())
 
 
 class SynonymTable:
@@ -110,7 +118,8 @@ def extract_objects(caption: str, table: SynonymTable) -> set:
     lengths = table._lengths
     found = set()
     i = 0
-    while i < len(tokens):
+    end = len(tokens)
+    while i < end:
         for n in lengths.get(tokens[i], ()):
             # a slice cut short by the end of the caption can only equal a
             # form of the length that remains, the longest that fits
@@ -138,6 +147,8 @@ class CaptionRecord:
     ground_truth: frozenset
 
     def __post_init__(self):
+        if type(self.mentioned) is frozenset and type(self.ground_truth) is frozenset:
+            return  # as the loader gives them
         for field in ("mentioned", "ground_truth"):
             value = getattr(self, field)
             if type(value) is not frozenset:

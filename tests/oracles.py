@@ -152,21 +152,22 @@ def recount_chair(records):
     return chair_s, chair_i, precision, recall, f1
 
 
+def naive_tokenize(text):
+    """Runs of ASCII a-z and 0-9 in text.lower(), by regular expression."""
+    return tuple(re.findall(r"[a-z0-9]+", text.lower()))
+
+
 def naive_extract_objects(caption, mapping):
     """Canonical classes a caption mentions under a {surface: class} mapping.
 
     The token-tuple table is rebuilt from the mapping on every call, and the
     scan tries every length from the longest form down at every token.
     """
-
-    def tokenize(text):
-        return tuple(re.findall(r"[a-z0-9]+", text.lower()))
-
-    by_tokens = {tokenize(surface): target for surface, target in mapping.items()}
+    by_tokens = {naive_tokenize(surface): target for surface, target in mapping.items()}
     for target in mapping.values():
-        by_tokens.setdefault(tokenize(target), target)
+        by_tokens.setdefault(naive_tokenize(target), target)
     max_len = max(len(key) for key in by_tokens)
-    tokens = tokenize(caption)
+    tokens = naive_tokenize(caption)
     found = set()
     i = 0
     while i < len(tokens):

@@ -382,6 +382,26 @@ def test_eval_chair_overlong_line_is_data_error(tmp_path, capsys):
     assert f"{captions}:1: line longer than 1048576 bytes" in err
 
 
+# a line nested past the recursion limit, and an integer past Python's
+# 4300-digit limit, both well under the 1 MiB line cap
+_DEEP_JSON = "[" * 100_000
+_LONG_NUMBER = "1" * 5000
+_UNPARSABLE = pytest.mark.parametrize(
+    "line, why",
+    [(_DEEP_JSON, "nested too deeply"), (_LONG_NUMBER, "number too long")],
+    ids=["deep", "long-number"],
+)
+
+
+@_UNPARSABLE
+def test_eval_chair_unparsable_line_is_data_error(tmp_path, capsys, line, why):
+    captions = tmp_path / "caps.jsonl"
+    captions.write_text(line + "\n")
+    code, _, err = run(capsys, "eval", "chair", "--captions", str(captions))
+    assert code == 2
+    assert err.strip() == f"error: {captions}:1: invalid JSON ({why})"
+
+
 def pope_fixture(tmp_path, name="pope.jsonl"):
     return write_jsonl(
         tmp_path / name,
@@ -510,6 +530,16 @@ def test_sweep_overlong_reply_line_is_oracle_error(tmp_path, capsys):
     assert "oracle line 1: reply longer than 1048576 bytes" in err
 
 
+@_UNPARSABLE
+def test_sweep_unparsable_reply_is_oracle_error(tmp_path, capsys, line, why):
+    script = f"import sys; sys.stdin.readline(); print({line!r})"
+    code, _, err = sweep_one_image(
+        tmp_path, capsys, shlex.join([sys.executable, "-c", script])
+    )
+    assert code == 3
+    assert err.strip() == f"oracle error: oracle line 1: invalid JSON ({why})"
+
+
 def test_sweep_non_string_gt_is_data_error(tmp_path, capsys):
     # the ground truth is checked before the (unstartable) oracle is spawned
     img = tmp_path / "a.ppm"
@@ -579,7 +609,9 @@ def test_mock_oracle_flag_its_mode_ignores_is_usage_error(
     "line",
     [b"[1]", b'"x"', b'{"id": "a", "image": 0}', b"not json", b'{"id": "a"}',
      pytest.param(b'{"id": "a", "image": "\xff.ppm"}', id="not-utf8"),
-     pytest.param(b'{"id": "a", "image": "' + b"x" * (2 << 20) + b'"}', id="over-the-cap")],
+     pytest.param(b'{"id": "a", "image": "' + b"x" * (2 << 20) + b'"}', id="over-the-cap"),
+     pytest.param(_DEEP_JSON.encode(), id="deep"),
+     pytest.param(_LONG_NUMBER.encode(), id="long-number")],
 )
 def test_mock_oracle_malformed_request_is_oracle_error(mode, line):
     # an image that is not a string must not reach load_image, which would

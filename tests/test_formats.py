@@ -14,6 +14,8 @@ from freqfuse.harness.formats import (
     load_caption_records,
     load_ground_truth,
     load_pope_records,
+    parse_json,
+    read_json,
 )
 from freqfuse.metrics import CaptionRecord, SynonymTable
 from util import write_jsonl
@@ -235,3 +237,53 @@ def test_line_over_the_cap_is_refused_quickly(tmp_path, size):
     with pytest.raises(DataFormatError, match=":1: line longer than 1048576 bytes"):
         load_caption_records(path, TABLE)
     assert time.monotonic() - start < 1.0
+
+
+def _outcome(parse, text):
+    """("value", repr of the value) or ("error", json's reason)."""
+    try:
+        return "value", repr(parse(text))
+    except json.JSONDecodeError as exc:
+        return "error", exc.msg
+    except DataFormatError as exc:
+        return "error", re.fullmatch(r"x: invalid JSON \((.*)\)", str(exc))[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['\ufeff{"a": 1}', "{} {}", '{"a": 1} x', "NaN", "[Infinity, -Infinity]", "",
+     '""', '"\\ud800"', '{"a": 1, "a": 2}', " {}", "{}\n", "[1,]", "{oops", "-"],
+    ids=["bom", "two-values", "trailing-data", "nan", "infinity", "empty-text",
+         "empty-string", "lone-surrogate-escape", "duplicate-keys",
+         "leading-space", "trailing-newline", "trailing-comma", "bad-key", "bare-minus"],
+)
+def test_parse_json_gives_json_loads_value_or_message(text):
+    assert _outcome(lambda t: parse_json(t, "x"), text) == _outcome(json.loads, text)
+
+
+def test_read_json_of_a_file_with_a_trailing_newline(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"b": [1, 2.5, null], "a": "\\u00e9"}\n')
+    value = read_json(path)
+    assert value == json.loads(path.read_text())
+    assert list(value) == ["b", "a"]
+
+
+def test_a_valid_captions_file_is_parsed_without_json_loads(tmp_path, monkeypatch):
+    # each line is parsed once, by the decoder, not again by json.loads
+    calls = []
+    loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    path = write_jsonl(
+        tmp_path / "caps.jsonl",
+        [{"id": str(i), "caption": "a dog", "ground_truth": ["cat"]} for i in range(50)],
+    )
+    assert len(load_caption_records(path, TABLE)) == 50
+    assert calls == []
+    assert parse_json("{} ", "x") == {}  # the counter sees the fall-through
+    assert len(calls) == 1

@@ -19,7 +19,7 @@ from freqfuse.metrics import (
     extract_objects,
     pope_f1,
 )
-from oracles import naive_extract_objects, recount_chair, recount_pope
+from oracles import naive_extract_objects, naive_tokenize, recount_chair, recount_pope
 
 FIXTURE_TABLE = SynonymTable(
     {
@@ -154,6 +154,27 @@ def test_extraction_matches_naive_oracle(table_and_caption):
     mapping, caption = table_and_caption
     found = extract_objects(caption, SynonymTable(mapping))
     assert found == naive_extract_objects(caption, mapping)
+
+
+def test_tokenize_matches_the_regex_on_every_code_point():
+    # each code point between two ASCII letters: it joins them only if it
+    # lowercases to a-z or 0-9, as U+212A KELVIN SIGN does to "k"
+    text = " ".join(f"a{chr(c)}b" for c in range(0x110000))
+    assert _tokenize(text) == naive_tokenize(text)
+
+
+# st.text() draws no surrogates unless its alphabet allows them
+_ANY_CHAR = st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+    st.sampled_from("aZk9 -_\u212a\u0130\u00df"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(_ANY_CHAR, max_size=60))
+def test_tokenize_matches_the_regex_with_surrogates(text):
+    assert _tokenize(text) == naive_tokenize(text)
 
 
 _BUNDLED_MAPPING = json.loads(
