@@ -4,8 +4,9 @@ At each sequence position the original token queries its own two frequency
 tokens: scores = (v_o W_q)(v_f W_k)^T / sqrt(dim) over the stacked pair
 v_f = (v_l, v_h), softmax over the two scores, output = weights * (v_f W_v)
 plus the residual v_o. There is one head, no biases, and no output
-projection. The backward pass is hand-derived and checked against central
-finite differences; W_q, W_k, W_v are the only trainable parameters.
+projection. The backward pass is hand-derived, and gives fit_demo only the
+weight gradients; W_q, W_k, W_v are the only trainable parameters.
+gradient_check compares it with central differences, batched per tensor.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import check_int
+
+_CHECK_ELEMENTS = 2**16  # elements per batched array in gradient_check
 
 
 def _as_matrix(name, value, dim):
@@ -103,17 +106,19 @@ def _check_triple(v_o, v_l, v_h, params):
     return v_o, v_l, v_h
 
 
-def _forward(v_o, v_l, v_h, params):
-    scale = 1.0 / np.sqrt(params.dim)
-    q = v_o @ params.w_q
-    k_l = v_l @ params.w_k
-    k_h = v_h @ params.w_k
-    scores = np.stack([(q * k_l).sum(axis=1), (q * k_h).sum(axis=1)], axis=1)
+def _forward(v_o, v_l, v_h, w_q, w_k, w_v):
+    """The forward pass on checked inputs, which may carry leading batch axes
+    that broadcast. Returns its activations, the pre-residual output last."""
+    scale = 1.0 / np.sqrt(w_q.shape[-1])
+    q = v_o @ w_q
+    k_l = v_l @ w_k
+    k_h = v_h @ w_k
+    scores = np.stack([(q * k_l).sum(axis=-1), (q * k_h).sum(axis=-1)], axis=-1)
     scores *= scale
     weights = stable_softmax(scores)
-    vals_l = v_l @ params.w_v
-    vals_h = v_h @ params.w_v
-    pre = weights[:, :1] * vals_l + weights[:, 1:] * vals_h
+    vals_l = v_l @ w_v
+    vals_h = v_h @ w_v
+    pre = weights[..., :1] * vals_l + weights[..., 1:] * vals_h
     return q, k_l, k_h, scores, weights, vals_l, vals_h, pre
 
 
@@ -124,7 +129,9 @@ def fuse_token(v_o, v_l, v_h, params: FusionParams):
     v_o, v_l, v_h = _check_triple(
         *(np.asarray(v, dtype=float)[None] for v in (v_o, v_l, v_h)), params
     )
-    _, _, _, scores, weights, _, _, pre = _forward(v_o, v_l, v_h, params)
+    _, _, _, scores, weights, _, _, pre = _forward(
+        v_o, v_l, v_h, params.w_q, params.w_k, params.w_v
+    )
     trace = FusionTrace(scores=scores[0], weights=weights[0], pre_residual=pre[0])
     return pre[0] + v_o[0], trace
 
@@ -132,7 +139,7 @@ def fuse_token(v_o, v_l, v_h, params: FusionParams):
 def fuse_sequence(v_o, v_l, v_h, params: FusionParams) -> np.ndarray:
     """Fuse every position independently; returns the (L, dim) output."""
     v_o, v_l, v_h = _check_triple(v_o, v_l, v_h, params)
-    *_, pre = _forward(v_o, v_l, v_h, params)
+    *_, pre = _forward(v_o, v_l, v_h, params.w_q, params.w_k, params.w_v)
     return pre + v_o
 
 
@@ -144,13 +151,22 @@ def fuse_backward(v_o, v_l, v_h, params: FusionParams, upstream) -> FusionGradie
         raise ValueError(
             f"upstream has {g.shape[0]} positions, inputs have {v_o.shape[0]}"
         )
-    return _backward(v_o, v_l, v_h, params, _forward(v_o, v_l, v_h, params), g)
+    w_q, w_k, w_v = params.w_q, params.w_k, params.w_v
+    local = _backward(_forward(v_o, v_l, v_h, w_q, w_k, w_v), g)
+    d_q, d_k_l, d_k_h, d_vals_l, d_vals_h = local
+    return FusionGradients(
+        *_weight_gradients(v_o, v_l, v_h, local),
+        d_v_o=g + d_q @ w_q.T,
+        d_v_l=d_k_l @ w_k.T + d_vals_l @ w_v.T,
+        d_v_h=d_k_h @ w_k.T + d_vals_h @ w_v.T,
+    )
 
 
-def _backward(v_o, v_l, v_h, params, activations, g):
-    """fuse_backward on checked inputs, given their _forward activations."""
-    scale = 1.0 / np.sqrt(params.dim)
+def _backward(activations, g):
+    """Local gradients (d_q, d_k_l, d_k_h, d_vals_l, d_vals_h) of sum(g * pre)
+    for one checked 2-D sequence, given its _forward activations."""
     q, k_l, k_h, _, weights, vals_l, vals_h, _ = activations
+    scale = 1.0 / np.sqrt(q.shape[1])
 
     # value path
     d_weights = np.stack([(g * vals_l).sum(axis=1), (g * vals_h).sum(axis=1)], axis=1)
@@ -165,15 +181,15 @@ def _backward(v_o, v_l, v_h, params, activations, g):
     d_q = (d_scores[:, :1] * k_l + d_scores[:, 1:] * k_h) * scale
     d_k_l = d_scores[:, :1] * q * scale
     d_k_h = d_scores[:, 1:] * q * scale
+    return d_q, d_k_l, d_k_h, d_vals_l, d_vals_h
 
-    return FusionGradients(
-        d_w_q=v_o.T @ d_q,
-        d_w_k=v_l.T @ d_k_l + v_h.T @ d_k_h,
-        d_w_v=v_l.T @ d_vals_l + v_h.T @ d_vals_h,
-        d_v_o=g + d_q @ params.w_q.T,
-        d_v_l=d_k_l @ params.w_k.T + d_vals_l @ params.w_v.T,
-        d_v_h=d_k_h @ params.w_k.T + d_vals_h @ params.w_v.T,
-    )
+
+def _weight_gradients(v_o, v_l, v_h, local):
+    """(d_w_q, d_w_k, d_w_v) from _backward's local gradients."""
+    d_q, d_k_l, d_k_h, d_vals_l, d_vals_h = local
+    return (v_o.T @ d_q,
+            v_l.T @ d_k_l + v_h.T @ d_k_h,
+            v_l.T @ d_vals_l + v_h.T @ d_vals_h)
 
 
 def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
@@ -187,8 +203,8 @@ def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
     if not dataset:
         raise ValueError("dataset is empty")
     check_int("steps", steps, 0)
-    if not lr >= 0:  # NaN too
-        raise ValueError(f"lr must be >= 0, got {lr}")
+    if isinstance(lr, bool) or not 0 <= lr < np.inf:  # NaN too
+        raise ValueError(f"lr must be a finite number >= 0, got {lr!r}")
     samples = []
     n_entries = 0
     for v_o, v_l, v_h, target in dataset:
@@ -208,39 +224,34 @@ def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
     for step in range(steps + 1):
         update = step < steps
         total = 0.0
-        acc_q = np.zeros_like(params.w_q)
-        acc_k = np.zeros_like(params.w_k)
-        acc_v = np.zeros_like(params.w_v)
+        mats = (params.w_q, params.w_k, params.w_v)
+        accs = [np.zeros_like(m) for m in mats]
         for v_o, v_l, v_h, target in samples:
-            activations = _forward(v_o, v_l, v_h, params)
+            activations = _forward(v_o, v_l, v_h, *mats)
             diff = activations[-1] + v_o - target
             total += (diff**2).sum()
             if update:
-                upstream = 2.0 * diff / n_entries
-                grads = _backward(v_o, v_l, v_h, params, activations, upstream)
-                acc_q += grads.d_w_q
-                acc_k += grads.d_w_k
-                acc_v += grads.d_w_v
+                local = _backward(activations, 2.0 * diff / n_entries)
+                for acc, d_w in zip(accs, _weight_gradients(v_o, v_l, v_h, local)):
+                    acc += d_w
         losses.append(total / n_entries)
         if update:
-            params = FusionParams(
-                w_q=params.w_q - lr * acc_q,
-                w_k=params.w_k - lr * acc_k,
-                w_v=params.w_v - lr * acc_v,
-            )
+            params = FusionParams(*(m - lr * acc for m, acc in zip(mats, accs)))
     return params, losses
 
 
 def gradient_check(dim: int, positions: int, seed: int, tol: float = 1e-4):
     """Compare analytic gradients with central differences on a random instance.
 
-    Returns (passed, worst relative error). Errors are relative to the larger
-    view floored at 1e-3: at the default tol an entry fails only when off by
-    over 1e-7 absolute and 1e-4 relative. Used by the CLI self-check.
+    Returns (passed, worst relative error) as a bool and a float. Errors are
+    relative to the larger view floored at 1e-3: at the default tol an entry
+    fails only when off by over 1e-7 absolute and 1e-4 relative. Each chunk
+    of a tensor's entries is one _forward call on stacked copies of that
+    tensor, +eps at one entry each and then -eps, the other five broadcast.
     """
     check_int("positions", positions, 1)
-    if not tol > 0:  # NaN too
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < np.inf:  # NaN too
+        raise ValueError(f"tol must be > 0 and finite, got {tol}")
     params = init_params(dim, seed)  # first: it names a bad dim or seed
     rng = np.random.default_rng(seed)
     v_o = rng.normal(size=(positions, dim))
@@ -249,29 +260,28 @@ def gradient_check(dim: int, positions: int, seed: int, tol: float = 1e-4):
     upstream = rng.normal(size=(positions, dim))
 
     grads = fuse_backward(v_o, v_l, v_h, params, upstream)
+    expected = np.concatenate([g.ravel() for g in (
+        grads.d_v_o, grads.d_v_l, grads.d_v_h, grads.d_w_q, grads.d_w_k, grads.d_w_v)])
 
-    # each entry is perturbed in place, through a ravel() view of its array
-    def objective():
-        return float((upstream * fuse_sequence(v_o, v_l, v_h, params)).sum())
-
-    tensors = [params.w_q, params.w_k, params.w_v, v_o, v_l, v_h]
-    analytic = [grads.d_w_q, grads.d_w_k, grads.d_w_v,
-                grads.d_v_o, grads.d_v_l, grads.d_v_h]
-    worst = 0.0
+    tensors = [v_o, v_l, v_h, params.w_q, params.w_k, params.w_v]  # _forward's order
     eps = 1e-5
-    for tensor, grad in zip(tensors, analytic):
+    # the largest batched array holds 2 * chunk * max(positions, dim) * dim
+    chunk = max(1, _CHECK_ELEMENTS // (2 * max(positions, dim) * dim))
+    numeric = []
+    for which, tensor in enumerate(tensors):
         flat = tensor.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = objective()
-            flat[i] = orig - eps
-            f_minus = objective()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            expected = grad.ravel()[i]
-            err = abs(numeric - expected)
-            denom = max(abs(numeric), abs(expected))
-            rel = err / max(denom, 1e-3)
-            worst = max(worst, rel)
+        for start in range(0, flat.size, chunk):
+            entries = np.arange(start, min(start + chunk, flat.size))
+            n = entries.size
+            stack = np.tile(flat, (2, n, 1))
+            stack[:, np.arange(n), entries] = flat[entries] + np.array([[eps], [-eps]])
+            args = [np.broadcast_to(t, (2 * n, *t.shape)) for t in tensors]
+            args[which] = stack.reshape(2 * n, *tensor.shape)
+            *_, pre = _forward(*args)
+            f = (upstream * (pre + args[0])).sum(axis=(-2, -1))
+            numeric.append((f[:n] - f[n:]) / (2.0 * eps))
+    numeric = np.concatenate(numeric)
+    err = np.abs(numeric - expected)
+    rel = err / np.maximum(np.maximum(np.abs(numeric), np.abs(expected)), 1e-3)
+    worst = float(rel.max())
     return worst < tol, worst

@@ -104,7 +104,8 @@ def cmd_decompose(parser, args):
 def cmd_gradcheck(parser, args):
     _at_least(parser, 0, seed=args.seed)
     _at_least(parser, 1, dim=args.dim, positions=args.positions)
-    _positive(parser, "--tol", args.tol)
+    if not 0 < args.tol < np.inf:  # NaN too
+        parser.error(f"--tol must be positive and finite, got {args.tol:g}")
     ok, worst = gradient_check(args.dim, args.positions, args.seed, args.tol)
     print(f"gradcheck: worst relative error {worst:.3e} (tol {args.tol:g})")
     if not ok:

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (double sums, explicit loops, plain
-counting) and shares no code with the package under test.
+counting) and shares no code with the package under test, except the two
+fusion loops: naive_gradient_check and naive_fit restate gradient_check and
+fit_demo one entry or one sample at a time over the public fusion functions.
 """
 
 import json
@@ -11,6 +13,8 @@ import struct
 import zlib
 
 import numpy as np
+
+from freqfuse.fusion import FusionParams, fuse_backward, fuse_sequence, init_params
 
 
 def naive_dft2d(plane):
@@ -125,6 +129,74 @@ def central_difference(fn, x, eps=1e-5):
         xf[i] = orig
         flat[i] = (f_plus - f_minus) / (2.0 * eps)
     return grad
+
+
+def naive_gradient_check(dim, positions, seed, tol=1e-4):
+    """gradient_check's instance, with two fuse_sequence calls per entry."""
+    params = init_params(dim, seed)
+    rng = np.random.default_rng(seed)
+    v_o = rng.normal(size=(positions, dim))
+    v_l = rng.normal(size=(positions, dim))
+    v_h = rng.normal(size=(positions, dim))
+    upstream = rng.normal(size=(positions, dim))
+
+    grads = fuse_backward(v_o, v_l, v_h, params, upstream)
+
+    # each entry is perturbed in place, through a ravel() view of its array
+    def objective():
+        return float((upstream * fuse_sequence(v_o, v_l, v_h, params)).sum())
+
+    tensors = [params.w_q, params.w_k, params.w_v, v_o, v_l, v_h]
+    analytic = [grads.d_w_q, grads.d_w_k, grads.d_w_v,
+                grads.d_v_o, grads.d_v_l, grads.d_v_h]
+    worst = 0.0
+    eps = 1e-5
+    for tensor, grad in zip(tensors, analytic):
+        flat = tensor.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = objective()
+            flat[i] = orig - eps
+            f_minus = objective()
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            expected = grad.ravel()[i]
+            err = abs(numeric - expected)
+            denom = max(abs(numeric), abs(expected))
+            rel = err / max(denom, 1e-3)
+            worst = max(worst, rel)
+    return worst < tol, worst
+
+
+def naive_fit(dataset, params, steps, lr):
+    """fit_demo's update rule, one fuse_sequence and one fuse_backward per
+    sample and step: each step subtracts lr times the summed weight
+    gradients of the MSE over every entry of every target."""
+    n_entries = sum(np.asarray(target).size for *_, target in dataset)
+    losses = []
+    for step in range(steps + 1):
+        total = 0.0
+        grads = []
+        for v_o, v_l, v_h, target in dataset:
+            diff = fuse_sequence(v_o, v_l, v_h, params) - target
+            total += (diff**2).sum()
+            grads.append(fuse_backward(v_o, v_l, v_h, params, 2.0 * diff / n_entries))
+        losses.append(total / n_entries)
+        if step == steps:
+            return params, losses
+        d_w_q = np.zeros_like(params.w_q)
+        d_w_k = np.zeros_like(params.w_k)
+        d_w_v = np.zeros_like(params.w_v)
+        for g in grads:
+            d_w_q += g.d_w_q
+            d_w_k += g.d_w_k
+            d_w_v += g.d_w_v
+        params = FusionParams(
+            w_q=params.w_q - lr * d_w_q,
+            w_k=params.w_k - lr * d_w_k,
+            w_v=params.w_v - lr * d_w_v,
+        )
 
 
 def recount_chair(records):

@@ -253,6 +253,13 @@ def test_gradcheck_unreachable_tolerance_fails(capsys):
     assert "FAILED" in err
 
 
+def test_gradcheck_refuses_an_infinite_tol(capsys):
+    # it once passed every gradient and exited 0
+    code, out, err = run(capsys, "gradcheck", "--tol", "inf")
+    assert code == 1
+    assert "--tol" in err and out == ""
+
+
 def test_gradcheck_rejects_bad_dim(capsys):
     code, _, err = run(capsys, "gradcheck", "--dim", "0")
     assert code == 1

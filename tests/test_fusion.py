@@ -1,5 +1,7 @@
 """Fusion forward/backward tests against hand values and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from freqfuse.fusion import (
     init_params,
     stable_softmax,
 )
-from oracles import central_difference
+from oracles import central_difference, naive_fit, naive_gradient_check
 
 
 def random_instance(dim, length, seed):
@@ -256,7 +258,7 @@ def test_gradient_check_helper():
     assert ok and worst < 1e-4
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan"), float("inf")])
 def test_gradient_check_rejects_a_tol_that_is_not_positive(tol):
     with pytest.raises(ValueError, match="tol must be > 0"):
         gradient_check(2, 1, 0, tol)
@@ -268,6 +270,33 @@ def test_gradient_check_accepts_tiny_gradients(seed):
     # difference carries ~6e-11 of rounding: within 1e-7 absolute
     ok, worst = gradient_check(8, 4, seed)
     assert ok and worst < 1e-4
+
+
+def gradient_check_instances():
+    rng = np.random.default_rng(2026)
+    drawn = [(int(rng.integers(1, 9)), int(rng.integers(1, 7)), seed) for seed in range(50)]
+    return drawn + [(8, 4, 1058), (8, 4, 944133698)]
+
+
+@pytest.mark.parametrize("dim, positions, seed", gradient_check_instances())
+def test_gradient_check_is_the_naive_loop(dim, positions, seed):
+    # the batched central differences run the loop's arithmetic, entry for
+    # entry, so the verdict and the worst error are the same bits
+    ok, worst = naive_gradient_check(dim, positions, seed)
+    assert gradient_check(dim, positions, seed) == (bool(ok), float(worst))
+
+
+def test_gradient_check_memory_stays_bounded():
+    # all 18,432 perturbations of (32, 64) at once would take ~300 MB per
+    # batched array; the chunks keep each one to a fixed element budget
+    tracemalloc.start()
+    try:
+        ok, _ = gradient_check(32, 64, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 16 * 2**20
 
 
 # fit_demo
@@ -329,6 +358,19 @@ def test_fit_runs_one_forward_per_sample_and_step(monkeypatch):
     assert len(calls) == 2 * 3 + 2
 
 
+@pytest.mark.parametrize("lengths", [(1,), (3,), (2, 5), (1, 4, 2)])
+def test_fit_is_the_naive_fit(lengths):
+    rng = np.random.default_rng(len(lengths) * 10 + lengths[-1])
+    dim = 3
+    dataset = [tuple(rng.normal(size=(n, dim)) for _ in range(4)) for n in lengths]
+    params = init_params(dim, 49)
+    final, losses = fit_demo(dataset, params, steps=4, lr=0.05)
+    want, want_losses = naive_fit(dataset, params, steps=4, lr=0.05)
+    assert losses == want_losses
+    for name in ("w_q", "w_k", "w_v"):
+        assert np.array_equal(getattr(final, name), getattr(want, name))
+
+
 def test_fit_rejects_empty_dataset():
     with pytest.raises(ValueError):
         fit_demo([], init_params(2, 0), steps=1, lr=0.1)
@@ -342,7 +384,8 @@ def test_fit_names_steps_that_are_not_a_non_negative_int(steps):
         fit_demo(dataset, init_params(2, 45), steps=steps, lr=0.1)
 
 
-@pytest.mark.parametrize("lr", [-0.1, float("nan")])
+# inf once trained one step and then blamed w_q; True trained at 1.0
+@pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf"), True])
 def test_fit_rejects_bad_lr(lr):
     dataset = make_teacher_problem(2, 3, 44)
     with pytest.raises(ValueError, match="lr"):
