@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import check_int
+from .spectral import check_int, check_real
 
 _CHECK_ELEMENTS = 2**16  # elements per batched array in gradient_check
 
@@ -203,7 +203,8 @@ def fit_demo(dataset, params: FusionParams, steps: int, lr: float):
     if not dataset:
         raise ValueError("dataset is empty")
     check_int("steps", steps, 0)
-    if isinstance(lr, bool) or not 0 <= lr < np.inf:  # NaN too
+    check_real("lr", lr)
+    if not 0 <= lr < np.inf:  # NaN too
         raise ValueError(f"lr must be a finite number >= 0, got {lr!r}")
     samples = []
     n_entries = 0
@@ -250,6 +251,7 @@ def gradient_check(dim: int, positions: int, seed: int, tol: float = 1e-4):
     tensor, +eps at one entry each and then -eps, the other five broadcast.
     """
     check_int("positions", positions, 1)
+    check_real("tol", tol)
     if not 0 < tol < np.inf:  # NaN too
         raise ValueError(f"tol must be > 0 and finite, got {tol}")
     params = init_params(dim, seed)  # first: it names a bad dim or seed

@@ -36,6 +36,7 @@ import numpy as np
 
 from ..metrics import CaptionRecord, SynonymTable, chair, extract_objects
 from ..spectral import BRANCHES, filter_branch, image_spectrum
+from ..spectral import usable_cpus as _usable_cpus  # the name the tests patch
 from .formats import (
     DataFormatError,
     bundled_synonyms_path,
@@ -216,14 +217,6 @@ def _exports(config, ids, images, directory):
 
 # the default pipe size limit on Linux: a 375x500 image is 0.54 MiB
 DECODER_PIPE_BYTES = 1 << 20
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 @contextlib.contextmanager

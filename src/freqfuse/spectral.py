@@ -24,6 +24,15 @@ decompose_attenuated multiplies each mask by a damping draw of its own
 first, so it inverts both branches, the low one from a copy. Outputs are
 not clamped to [0, 1]; export clamps.
 
+decompose and decompose_attenuated run each 1-D step as two halves at once,
+the rows or columns of the upper half on one worker thread and the rest in
+the caller's: numpy's FFT loops release the GIL, and each 1-D transform is
+computed on its own, so the bits are the same as on one thread. The worker
+is one per process, made on first use where two CPUs are usable, and a
+forked child makes its own. image_spectrum and filter_branch, the sweep's
+path, stay on the caller's thread: in a sweep the captioner child and the
+PNG decoders keep the other CPU busy, and a split made it slower there.
+
 Spectra and branches keep the (h, w, 3) shape but live in channel-planar
 memory, each channel one contiguous block: the transforms run faster there
 and give the same values. Masks are built in each call, never cached,
@@ -32,6 +41,9 @@ and their outer product. They are even, so an undamped branch weight is its
 mask as it stands; only a damping gain, which is not even, makes its own.
 """
 
+import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +79,7 @@ class AttenuationSpec:
     mode: str = MODE_RANDOM
 
     def __post_init__(self):
+        check_real("gamma", self.gamma)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.mode not in (MODE_RANDOM, MODE_CONSTANT):
@@ -80,6 +93,14 @@ def check_int(field, value, least):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         bound = "a non-negative int" if least == 0 else f"an int >= {least}"
         raise ValueError(f"{field} must be {bound}, got {value!r}")
+
+
+def check_real(field, value):
+    """ValueError naming field unless value is a real number, Python's or
+    numpy's; a bool is refused, though Python counts it a number. The
+    caller checks the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} must be a real number, got {value!r}")
 
 
 def float_image(image) -> np.ndarray:
@@ -130,6 +151,7 @@ def gaussian_masks(h: int, w: int, cutoff: float):
 def _masks(du, dv, cutoff, dtype):
     """(low, high) of dtype at row offsets du and column offsets dv from the
     center."""
+    check_real("cutoff", cutoff)
     if not cutoff > 0:  # NaN too
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     # exp(-D^2 / 2c^2) is separable. d / cutoff overflows to weight 0 off
@@ -191,7 +213,7 @@ def image_spectrum(image, dtype=np.float64) -> ImageSpectrum:
     """
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
-    return _forward(_planar(validate_image(image), dtype))
+    return _forward(_planar(validate_image(image), dtype), _whole)
 
 
 def _planar(arr, dtype):
@@ -202,12 +224,75 @@ def _planar(arr, dtype):
     return np.ascontiguousarray(arr.transpose(2, 0, 1), dtype=dtype).transpose(1, 2, 0)
 
 
-def _forward(planar):
-    # rfft2's two steps, the second in place: the same calls, so the same bits
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+# The one worker thread of decompose and decompose_attenuated, in a pool of
+# one made on first use where two CPUs are usable. numpy's FFT loops
+# release the GIL, so the worker transforms while the caller does.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _drop_worker():
+    """In a forked child: the parent's worker thread was not copied, so a
+    task handed to its pool would never run. The child makes its own."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _whole(call, n):
+    """call on all of range(n) at once, in this thread."""
+    call(slice(0, n))
+
+
+def _halves(call, n):
+    """call on all of range(n) as two halves at once: the upper one on the
+    worker, the lower one here. Without a worker, the whole here."""
+    global _worker
+    with _worker_lock:
+        if _worker is None and n > 1 and usable_cpus() > 1:
+            # imported here: it takes 5 ms, and the captioner child imports
+            # this module but never splits
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1)
+        worker = _worker
+    if worker is None or n < 2:
+        call(slice(0, n))
+        return
+    upper = worker.submit(call, slice(n // 2, n))
+    try:
+        call(slice(0, n // 2))
+    finally:
+        upper.result()  # the worker's half is done: raises its error, if any
+
+
+def _empty_planar(h, w, dtype):
+    """An uninitialized (h, w, 3) array of dtype in channel-planar memory."""
+    return np.empty((3, h, w), dtype).transpose(1, 2, 0)
+
+
+def _forward(planar, split):
+    # rfft2's two steps, the second in place: each 1-D transform is computed
+    # on its own, whichever part of the rows or columns a call is given, so
+    # the same bits however split splits them
     norm = _norm(planar)
-    half = np.fft.rfft(planar, axis=1, norm=norm)
-    np.fft.fft(half, axis=0, out=half, norm=norm)
-    return ImageSpectrum(half, planar.shape[:2])
+    h, w = planar.shape[:2]
+    half = _empty_planar(h, w // 2 + 1, np.result_type(planar.dtype, np.complex64))
+    split(lambda rows: np.fft.rfft(planar[rows], axis=1, norm=norm, out=half[rows]), h)
+    split(lambda cols: np.fft.fft(half[:, cols], axis=0, norm=norm, out=half[:, cols]),
+          w // 2 + 1)
+    return ImageSpectrum(half, (h, w))
 
 
 def _norm(arr):
@@ -243,7 +328,7 @@ def _damped_weight(mask, gain):
     return g
 
 
-def _branch(half, weight, w):
+def _branch(half, weight, w, split):
     """The inverse of half * weight, a real weight, signed zeros aside.
 
     half is weighted in place, where a broadcast product would hold an
@@ -254,14 +339,18 @@ def _branch(half, weight, w):
     half.real *= weight
     half.imag *= weight
     del weight
-    return _inverse(half, w)
+    return _inverse(half, w, split)
 
 
-def _inverse(half, w):
+def _inverse(half, w, split):
     # irfft2's two steps, the first in place on the weighted half spectrum
     norm = _norm(half)
-    np.fft.ifft(half, axis=0, out=half, norm=norm)
-    return np.fft.irfft(half, n=w, axis=1, norm=norm)
+    h = half.shape[0]
+    split(lambda cols: np.fft.ifft(half[:, cols], axis=0, norm=norm, out=half[:, cols]),
+          half.shape[1])
+    out = _empty_planar(h, w, half.real.dtype)
+    split(lambda rows: np.fft.irfft(half[rows], n=w, axis=1, norm=norm, out=out[rows]), h)
+    return out
 
 
 def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndarray:
@@ -274,7 +363,8 @@ def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndar
     real = spectrum.half.real.dtype  # a float64 mask would upcast the product
     # a copy to weight: the spectrum is the caller's, for every cutoff of a sweep
     return _branch(spectrum.half.copy(order="K"),
-                   _half_masks(h, w, cutoff, real)[BRANCHES.index(which)][:, :, None], w)
+                   _half_masks(h, w, cutoff, real)[BRANCHES.index(which)][:, :, None], w,
+                   _whole)
 
 
 def decompose(image, cutoff: float = DEFAULT_CUTOFF):
@@ -291,7 +381,8 @@ def decompose(image, cutoff: float = DEFAULT_CUTOFF):
     h, w = planar.shape[:2]
     # the spectrum is this call's own: weighted as it is, and freed before
     # high is allocated
-    low = _branch(_forward(planar).half, _half_masks(h, w, cutoff)[0][:, :, None], w)
+    low = _branch(_forward(planar, _halves).half, _half_masks(h, w, cutoff)[0][:, :, None],
+                  w, _halves)
     # a new array: planar may be the caller's own image
     return low, planar - low
 
@@ -313,12 +404,13 @@ def attenuation_matrix(h: int, w: int, spec: AttenuationSpec) -> np.ndarray:
 def decompose_attenuated(image, cutoff: float, spec: AttenuationSpec):
     """Decompose with each branch's masked spectrum damped elementwise,
     by one damping draw per branch as AttenuationSpec describes."""
-    spectrum = image_spectrum(image)
+    spectrum = _forward(_planar(validate_image(image), np.float64), _halves)
     h, w = spectrum.shape
     masks = _half_masks(h, w, cutoff)
     gains = _draw_gains(h, w, spec, 2)[..., None]
     # the low branch weights a copy, and the high branch, the spectrum's last
     # use, the spectrum itself. The masks and draws live to the end: freed
     # earlier, they left heap that raised the decompose benchmark's peak RSS
-    low = _branch(spectrum.half.copy(order="K"), _damped_weight(masks[0], gains[0]), w)
-    return low, _branch(spectrum.half, _damped_weight(masks[1], gains[1]), w)
+    low = _branch(spectrum.half.copy(order="K"), _damped_weight(masks[0], gains[0]), w,
+                  _halves)
+    return low, _branch(spectrum.half, _damped_weight(masks[1], gains[1]), w, _halves)

@@ -264,6 +264,13 @@ def test_gradient_check_rejects_a_tol_that_is_not_positive(tol):
         gradient_check(2, 1, 0, tol)
 
 
+@pytest.mark.parametrize("tol", [True, "1e-4", None, 1j])
+def test_gradient_check_names_a_tol_that_is_not_a_real_number(tol):
+    # True once ran as tol 1.0, and "1e-4" raised a bare TypeError
+    with pytest.raises(ValueError, match="^tol must be a real number, got"):
+        gradient_check(8, 4, 944133698, tol)
+
+
 @pytest.mark.parametrize("seed", [1058, 944133698])
 def test_gradient_check_accepts_tiny_gradients(seed):
     # each instance's worst entry is a ~3e-7 gradient whose central
@@ -384,8 +391,9 @@ def test_fit_names_steps_that_are_not_a_non_negative_int(steps):
         fit_demo(dataset, init_params(2, 45), steps=steps, lr=0.1)
 
 
-# inf once trained one step and then blamed w_q; True trained at 1.0
-@pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf"), True])
+# inf once trained one step and then blamed w_q; True trained at 1.0, and
+# "0.1" raised a bare TypeError
+@pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf"), True, "0.1", 1j])
 def test_fit_rejects_bad_lr(lr):
     dataset = make_teacher_problem(2, 3, 44)
     with pytest.raises(ValueError, match="lr"):

@@ -1,6 +1,10 @@
 """Frequency-decomposition tests against the naive-DFT oracles."""
 
+import multiprocessing
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -223,9 +227,9 @@ def test_decompose_takes_one_inverse_transform(monkeypatch):
     inverted = []
     original = spectral._inverse
 
-    def counted(prod, w):
+    def counted(prod, w, split):
         inverted.append(prod.shape)
-        return original(prod, w)
+        return original(prod, w, split)
 
     monkeypatch.setattr(spectral, "_inverse", counted)
     decompose(img, 3.0)
@@ -565,6 +569,36 @@ def test_attenuation_spec_rejects_bad_values():
         AttenuationSpec(mode="gaussian")
 
 
+@pytest.mark.parametrize("gamma", [True, "0.5", None, 0.5j])
+def test_attenuation_spec_names_a_gamma_that_is_not_a_real_number(gamma):
+    # True once ran at gamma 1, and "0.5" raised a bare TypeError
+    with pytest.raises(ValueError, match="^gamma must be a real number, got"):
+        AttenuationSpec(gamma)
+
+
+@pytest.mark.parametrize("cutoff", [True, "3", None, 3j])
+def test_every_split_names_a_cutoff_that_is_not_a_real_number(cutoff):
+    # True once ran at cutoff 1, and "3" raised a bare TypeError
+    img = random_image(np.random.default_rng(20), 4, 5)
+    for call in (
+        lambda: decompose(img, cutoff),
+        lambda: decompose_attenuated(img, cutoff, AttenuationSpec(0.5)),
+        lambda: filter_branch(image_spectrum(img), cutoff, "low"),
+        lambda: gaussian_masks(4, 5, cutoff),
+    ):
+        with pytest.raises(ValueError, match="^cutoff must be a real number, got"):
+            call()
+
+
+def test_real_number_arguments_take_numpy_scalars():
+    img = random_image(np.random.default_rng(21), 4, 5)
+    for a, b in zip(decompose(img, np.float32(2.5)), decompose(img, 2.5)):
+        assert np.array_equal(a, b)
+    for a, b in zip(decompose(img, np.int64(3)), decompose(img, 3.0)):
+        assert np.array_equal(a, b)
+    assert AttenuationSpec(np.float64(0.5)).gamma == 0.5
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_attenuation_spec_checks_its_seed_where_it_is_stored(seed):
     with pytest.raises(ValueError, match="seed must be a non-negative int"):
@@ -673,3 +707,136 @@ def test_attenuated_naive_oracle_property(h, w, seed):
     naive_low, naive_high = naive_decompose(img, 3.0, *documented_gains(h, w, spec))
     assert np.abs(low - naive_low).max() < 1e-9
     assert np.abs(high - naive_high).max() < 1e-9
+
+
+# the worker thread: decompose and decompose_attenuated run each transform
+# step as two halves, the upper one on the worker
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """A worker of the test's own, made on first use as if the process had
+    two usable CPUs, whatever it has; shut down after the test."""
+    monkeypatch.setattr(spectral, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(spectral, "_worker", None)
+    yield
+    if spectral._worker is not None:
+        spectral._worker.shutdown()
+
+
+def fft_threads(monkeypatch):
+    """The thread of every numpy transform call from here on, in order."""
+    threads = []
+    for name in ("rfft", "fft", "ifft", "irfft"):
+        def recorded(*args, _original=getattr(np.fft, name), **kwargs):
+            threads.append(threading.get_ident())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    return threads
+
+
+def both_splits(img, cutoff):
+    spec = AttenuationSpec(0.4, seed=9)
+    return (*decompose(img, cutoff), *decompose_attenuated(img, cutoff, spec))
+
+
+@pytest.mark.parametrize(
+    "h, w", [(1, 1), (1, 2), (2, 1), (2, 2), (7, 9), (13, 4), (224, 224), (375, 500), (512, 512)]
+)
+def test_split_transforms_give_the_one_thread_bits(worker, monkeypatch, h, w):
+    img = random_image(np.random.default_rng(h * 1000 + w), h, w)
+    cutoff = 30.0 if h > 100 else 2.5
+    threads = fft_threads(monkeypatch)
+    split = both_splits(img, cutoff)
+    # a step over one row or one column runs whole, in the caller's thread
+    assert len(set(threads)) == (1 if h * w == 1 else 2)
+    monkeypatch.setattr(spectral, "_halves", spectral._whole)
+    for got, want in zip(split, both_splits(img, cutoff)):
+        assert got.tobytes() == want.tobytes()
+        assert is_channel_planar(got)
+
+
+def test_one_worker_serves_every_call(worker, monkeypatch):
+    threads = fft_threads(monkeypatch)
+    before = threading.active_count()
+    for seed in range(4):
+        both_splits(random_image(np.random.default_rng(seed), 9, 8), 2.0)
+        pool = spectral._worker
+        assert pool is not None and pool is spectral._worker
+    assert threading.active_count() == before + 1
+    assert len(set(threads)) == 2
+    # 4 steps of decompose and 6 of decompose_attenuated, each two halves
+    assert len(threads) == 4 * (4 + 6) * 2
+
+
+def test_an_error_in_the_workers_half_reaches_the_caller(worker, monkeypatch):
+    img = random_image(np.random.default_rng(22), 10, 12)
+    want = both_splits(img, 2.0)
+    caller = threading.get_ident()
+    original = np.fft.irfft
+
+    def failing(*args, **kwargs):
+        if threading.get_ident() != caller:
+            raise MemoryError("in the worker's half")
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.fft, "irfft", failing)
+        with pytest.raises(MemoryError, match="in the worker's half"):
+            decompose(img, 2.0)
+    pool = spectral._worker
+    for got, expected in zip(both_splits(img, 2.0), want):
+        assert np.array_equal(got, expected)
+    assert spectral._worker is pool
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(spectral, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(spectral, "_worker", None)
+    threads = fft_threads(monkeypatch)
+    before = threading.active_count()
+    both_splits(random_image(np.random.default_rng(23), 16, 16), 2.0)
+    assert spectral._worker is None
+    assert threading.active_count() == before
+    assert set(threads) == {threading.get_ident()}
+
+
+def _split_in_child(img, results):
+    results.send([a.tobytes() for a in both_splits(img, 2.0)])
+    results.close()
+
+
+def test_a_forked_child_makes_its_own_worker(worker):
+    # the child is a copy of the caller's thread alone: the parent's pool
+    # is there, its thread is not, and a task handed to it never runs
+    img = random_image(np.random.default_rng(24), 20, 18)
+    want = [a.tobytes() for a in both_splits(img, 2.0)]
+    assert spectral._worker is not None
+    context = multiprocessing.get_context("fork")
+    received, results = context.Pipe(duplex=False)
+    child = context.Process(target=_split_in_child, args=(img, results))
+    child.start()
+    results.close()
+    try:
+        assert received.poll(60), "the child did not finish its split"
+        assert received.recv() == want
+    finally:
+        child.kill()
+        child.join(10)
+        received.close()
+    assert not child.is_alive()
+    child.close()
+
+
+def test_decompose_command_exits_promptly(tmp_path):
+    # the worker is idle once decompose returns, and is joined at exit
+    save_image(random_image(np.random.default_rng(25), 64, 48), tmp_path / "in.ppm")
+    proc = subprocess.run(
+        [sys.executable, "-m", "freqfuse", "decompose", "--input", str(tmp_path / "in.ppm"),
+         "--cutoff", "5", "--out-low", str(tmp_path / "low.ppm"),
+         "--out-high", str(tmp_path / "high.ppm")],
+        capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "low.ppm").exists() and (tmp_path / "high.ppm").exists()

@@ -1,5 +1,6 @@
 """Checks on the source itself: it parses as the oldest Python that
-pyproject.toml allows, and only harness/formats.py parses JSON."""
+pyproject.toml allows, only harness/formats.py parses JSON, and only
+spectral.py imports threads."""
 
 import ast
 import re
@@ -56,3 +57,35 @@ def test_only_formats_parses_json():
         for line in _json_loads_calls(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert not elsewhere, f"json.loads called outside harness/formats.py: {sorted(elsewhere)}"
+
+
+def _thread_imports(tree):
+    """Line numbers of the imports of threading or concurrent.futures in a
+    module, in any form."""
+    wanted = ("threading", "concurrent")
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in wanted for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_spectral_starts_threads():
+    """The transforms' one worker thread lives in spectral.py; no other
+    module imports threading or concurrent.futures."""
+    package = ROOT / "src" / "freqfuse"
+    spectral = package / "spectral.py"
+    assert _thread_imports(ast.parse(spectral.read_text(encoding="utf-8")))
+    elsewhere = {
+        f"{path.relative_to(package)}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        if path != spectral
+        for line in _thread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert not elsewhere, f"threads imported outside spectral.py: {sorted(elsewhere)}"
