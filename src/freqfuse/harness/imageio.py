@@ -17,6 +17,7 @@ a table built on first use.
 """
 
 import functools
+import os
 import re
 import struct
 import zlib
@@ -29,6 +30,14 @@ PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 # width * height above which an image is refused from its header, before
 # anything is inflated or allocated
 MAX_PIXELS = 1 << 25
+# bytes above which a file is refused, read no further: MAX_PIXELS pixels
+# take at most 4 bytes each in either format, 3 of RGB and, in PNG, up to
+# one filter byte a row; the 1 MiB more holds headers, PNG chunk framing
+# and deflate's stored-block overhead
+MAX_FILE_BYTES = 4 * MAX_PIXELS + (1 << 20)
+# what read_image asks for at a time from a file that outruns the size it
+# reports, as a pipe or a device does
+_READ_CHUNK = 1 << 20
 
 
 class ImageError(Exception):
@@ -82,10 +91,14 @@ def load_image(path) -> np.ndarray:
 
 def read_image(path) -> np.ndarray:
     """Read and decode a PPM or PNG file into its pixels, an (h, w, 3)
-    uint8 array, interleaved as the file holds them. Errors name the path."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    uint8 array, interleaved as the file holds them. Errors name the path.
+
+    Nothing past the first 8 bytes is read unless they open a P6 PPM or a
+    PNG, and a file over MAX_FILE_BYTES is refused once that many bytes are
+    read."""
     try:
+        with open(path, "rb") as fh:
+            data = _read_capped(fh)
         if data[:2] == b"P6":
             return _decode_ppm(data)
         if data[: len(PNG_SIGNATURE)] == PNG_SIGNATURE:
@@ -93,6 +106,36 @@ def read_image(path) -> np.ndarray:
         raise ImageDecodeError("not a P6 PPM or PNG file")
     except ImageError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def _read_capped(fh):
+    """All of fh, which must open with a P6 or PNG signature and hold at most
+    MAX_FILE_BYTES, else ImageDecodeError.
+
+    read(n) allocates n bytes before it reads, so the file is asked for the
+    size it reports and one byte more, to find its end; only a file that
+    outruns its size is read on in chunks. A seekable file is read again
+    from its start, so its bytes come in one piece, not copied to join them.
+    """
+    head = fh.read(len(PNG_SIGNATURE))
+    if head[:2] != b"P6" and head != PNG_SIGNATURE:
+        raise ImageDecodeError("not a P6 PPM or PNG file")
+    if fh.seekable():
+        fh.seek(0)
+        parts, size = [], 0
+    else:
+        parts, size = [head], len(head)
+    want = max(os.fstat(fh.fileno()).st_size - size, 0) + 1
+    while True:
+        want = min(want, MAX_FILE_BYTES + 1 - size)
+        part = fh.read(want)
+        parts.append(part)
+        size += len(part)
+        if size > MAX_FILE_BYTES:
+            raise ImageDecodeError(f"file is over the limit of {MAX_FILE_BYTES} bytes")
+        if len(part) < want:  # the end of the file
+            return parts[0] if len(parts) == 1 else b"".join(parts)
+        want = _READ_CHUNK
 
 
 def float_pixels(pixels, dtype=float) -> np.ndarray:

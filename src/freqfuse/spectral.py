@@ -24,14 +24,20 @@ decompose_attenuated multiplies each mask by a damping draw of its own
 first, so it inverts both branches, the low one from a copy. Outputs are
 not clamped to [0, 1]; export clamps.
 
-decompose and decompose_attenuated run each 1-D step as two halves at once,
-the rows or columns of the upper half on one worker thread and the rest in
-the caller's: numpy's FFT loops release the GIL, and each 1-D transform is
-computed on its own, so the bits are the same as on one thread. The worker
-is one per process, made on first use where two CPUs are usable, and a
-forked child makes its own. image_spectrum and filter_branch, the sweep's
-path, stay on the caller's thread: in a sweep the captioner child and the
-PNG decoders keep the other CPU busy, and a split made it slower there.
+decompose and decompose_attenuated run each full-size step as two halves at
+once, the upper half on one worker thread and the rest in the caller's: each
+1-D transform step by rows or by columns; by rows the range check with the
+planar cast, the weighting, the subtraction of the low branch and the
+damping weights; and the two damping draws, one each. numpy's FFT loops, its
+elementwise loops and Generator.random release the GIL, and each value is
+computed on its own, so the bits are the same as on one thread. On 2 CPUs
+the split takes 25 to 30% off a split at 224x224, 375x500 and 512x512,
+damped or not, against one thread. Every full-size array is allocated in the
+caller's thread. The worker is one per process, made on first use where two
+CPUs are usable, and a forked child makes its own. image_spectrum and
+filter_branch, the sweep's path, stay on the caller's thread: in a sweep the
+captioner child and the PNG decoders keep the other CPU busy, and a split
+made it slower there.
 
 Spectra and branches keep the (h, w, 3) shape but live in channel-planar
 memory, each channel one contiguous block: the transforms run faster there
@@ -127,13 +133,18 @@ def validate_image(image) -> np.ndarray:
     """float_image, checked for [0, 1] intensities: float32 or float64,
     never cast to a lower precision, so no value is rounded into range."""
     arr = float_image(image)
-    # NaN propagates through min and max, and an infinity is at one end
-    lo, hi = arr.min(), arr.max()
+    _check_range(arr.min(), arr.max())
+    return arr
+
+
+def _check_range(lo, hi):
+    """ValueError unless the least and greatest values of an image, lo and
+    hi, are finite and in [0, 1]: NaN propagates through numpy's min and
+    max, and an infinity is at one end."""
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("image contains non-finite values")
     if lo < 0.0 or hi > 1.0:
         raise ValueError("image intensities must lie in [0, 1]")
-    return arr
 
 
 def gaussian_masks(h: int, w: int, cutoff: float):
@@ -213,15 +224,41 @@ def image_spectrum(image, dtype=np.float64) -> ImageSpectrum:
     """
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
-    return _forward(_planar(validate_image(image), dtype), _whole)
+    return _forward(_checked_planar(image, dtype, _whole), _whole)
 
 
-def _planar(arr, dtype):
-    """arr cast to dtype in channel-planar memory. The numpy transforms keep
-    the memory order of their input, and run faster over channel-planar
-    memory; every value is the same either way. The planar copy is also the
-    cast: a planar image of dtype, as float_pixels gives, is arr itself."""
-    return np.ascontiguousarray(arr.transpose(2, 0, 1), dtype=dtype).transpose(1, 2, 0)
+def _checked_planar(image, dtype, split):
+    """validate_image(image) cast to dtype in channel-planar memory, checked
+    and cast in one pass over the rows as split parts them.
+
+    The numpy transforms keep the memory order of their input, and run
+    faster over channel-planar memory; every value is the same either way.
+    A planar image of dtype, as float_pixels gives, is only checked, and
+    returned as it is. Each part is checked before it is cast, and cast only
+    if it is in range: a value outside [0, 1] is refused even where the cast
+    would round it into range, and is never cast to overflow."""
+    arr = float_image(image)
+    h, w = arr.shape[:2]
+    if arr.dtype == dtype and arr.transpose(2, 0, 1).flags.c_contiguous:
+        planar = arr
+    else:
+        planar = _empty_planar(h, w, dtype)
+    ends = {}
+
+    def check_and_cast(rows):
+        part = arr[rows]
+        lo, hi = ends[rows.start] = part.min(), part.max()
+        if planar is not arr and 0.0 <= lo and hi <= 1.0:  # NaN fails both
+            planar[rows] = part
+
+    split(check_and_cast, h)
+    lo, hi = ends.pop(0)
+    for part_lo, part_hi in ends.values():
+        # numpy's minimum and maximum keep a NaN; Python's min and max drop
+        # it unless it comes first
+        lo, hi = np.minimum(lo, part_lo), np.maximum(hi, part_hi)
+    _check_range(lo, hi)
+    return planar
 
 
 def usable_cpus():
@@ -305,39 +342,59 @@ def _norm(arr):
     return "ortho" if arr.dtype in (np.float32, np.complex64) else None
 
 
-def _damped_weight(mask, gain):
+def _damped_weight(mask, gain, split):
     """Hermitian weight of one damped branch on the unshifted half grid.
 
-    mask is a half-grid mask from _half_masks and gain a centered (h, w, 1)
-    array. With g = mask * gain, the weight is (g(k) + g(-k)) / 2, the
+    mask is a half-grid mask from _half_masks and gain a centered (h, w)
+    draw. With g = mask * gain, the weight is (g(k) + g(-k)) / 2, the
     filter that the real part of a complex inverse applies, so irfft2 gives
-    it exactly. The mask is even, so only the gain is gathered at -k.
+    it exactly. The mask is even, so only the gain is gathered at -k. The
+    weight is built by rows as split parts them, in arrays allocated here:
+    memory a worker thread allocates and frees stays in its own malloc
+    arena, where this thread cannot reuse it, and raised the decompose
+    benchmark's peak RSS.
     """
-    h, w, _ = gain.shape
+    h, w = gain.shape
     # unshifted cell (r, c) is centered cell ((r + h//2) % h, (c + w//2) % w),
     # and its mirror (-r, -c) is centered cell ((h//2 - r) % h, (w//2 - c) % w);
-    # one take per axis, columns first, is faster than indexing both at once
+    # one take per axis is faster than indexing both at once
     rows, cols = np.arange(h), np.arange(w // 2 + 1)
-    g = gain.take((cols + w // 2) % w, axis=1).take((rows + h // 2) % h, axis=0)
-    mirror = gain.take((w // 2 - cols) % w, axis=1).take((h // 2 - rows) % h, axis=0)
-    m = mask[:, :, None]
-    g *= m
-    mirror *= m
-    g += mirror
-    g /= 2.0
-    return g
+    at = ((rows + h // 2) % h, (cols + w // 2) % w)
+    mirror_at = ((h // 2 - rows) % h, (w // 2 - cols) % w)
+    weight, mirror = np.empty((2, h, w // 2 + 1))
+    gathered = np.empty((h, w))
+
+    def build(part):
+        # the indices are in range: "clip" only spares the copy of out that
+        # the default "raise" makes
+        for (r, c), out in ((at, weight), (mirror_at, mirror)):
+            gain.take(r[part], axis=0, out=gathered[part], mode="clip")
+            gathered[part].take(c, axis=1, out=out[part], mode="clip")
+        g, m = weight[part], mask[part]
+        g *= m
+        mirror[part] *= m
+        g += mirror[part]
+        g /= 2.0
+
+    split(build, h)
+    return weight[:, :, None]
 
 
 def _branch(half, weight, w, split):
     """The inverse of half * weight, a real weight, signed zeros aside.
 
-    half is weighted in place, where a broadcast product would hold an
-    iterator buffer of up to 128 KiB besides, and then overwritten: the
-    caller gives a half spectrum of its own, a copy where the spectrum must
-    survive, and weight as a temporary, freed before the inverse allocates:
-    fewer page faults, faster."""
-    half.real *= weight
-    half.imag *= weight
+    half is weighted in place, by rows as split parts them, where a
+    broadcast product would hold an iterator buffer of up to 128 KiB
+    besides, and then overwritten: the caller gives a half spectrum of its
+    own, a copy where the spectrum must survive, and weight as a temporary,
+    freed before the inverse allocates: fewer page faults, faster."""
+
+    def weigh(rows):
+        part, by = half[rows], weight[rows]
+        part.real *= by
+        part.imag *= by
+
+    split(weigh, half.shape[0])
     del weight
     return _inverse(half, w, split)
 
@@ -377,40 +434,59 @@ def decompose(image, cutoff: float = DEFAULT_CUTOFF):
     transform round-off (about 1e-15 on [0, 1] images), and low + high ==
     image up to the round-off of one subtraction. Not clamped.
     """
-    planar = _planar(validate_image(image), np.float64)
+    planar = _checked_planar(image, np.float64, _halves)
     h, w = planar.shape[:2]
     # the spectrum is this call's own: weighted as it is, and freed before
     # high is allocated
     low = _branch(_forward(planar, _halves).half, _half_masks(h, w, cutoff)[0][:, :, None],
                   w, _halves)
     # a new array: planar may be the caller's own image
-    return low, planar - low
+    high = _empty_planar(h, w, np.float64)
+    _halves(lambda rows: np.subtract(planar[rows], low[rows], out=high[rows]), h)
+    return low, high
 
 
-def _draw_gains(h, w, spec, count):
+def _draw_gains(h, w, spec, count, split):
+    """count (h, w) damping draws, the low branch's first: the U(0, gamma)
+    stream of PCG64(seed) in order, or gamma throughout. The draws are taken
+    at once as split parts them, each from a generator advanced past the
+    ones before it, into an array allocated here (see _damped_weight)."""
     if spec.mode == MODE_CONSTANT:
         return np.full((count, h, w), spec.gamma)
-    rng = np.random.default_rng(spec.seed)
-    return rng.uniform(0.0, spec.gamma, size=(count, h, w))
+    gains = np.empty((count, h, w))
+
+    def draw(part):
+        for k in range(count)[part]:
+            bits = np.random.PCG64(spec.seed)
+            bits.advance(k * h * w)  # each U(0, 1) double takes one 64-bit output
+            # U(0, gamma) is gamma times U(0, 1): the bits of uniform(0, gamma),
+            # which computes 0 + gamma * u; random fills in place, and
+            # releases the GIL
+            np.random.Generator(bits).random(out=gains[k])
+            gains[k] *= spec.gamma
+
+    split(draw, count)
+    return gains
 
 
 def attenuation_matrix(h: int, w: int, spec: AttenuationSpec) -> np.ndarray:
     """Damping matrix per the spec: U(0, gamma) draws or the constant gamma."""
     check_int("h", h, 1)
     check_int("w", w, 1)
-    return _draw_gains(h, w, spec, 1)[0]
+    return _draw_gains(h, w, spec, 1, _whole)[0]
 
 
 def decompose_attenuated(image, cutoff: float, spec: AttenuationSpec):
     """Decompose with each branch's masked spectrum damped elementwise,
     by one damping draw per branch as AttenuationSpec describes."""
-    spectrum = _forward(_planar(validate_image(image), np.float64), _halves)
+    spectrum = _forward(_checked_planar(image, np.float64, _halves), _halves)
     h, w = spectrum.shape
     masks = _half_masks(h, w, cutoff)
-    gains = _draw_gains(h, w, spec, 2)[..., None]
+    gains = _draw_gains(h, w, spec, len(BRANCHES), _halves)
     # the low branch weights a copy, and the high branch, the spectrum's last
     # use, the spectrum itself. The masks and draws live to the end: freed
     # earlier, they left heap that raised the decompose benchmark's peak RSS
-    low = _branch(spectrum.half.copy(order="K"), _damped_weight(masks[0], gains[0]), w,
-                  _halves)
-    return low, _branch(spectrum.half, _damped_weight(masks[1], gains[1]), w, _halves)
+    low = _branch(spectrum.half.copy(order="K"), _damped_weight(masks[0], gains[0], _halves),
+                  w, _halves)
+    return low, _branch(spectrum.half, _damped_weight(masks[1], gains[1], _halves), w,
+                        _halves)

@@ -1,6 +1,11 @@
 """Image codec tests: PPM and PNG, including hand-filtered PNG streams."""
 
+import os
+import re
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
 import zlib
 
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from freqfuse.harness import imageio
 from freqfuse.harness.cli import main
 from freqfuse.harness.imageio import (
     MAX_PIXELS,
@@ -571,3 +577,95 @@ def test_ppm_over_the_pixel_limit_is_refused(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_image(tmp_path / "nope.ppm")
+
+
+# the byte limit: a file is read only past a P6 or PNG signature, and no
+# further than MAX_FILE_BYTES
+
+# decompose in a child whose address space is capped at 2 GiB: a read that
+# does not stop fails there with MemoryError, not by taking the machine's
+# memory
+CAPPED_DECOMPOSE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+from freqfuse.harness.cli import main
+out = sys.argv[2]
+sys.exit(main(["decompose", "--input", sys.argv[1], "--cutoff", "5",
+               "--out-low", out + "/l.ppm", "--out-high", out + "/h.ppm"]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_an_endless_file_with_no_signature_is_refused_unread(tmp_path):
+    # read whole, /dev/zero took memory until there was none
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_DECOMPOSE, "/dev/zero", str(tmp_path)],
+        capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert b"/dev/zero: not a P6 PPM or PNG file" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["img.ppm", "img.png"])
+def test_a_file_over_the_byte_limit_is_refused(tmp_path, monkeypatch, capsys, name):
+    path = tmp_path / name
+    save_image(random_image(41, 8, 6), path)
+    want = read_image(path)
+    limit = path.stat().st_size
+    monkeypatch.setattr(imageio, "MAX_FILE_BYTES", limit)
+    assert np.array_equal(read_image(path), want)  # at the limit
+    with open(path, "ab") as fh:
+        fh.write(b"\0")  # a PPM's trailing bytes are read, and count
+    message = f"{path}: file is over the limit of {limit} bytes"
+    with pytest.raises(ImageDecodeError, match=re.escape(message)):
+        read_image(path)
+    assert decompose_exit_code(path, tmp_path) == 2
+    assert message in capsys.readouterr().err
+
+
+def fifo_holding(tmp_path, data):
+    """A named pipe that a thread writes data to; and the thread."""
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            try:
+                fh.write(data)
+            except BrokenPipeError:  # the reader stopped at the limit
+                pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    return path, writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_read_in_chunks_up_to_the_byte_limit(tmp_path, monkeypatch):
+    # a pipe reports no size and cannot be read again from its start
+    save_image(random_image(42, 8, 6), tmp_path / "img.ppm")
+    data = (tmp_path / "img.ppm").read_bytes()
+    want = read_image(tmp_path / "img.ppm")
+    monkeypatch.setattr(imageio, "_READ_CHUNK", 7)
+    monkeypatch.setattr(imageio, "MAX_FILE_BYTES", len(data))
+    for extra, refused in ((b"", False), (b"\0", True)):
+        path, writer = fifo_holding(tmp_path, data + extra)
+        try:
+            if refused:
+                with pytest.raises(ImageDecodeError, match="over the limit"):
+                    read_image(path)
+            else:
+                assert np.array_equal(read_image(path), want)
+        finally:
+            writer.join(10)
+            os.unlink(path)
+        assert not writer.is_alive()
+
+
+def test_reading_a_file_allocates_no_more_than_it_holds(tmp_path):
+    # read(n) allocates its n bytes first: asked for the limit, it would
+    # allocate 129 MiB
+    path = tmp_path / "img.ppm"
+    save_image(random_image(43, 64, 64), path)
+    assert traced_peak(lambda: read_image(path)) < path.stat().st_size + (64 << 10)

@@ -281,11 +281,12 @@ def test_filter_branch_leaves_the_spectrum_alone():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_half_grid_weight_matches_the_full_grid_oracle(h, w, cutoff, seed):
-    # undamped, the weight is the mask itself; damped, a centered (h, w, 1) draw
-    gain = np.random.default_rng(seed).uniform(size=(h, w, 1))
+    # undamped, the weight is the mask itself; damped, a centered (h, w) draw
+    gain = np.random.default_rng(seed).uniform(size=(h, w))
     for full, half in zip(gaussian_masks(h, w, cutoff), spectral._half_masks(h, w, cutoff)):
         assert np.array_equal(half[:, :, None], naive_weight(full, 1.0))
-        assert np.array_equal(spectral._damped_weight(half, gain), naive_weight(full, gain))
+        want = naive_weight(full, gain[:, :, None])
+        assert np.array_equal(spectral._damped_weight(half, gain, spectral._whole), want)
 
 
 def test_one_mask_build_per_split(monkeypatch):
@@ -736,9 +737,32 @@ def fft_threads(monkeypatch):
     return threads
 
 
-def both_splits(img, cutoff):
-    spec = AttenuationSpec(0.4, seed=9)
+def both_splits(img, cutoff, spec=AttenuationSpec(0.4, seed=9)):
     return (*decompose(img, cutoff), *decompose_attenuated(img, cutoff, spec))
+
+
+def input_kinds(img):
+    """img as each kind of input the check and cast take apart: interleaved,
+    planar, read-only planar (only checked, never copied), strided
+    backwards, and float32, bool and int images."""
+    read_only = planar_copy(img)
+    read_only.flags.writeable = False
+    return {
+        "interleaved": img,
+        "planar": planar_copy(img),
+        "read-only": read_only,
+        "negative strides": np.ascontiguousarray(img[::-1, ::-1])[::-1, ::-1],
+        "float32": img.astype(np.float32),
+        "bool": img > 0.5,
+        "int": (img > 0.5).astype(np.int32),
+    }
+
+
+DAMPING = {
+    "random": AttenuationSpec(0.4, seed=9),
+    "constant": AttenuationSpec(0.7, mode="constant"),
+    "zero gamma": AttenuationSpec(0.0, seed=3),
+}
 
 
 @pytest.mark.parametrize(
@@ -747,14 +771,68 @@ def both_splits(img, cutoff):
 def test_split_transforms_give_the_one_thread_bits(worker, monkeypatch, h, w):
     img = random_image(np.random.default_rng(h * 1000 + w), h, w)
     cutoff = 30.0 if h > 100 else 2.5
+    # every kind of input at the small sizes; odd h * w at 1x1 and 7x9
+    kinds = input_kinds(img) if h < 100 else {"interleaved": img}
     threads = fft_threads(monkeypatch)
-    split = both_splits(img, cutoff)
+    split = {(kind, damping): both_splits(image, cutoff, spec)
+             for kind, image in kinds.items() for damping, spec in DAMPING.items()}
     # a step over one row or one column runs whole, in the caller's thread
     assert len(set(threads)) == (1 if h * w == 1 else 2)
     monkeypatch.setattr(spectral, "_halves", spectral._whole)
-    for got, want in zip(split, both_splits(img, cutoff)):
-        assert got.tobytes() == want.tobytes()
-        assert is_channel_planar(got)
+    for (kind, damping), outputs in split.items():
+        for got, want in zip(outputs, both_splits(kinds[kind], cutoff, DAMPING[damping])):
+            assert got.tobytes() == want.tobytes(), (kind, damping)
+            assert is_channel_planar(got)
+    if "read-only" in kinds:  # checked as it is, not copied
+        read_only = kinds["read-only"]
+        assert spectral._checked_planar(read_only, np.float64, spectral._halves) is read_only
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (7, 9), (8, 6)])
+@pytest.mark.parametrize("gamma, seed", [(0.3, 0), (0.3, 5), (1.0, 2**40), (0.0, 7)])
+def test_the_high_branchs_draw_is_the_stream_after_the_low_ones(worker, h, w, gamma, seed):
+    # the branches draw at once, the high one on the worker from a generator
+    # advanced by h * w: the bits of one stream of U(0, gamma) drawn low
+    # branch first
+    spec = AttenuationSpec(gamma, seed=seed)
+    stream = np.random.default_rng(seed).uniform(0.0, gamma, size=(2, h, w))
+    for split in (spectral._halves, spectral._whole):
+        assert spectral._draw_gains(h, w, spec, 2, split).tobytes() == stream.tobytes()
+    assert spectral._worker is not None
+
+
+# one half of the image holds a bad value where the other is good, or a
+# value of another kind of bad: (where, value) pairs
+BAD_HALVES = {
+    "NaN": [("worker", np.nan)],
+    "+inf": [("worker", np.inf)],
+    "-inf": [("worker", -np.inf)],
+    "over 1": [("worker", 1.5)],
+    "under 0": [("worker", -0.5)],
+    "NaN, out of range": [("worker", np.nan), ("caller", 1.5)],
+    "+inf, out of range": [("worker", np.inf), ("caller", -0.5)],
+    "out of range, NaN": [("worker", 1.5), ("caller", np.nan)],
+    "out of range, -inf": [("worker", -0.5), ("caller", -np.inf)],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_HALVES)
+def test_a_bad_value_in_either_half_is_refused(worker, bad):
+    # a non-finite value wins over one out of range, whichever half each is in
+    img = random_image(np.random.default_rng(26), 10, 6)
+    for where, value in BAD_HALVES[bad]:
+        row = 7 if where == "worker" else 2  # the worker checks rows 5 to 9
+        img[row, 3, 1] = value
+    finite = all(np.isfinite(value) for _, value in BAD_HALVES[bad])
+    message = r"intensities must lie in \[0, 1\]" if finite else "non-finite"
+    spec = AttenuationSpec(0.5, seed=1)
+    for image in (img, planar_copy(img)):
+        for check in (lambda image: decompose(image, 2.0),
+                      lambda image: decompose_attenuated(image, 2.0, spec),
+                      image_spectrum, validate_image):
+            with pytest.raises(ValueError, match=message):
+                check(image)
+    assert spectral._worker is not None
 
 
 def test_one_worker_serves_every_call(worker, monkeypatch):
