@@ -26,7 +26,7 @@ from .formats import (
     load_pope_records,
     load_ground_truth,
 )
-from .imageio import ImageError, image_encoder, load_image, save_image
+from .imageio import image_encoder, load_image, save_image
 from .oracle import (
     DEFAULT_MOCK_OBJECTS,
     MOCK_MODES,
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (ImageError, OSError, ValueError) as exc:  # DataFormatError too
+    except (OSError, ValueError) as exc:  # DataFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

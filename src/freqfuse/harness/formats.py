@@ -5,8 +5,11 @@ Whole files (the sweep config, the synonym table), JSONL record files
 captioner's request lines are all strict UTF-8 JSON; a line, read from a
 file or a pipe, is capped at MAX_LINE bytes. A fault raises the caller's
 error class, DataFormatError unless it passes another (the oracle's
-OracleProtocolError), with a message that starts with where it is:
+OracleError), with a message that starts with where it is:
 "<path>", "<path>:<line>", "oracle line <n>" or "stdin:<line>".
+DataFormatError, a ValueError, is also the one error of bad input data
+elsewhere (an image imageio cannot read or write, a sweep config, a
+decoder process that dies): every failure the CLI exits 2 for.
 """
 
 import functools
@@ -21,7 +24,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 class DataFormatError(ValueError):
-    """An input file that cannot be parsed into valid records."""
+    """Input data that cannot be read as valid records or images."""
 
 
 def bundled_synonyms_path() -> str:

@@ -4,6 +4,8 @@ Loading scales byte values to [0, 1]; saving clamps to [0, 1] and rounds
 half-up to 0..255, so a save/load round trip only quantizes. The format is
 chosen by magic bytes on load and by file extension on save. Only what the
 package needs is supported: maxval-255 PPM and non-interlaced 8-bit RGB PNG.
+A file that cannot be read as one, or a name with neither extension, is a
+formats.DataFormatError (a ValueError) whose message starts with the path.
 
 PNG rows are unfiltered in numpy where the filter allows it: None is a copy,
 Sub is a per-channel cumsum in uint8 (which wraps mod 256, as the filter
@@ -25,6 +27,7 @@ import zlib
 import numpy as np
 
 from ..spectral import float_image
+from .formats import DataFormatError
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 # width * height above which an image is refused from its header, before
@@ -38,18 +41,6 @@ MAX_FILE_BYTES = 4 * MAX_PIXELS + (1 << 20)
 # what read_image asks for at a time from a file that outruns the size it
 # reports, as a pipe or a device does
 _READ_CHUNK = 1 << 20
-
-
-class ImageError(Exception):
-    """Base class for image codec failures."""
-
-
-class ImageDecodeError(ImageError):
-    """Malformed or corrupt image data."""
-
-
-class UnsupportedImageError(ImageError):
-    """Well-formed image in a variant this codec does not handle."""
 
 
 def _quantize(image) -> np.ndarray:
@@ -71,9 +62,9 @@ def _quantize(image) -> np.ndarray:
 
 def _check_dimensions(kind, w, h):
     if w < 1 or h < 1:
-        raise ImageDecodeError(f"bad {kind} dimensions {w}x{h}")
+        raise DataFormatError(f"bad {kind} dimensions {w}x{h}")
     if w * h > MAX_PIXELS:
-        raise ImageDecodeError(
+        raise DataFormatError(
             f"{kind} of {w}x{h} pixels is over the limit of {MAX_PIXELS} pixels"
         )
 
@@ -103,14 +94,14 @@ def read_image(path) -> np.ndarray:
             return _decode_ppm(data)
         if data[: len(PNG_SIGNATURE)] == PNG_SIGNATURE:
             return _decode_png(data)
-        raise ImageDecodeError("not a P6 PPM or PNG file")
-    except ImageError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise DataFormatError("not a P6 PPM or PNG file")
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _read_capped(fh):
     """All of fh, which must open with a P6 or PNG signature and hold at most
-    MAX_FILE_BYTES, else ImageDecodeError.
+    MAX_FILE_BYTES, else DataFormatError.
 
     read(n) allocates n bytes before it reads, so the file is asked for the
     size it reports and one byte more, to find its end; only a file that
@@ -119,7 +110,7 @@ def _read_capped(fh):
     """
     head = fh.read(len(PNG_SIGNATURE))
     if head[:2] != b"P6" and head != PNG_SIGNATURE:
-        raise ImageDecodeError("not a P6 PPM or PNG file")
+        raise DataFormatError("not a P6 PPM or PNG file")
     if fh.seekable():
         fh.seek(0)
         parts, size = [], 0
@@ -132,7 +123,7 @@ def _read_capped(fh):
         parts.append(part)
         size += len(part)
         if size > MAX_FILE_BYTES:
-            raise ImageDecodeError(f"file is over the limit of {MAX_FILE_BYTES} bytes")
+            raise DataFormatError(f"file is over the limit of {MAX_FILE_BYTES} bytes")
         if len(part) < want:  # the end of the file
             return parts[0] if len(parts) == 1 else b"".join(parts)
         want = _READ_CHUNK
@@ -150,13 +141,13 @@ def float_pixels(pixels, dtype=float) -> np.ndarray:
 
 def image_encoder(path):
     """The encoder that path's extension names: PPM (.ppm/.pnm) or PNG
-    (.png), else UnsupportedImageError."""
+    (.png), else DataFormatError."""
     name = str(path).lower()
     if name.endswith((".ppm", ".pnm")):
         return _encode_ppm
     if name.endswith(".png"):
         return _encode_png
-    raise UnsupportedImageError(f"{path}: unknown extension, use .ppm or .png")
+    raise DataFormatError(f"{path}: unknown extension, use .ppm or .png")
 
 
 def save_image(image, path) -> None:
@@ -189,15 +180,15 @@ _PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d{1,20})" * 3 + rb"\s")
 def _decode_ppm(data):
     header = _PPM_HEADER.match(data)
     if header is None:
-        raise ImageDecodeError("malformed or truncated PPM header")
+        raise DataFormatError("malformed or truncated PPM header")
     w, h, maxval = map(int, header.groups())
     _check_dimensions("PPM", w, h)
     if maxval != 255:
-        raise UnsupportedImageError(f"unsupported maxval {maxval}, only 255")
+        raise DataFormatError(f"unsupported maxval {maxval}, only 255")
     pixels = memoryview(data)[header.end() :]  # a view: the bytes are not copied
     expected = h * w * 3
     if len(pixels) < expected:
-        raise ImageDecodeError(
+        raise DataFormatError(
             f"PPM pixel data truncated: want {expected} bytes, have {len(pixels)}"
         )
     return np.frombuffer(pixels[:expected], np.uint8).reshape(h, w, 3)
@@ -232,15 +223,15 @@ def _iter_chunks(data):
     i = len(PNG_SIGNATURE)
     while i < len(data):
         if i + 8 > len(data):
-            raise ImageDecodeError("truncated PNG chunk header")
+            raise DataFormatError("truncated PNG chunk header")
         (length,) = struct.unpack(">I", data[i : i + 4])
         kind = data[i + 4 : i + 8]
         payload = data[i + 8 : i + 8 + length]
         if len(payload) != length or i + 12 + length > len(data):
-            raise ImageDecodeError(f"truncated PNG chunk {kind!r}")
+            raise DataFormatError(f"truncated PNG chunk {kind!r}")
         (crc,) = struct.unpack(">I", data[i + 8 + length : i + 12 + length])
         if crc != zlib.crc32(payload, zlib.crc32(kind)):  # no joined copy
-            raise ImageDecodeError(f"PNG chunk {kind!r} fails its checksum")
+            raise DataFormatError(f"PNG chunk {kind!r} fails its checksum")
         yield kind, payload
         i += 12 + length
 
@@ -250,7 +241,7 @@ def _unfilter(raw, h, w):
     lines = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride + 1)
     kinds = lines[:, 0]
     if kinds.max() > 4:
-        raise ImageDecodeError(f"unknown PNG filter type {kinds[kinds > 4][0]}")
+        raise DataFormatError(f"unknown PNG filter type {kinds[kinds > 4][0]}")
     out = lines[:, 1:].copy()  # None rows are done
     # Sub rows need no other row: all at once, a per-channel cumsum that wraps
     sub = kinds == 1
@@ -338,39 +329,39 @@ def _decode_png(data):
     for kind, payload in _iter_chunks(data):
         if kind == b"IHDR":
             if len(payload) != 13:
-                raise ImageDecodeError("bad IHDR length")
+                raise DataFormatError("bad IHDR length")
             header = struct.unpack(">IIBBBBB", payload)
         elif kind == b"IDAT":
             idat += payload
         elif kind == b"IEND":
             break
     if header is None:
-        raise ImageDecodeError("PNG is missing its IHDR chunk")
+        raise DataFormatError("PNG is missing its IHDR chunk")
     w, h, depth, color, compression, filter_method, interlace = header
     _check_dimensions("PNG", w, h)
     if depth != 8:
-        raise UnsupportedImageError(f"unsupported bit depth {depth}, only 8")
+        raise DataFormatError(f"unsupported bit depth {depth}, only 8")
     if color != 2:
-        raise UnsupportedImageError(f"unsupported color type {color}, only RGB (2)")
+        raise DataFormatError(f"unsupported color type {color}, only RGB (2)")
     if compression != 0 or filter_method != 0:
-        raise UnsupportedImageError("unsupported PNG compression or filter method")
+        raise DataFormatError("unsupported PNG compression or filter method")
     if interlace != 0:
-        raise UnsupportedImageError("interlaced PNG is not supported")
+        raise DataFormatError("interlaced PNG is not supported")
     if not idat:
-        raise ImageDecodeError("PNG has no IDAT data")
+        raise DataFormatError("PNG has no IDAT data")
     expected = h * (w * 3 + 1)
     inflater = zlib.decompressobj()
     try:
         # one byte past the image is enough to tell that the stream is too long
         raw = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
-        raise ImageDecodeError(f"PNG deflate stream is corrupt: {exc}") from None
+        raise DataFormatError(f"PNG deflate stream is corrupt: {exc}") from None
     if len(raw) > expected or inflater.unconsumed_tail:
-        raise ImageDecodeError(f"PNG pixel data exceeds the {expected} bytes expected")
+        raise DataFormatError(f"PNG pixel data exceeds the {expected} bytes expected")
     if not inflater.eof:
-        raise ImageDecodeError("PNG deflate stream is corrupt: truncated")
+        raise DataFormatError("PNG deflate stream is corrupt: truncated")
     if len(raw) != expected:
-        raise ImageDecodeError(
+        raise DataFormatError(
             f"PNG pixel data has {len(raw)} bytes, expected {expected}"
         )
     return _unfilter(raw, h, w).reshape(h, w, 3)

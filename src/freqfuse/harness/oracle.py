@@ -9,18 +9,20 @@ The sweep starts one per run and sends it one batch, whose ids
 truth up by the image file's stem, not by the id.
 Both ends read lines as formats.py does: strict UTF-8 JSON objects, each
 line at most MAX_LINE bytes, and a line that breaks these is an
-OracleProtocolError naming its line.
+OracleError naming its line. OracleError is the one failure of either end:
+a captioner that cannot start, times out or breaks the protocol, and a
+request line the mock refuses.
 The harness does its I/O on the calling thread with a selector: POSIX only.
 Mock modes give the sweep deterministic stand-ins for a captioning model.
 """
 
 import json
-import math
 import numbers
 import os
 import selectors
 import shlex
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -39,19 +41,8 @@ DEFAULT_MOCK_OBJECTS = ("unicorn", "dragon")
 
 
 class OracleError(Exception):
-    """Base class for captioner-oracle failures."""
-
-
-class OracleSpawnError(OracleError):
-    """The oracle command could not be started."""
-
-
-class OracleTimeoutError(OracleError):
-    """No response arrived within the timeout of the last send or last reply."""
-
-
-class OracleProtocolError(OracleError):
-    """The oracle broke the line-delimited JSON contract."""
+    """A captioner oracle that cannot be started, times out or breaks the
+    line-delimited JSON contract; the mock's bad request lines too."""
 
 
 class CaptionOracle:
@@ -65,13 +56,18 @@ class CaptionOracle:
 
     def __init__(self, command, timeout=DEFAULT_TIMEOUT, prompt=DEFAULT_PROMPT):
         real = isinstance(timeout, numbers.Real) and not isinstance(timeout, bool)
-        if not (real and 0 < timeout < math.inf):  # NaN too
+        # the comparison is exact: an int past the largest float is refused too
+        if not (real and 0 < timeout <= sys.float_info.max):  # NaN too
             raise ValueError(
                 f"timeout must be a positive, finite number of seconds, got {timeout!r}"
             )
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not argv:
-            raise OracleSpawnError("oracle command is empty")
+            raise OracleError("oracle command is empty")
+        if not all(isinstance(arg, (str, os.PathLike)) for arg in argv):
+            raise ValueError(
+                f"oracle command arguments must be strings or paths, got {argv!r}"
+            )
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -79,7 +75,7 @@ class CaptionOracle:
                 stdout=subprocess.PIPE,
             )
         except OSError as exc:
-            raise OracleSpawnError(f"cannot start oracle {argv[0]!r}: {exc}") from None
+            raise OracleError(f"cannot start oracle {argv[0]!r}: {exc}") from None
         os.set_blocking(self._proc.stdin.fileno(), False)
         self._timeout = timeout
         self._prompt = prompt
@@ -115,7 +111,7 @@ class CaptionOracle:
                 if unfinished + (len(chunk) if head < 0 else head) > MAX_LINE:
                     self._eof = True  # read no more: close() ends the child
                     line_no = self._line_no + self._received.count(b"\n") + 1
-                    raise OracleProtocolError(
+                    raise OracleError(
                         f"oracle line {line_no}: reply longer than {MAX_LINE} bytes"
                     )
                 self._received += chunk
@@ -159,7 +155,7 @@ class CaptionOracle:
         # the caller has seen a line waiting
         end = self._received.index(b"\n") + 1
         self._line_no += 1
-        line = decode_utf8(self._received[:end], self._where(), OracleProtocolError)
+        line = decode_utf8(self._received[:end], self._where(), OracleError)
         del self._received[:end]
         return line.strip()
 
@@ -171,7 +167,7 @@ class CaptionOracle:
         while b"\n" in self._received:
             line = self._take_line()
             if line:
-                raise OracleProtocolError(
+                raise OracleError(
                     f"{self._where()}: reply with no request outstanding: {line[:120]!r}"
                 )
 
@@ -180,13 +176,13 @@ class CaptionOracle:
         while True:
             while b"\n" not in self._received:
                 if self._eof:
-                    raise OracleProtocolError(
+                    raise OracleError(
                         f"oracle exited with {len(outstanding)} request(s) unanswered"
                     )
                 remaining = deadline - time.monotonic()
                 if remaining < 0:
                     waiting = ", ".join(sorted(outstanding))
-                    raise OracleTimeoutError(
+                    raise OracleError(
                         f"no oracle response within {self._timeout:g}s; "
                         f"waiting for: {waiting}"
                     )
@@ -195,13 +191,13 @@ class CaptionOracle:
             if not line:
                 continue
             where = self._where()
-            reply = parse_json(line, where, OracleProtocolError)
-            rid = json_field(reply, "id", str, where, OracleProtocolError)
-            caption = json_field(reply, "caption", str, where, OracleProtocolError)
+            reply = parse_json(line, where, OracleError)
+            rid = json_field(reply, "id", str, where, OracleError)
+            caption = json_field(reply, "caption", str, where, OracleError)
             if rid in answered:
-                raise OracleProtocolError(f"{where}: duplicate response id {rid!r}")
+                raise OracleError(f"{where}: duplicate response id {rid!r}")
             if rid not in outstanding:
-                raise OracleProtocolError(f"{where}: unknown response id {rid!r}")
+                raise OracleError(f"{where}: unknown response id {rid!r}")
             return rid, caption
 
     def caption_batch(self, ids, paths) -> dict:
@@ -273,9 +269,9 @@ def mock_oracle_loop(
     if mode not in MOCK_MODES:
         raise ValueError(f"unknown mock mode {mode!r}")
     ground_truth = dict(ground_truth or {})
-    for where, request in json_lines(stdin, "stdin", OracleProtocolError):
-        rid = json_field(request, "id", str, where, OracleProtocolError)
-        image_path = json_field(request, "image", str, where, OracleProtocolError)
+    for where, request in json_lines(stdin, "stdin", OracleError):
+        rid = json_field(request, "id", str, where, OracleError)
+        image_path = json_field(request, "image", str, where, OracleError)
         if mode == "echo":
             caption = f"A picture stored at {image_path}."
         elif mode == "gt" or (

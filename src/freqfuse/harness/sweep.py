@@ -35,8 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ..metrics import CaptionRecord, SynonymTable, chair, extract_objects
-from ..spectral import BRANCHES, filter_branch, image_spectrum
-from ..spectral import usable_cpus as _usable_cpus  # the name the tests patch
+from ..spectral import BRANCHES, filter_branch, image_spectrum, usable_cpus
 from .formats import (
     DataFormatError,
     bundled_synonyms_path,
@@ -44,7 +43,7 @@ from .formats import (
     load_ground_truth,
     read_json,
 )
-from .imageio import ImageError, float_pixels, read_image, save_image
+from .imageio import float_pixels, read_image, save_image
 from .oracle import DEFAULT_PROMPT, DEFAULT_TIMEOUT, CaptionOracle
 
 
@@ -239,7 +238,7 @@ def _decoded(paths):
 
     # fork, not the platform default, which becomes forkserver on Python 3.14
     context = multiprocessing.get_context("fork")
-    n = min(_usable_cpus(), len(paths))
+    n = min(usable_cpus(), len(paths))
     pipes, decoders = [], []
     # SIGINT stays blocked across the forks, so that one arriving before a
     # decoder ignores it stays pending there until _decode discards it; the
@@ -311,7 +310,7 @@ def _received(paths, decoders, pipes):
             pixels = from_decoder.recv()
         except EOFError:
             decoder.join(1.0)
-            raise ImageError(
+            raise DataFormatError(
                 f"{path}: the image decoder process died "
                 f"(exit code {decoder.exitcode}) before decoding it"
             ) from None

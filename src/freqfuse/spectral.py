@@ -71,7 +71,8 @@ class AttenuationSpec:
         drawn from, in [0, 1].
     seed: seed for the damping draws (PCG64; fixed, platform-independent).
     mode: "random" draws each cell i.i.d. from U(0, gamma); "constant"
-        fills every cell with gamma (deterministic, for exact tests).
+        fills every cell with gamma (deterministic, for exact tests). It
+        draws nothing, so its seed must be 0.
 
     The low and the high branch each get one draw, the low branch's first
     from the seeded stream, and the three RGB channels of a branch share it.
@@ -91,6 +92,10 @@ class AttenuationSpec:
         if self.mode not in (MODE_RANDOM, MODE_CONSTANT):
             raise ValueError(f"unknown attenuation mode {self.mode!r}")
         check_int("seed", self.seed, 0)
+        if self.mode == MODE_CONSTANT and self.seed:
+            raise ValueError(
+                f"seed must be 0 in constant mode, which draws nothing, got {self.seed!r}"
+            )
 
 
 def check_int(field, value, least):
@@ -103,10 +108,14 @@ def check_int(field, value, least):
 
 def check_real(field, value):
     """ValueError naming field unless value is a real number, Python's or
-    numpy's; a bool is refused, though Python counts it a number. The
-    caller checks the range."""
+    numpy's, that a float can hold; a bool is refused, though Python counts
+    it a number. The caller checks the range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{field} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{field} must be a real number a float can hold") from None
 
 
 def float_image(image) -> np.ndarray:

@@ -391,9 +391,13 @@ def test_fit_names_steps_that_are_not_a_non_negative_int(steps):
         fit_demo(dataset, init_params(2, 45), steps=steps, lr=0.1)
 
 
-# inf once trained one step and then blamed w_q; True trained at 1.0, and
-# "0.1" raised a bare TypeError
-@pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf"), True, "0.1", 1j])
+# inf once trained one step and then blamed w_q; True trained at 1.0,
+# "0.1" raised a bare TypeError and 10**400 a bare OverflowError
+@pytest.mark.parametrize(
+    "lr",
+    [-0.1, float("nan"), float("inf"), True, "0.1", 1j,
+     pytest.param(10**400, id="int-past-float")],
+)
 def test_fit_rejects_bad_lr(lr):
     dataset = make_teacher_problem(2, 3, 44)
     with pytest.raises(ValueError, match="lr"):

@@ -16,11 +16,9 @@ from hypothesis import strategies as st
 
 from freqfuse.harness import imageio
 from freqfuse.harness.cli import main
+from freqfuse.harness.formats import DataFormatError
 from freqfuse.harness.imageio import (
     MAX_PIXELS,
-    ImageDecodeError,
-    ImageError,
-    UnsupportedImageError,
     _paeth_table,
     float_pixels,
     load_image,
@@ -37,7 +35,7 @@ from oracles import (
     png_chunk,
     wrap_png,
 )
-from util import random_image, traced_peak
+from util import exactly, random_image, traced_peak
 
 
 def test_ppm_round_trip_quantizes_only(tmp_path):
@@ -251,22 +249,27 @@ def test_ppm_header_comments(tmp_path):
 def test_ppm_rejects_wrong_maxval(tmp_path):
     path = tmp_path / "deep.ppm"
     path.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))
-    with pytest.raises(UnsupportedImageError, match="unsupported maxval"):
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: unsupported maxval 65535, only 255")
+    ):
         load_image(path)
 
 
 def test_ppm_rejects_truncation_and_garbage(tmp_path):
     short = tmp_path / "short.ppm"
     short.write_bytes(b"P6\n4 4\n255\n" + bytes(5))
-    with pytest.raises(ImageDecodeError, match="truncated"):
+    message = f"{short}: PPM pixel data truncated: want 48 bytes, have 5"
+    with pytest.raises(DataFormatError, match=exactly(message)):
         load_image(short)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"GIF89a whatever")
-    with pytest.raises(ImageDecodeError, match="not a P6 PPM or PNG"):
+    with pytest.raises(DataFormatError, match=exactly(f"{bad}: not a P6 PPM or PNG file")):
         load_image(bad)
     header_only = tmp_path / "hdr.ppm"
     header_only.write_bytes(b"P6\n2 2")
-    with pytest.raises(ImageDecodeError):
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{header_only}: malformed or truncated PPM header")
+    ):
         load_image(header_only)
 
 
@@ -308,9 +311,10 @@ _FULL_HEADER = b"P6 #c\n1 1 255\n"
 def test_ppm_header_grammar_rejects(tmp_path, header):
     path = tmp_path / "bad.ppm"
     path.write_bytes(header)
-    with pytest.raises(ImageDecodeError) as info:
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: malformed or truncated PPM header")
+    ):
         load_image(path)
-    assert str(info.value) == f"{path}: malformed or truncated PPM header"
 
 
 _HEADER_BYTES = st.sampled_from(
@@ -332,15 +336,18 @@ def test_any_bytes_after_p6_decode_or_raise_an_image_error(tmp_path, head, tail)
     path.write_bytes(b"P6" + head + tail)
     try:
         got = load_image(path)
-    except ImageError as exc:
+    except DataFormatError as exc:
         assert str(exc).startswith(f"{path}: ")
     else:
         assert got.ndim == 3 and got.shape[2] == 3
 
 
 def test_save_rejects_unknown_extension(tmp_path):
-    with pytest.raises(UnsupportedImageError, match="extension"):
-        save_image(np.zeros((2, 2, 3)), tmp_path / "img.bmp")
+    path = tmp_path / "img.bmp"
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: unknown extension, use .ppm or .png")
+    ):
+        save_image(np.zeros((2, 2, 3)), path)
 
 
 # hand-built PNG streams
@@ -439,9 +446,10 @@ def test_ppm_header_number_of_more_than_20_digits_names_the_file(
     numbers[field] = b"9" * digits
     path = tmp_path / "long.ppm"
     path.write_bytes(b"P6 " + b" ".join(numbers) + b"\n" + bytes(6))
-    with pytest.raises(ImageDecodeError) as info:
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: malformed or truncated PPM header")
+    ):
         read_image(path)
-    assert str(info.value) == f"{path}: malformed or truncated PPM header"
     assert decompose_exit_code(path, tmp_path) == 2
     assert capsys.readouterr().err == f"error: {path}: malformed or truncated PPM header\n"
 
@@ -453,7 +461,9 @@ def test_png_rejects_unknown_filter_type_on_a_later_row(tmp_path, capsys, bad):
     raw[2 * (3 * 3 + 1)] = bad  # the filter byte of row 2
     path = tmp_path / "bad.png"
     path.write_bytes(wrap_png(bytes(raw), 4, 3))
-    with pytest.raises(ImageDecodeError, match=f"filter type {bad}"):
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: unknown PNG filter type {bad}")
+    ):
         load_image(path)
     assert decompose_exit_code(path, tmp_path) == 2
     assert f"filter type {bad}" in capsys.readouterr().err
@@ -462,10 +472,12 @@ def test_png_rejects_unknown_filter_type_on_a_later_row(tmp_path, capsys, bad):
 def test_png_rejects_bad_crc(tmp_path):
     pixels = (random_image(5, 2, 2) * 255).astype(np.uint8)
     blob = bytearray(build_png(pixels, [0, 0]))
-    blob[-5] ^= 0xFF  # corrupt the IEND CRC
+    blob[-5] ^= 0xFF  # corrupt the IEND type, which its CRC covers
     path = tmp_path / "crc.png"
     path.write_bytes(bytes(blob))
-    with pytest.raises(ImageDecodeError, match="checksum"):
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: PNG chunk b'IEN\\xbb' fails its checksum")
+    ):
         load_image(path)
 
 
@@ -473,7 +485,9 @@ def test_png_rejects_16_bit(tmp_path):
     pixels = (random_image(6, 2, 2) * 255).astype(np.uint8)
     path = tmp_path / "deep.png"
     path.write_bytes(build_png(pixels, [0, 0], depth=16))
-    with pytest.raises(UnsupportedImageError, match="bit depth"):
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: unsupported bit depth 16, only 8")
+    ):
         load_image(path)
 
 
@@ -481,7 +495,9 @@ def test_png_rejects_non_rgb(tmp_path):
     pixels = (random_image(7, 2, 2) * 255).astype(np.uint8)
     path = tmp_path / "gray.png"
     path.write_bytes(build_png(pixels, [0, 0], color=0))
-    with pytest.raises(UnsupportedImageError, match="color type"):
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: unsupported color type 0, only RGB (2)")
+    ):
         load_image(path)
 
 
@@ -489,7 +505,9 @@ def test_png_rejects_interlaced(tmp_path):
     pixels = (random_image(8, 2, 2) * 255).astype(np.uint8)
     path = tmp_path / "adam7.png"
     path.write_bytes(build_png(pixels, [0, 0], interlace=1))
-    with pytest.raises(UnsupportedImageError, match="interlaced"):
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: interlaced PNG is not supported")
+    ):
         load_image(path)
 
 
@@ -503,7 +521,10 @@ def test_png_rejects_corrupt_deflate(tmp_path):
     )
     path = tmp_path / "corrupt.png"
     path.write_bytes(blob)
-    with pytest.raises(ImageDecodeError, match="deflate"):
+    # the rest is zlib's own reason
+    with pytest.raises(
+        DataFormatError, match="^" + re.escape(f"{path}: PNG deflate stream is corrupt: ")
+    ):
         load_image(path)
 
 
@@ -520,7 +541,9 @@ def test_png_rejects_truncated_deflate(tmp_path):
         + png_chunk(b"IDAT", zlib.compress(raw)[:-4])
         + png_chunk(b"IEND", b"")
     )
-    with pytest.raises(ImageDecodeError, match="deflate"):
+    with pytest.raises(
+        DataFormatError, match=exactly(f"{path}: PNG deflate stream is corrupt: truncated")
+    ):
         load_image(path)
 
 
@@ -540,7 +563,8 @@ def test_png_inflate_is_capped_by_the_header(tmp_path):
     del idat, zeros
     tracemalloc.start()
     try:
-        with pytest.raises(ImageDecodeError, match="exceeds"):
+        message = f"{path}: PNG pixel data exceeds the 4 bytes expected"
+        with pytest.raises(DataFormatError, match=exactly(message)):
             load_image(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -557,7 +581,8 @@ def test_png_over_the_pixel_limit_is_refused_before_inflating(tmp_path, capsys, 
         raise AssertionError("inflated an image over the pixel limit")
 
     monkeypatch.setattr(zlib, "decompressobj", no_inflate)
-    with pytest.raises(ImageDecodeError, match=f"limit of {MAX_PIXELS} pixels"):
+    message = f"{path}: PNG of 20000x20000 pixels is over the limit of {MAX_PIXELS} pixels"
+    with pytest.raises(DataFormatError, match=exactly(message)):
         load_image(path)
     assert decompose_exit_code(path, tmp_path) == 2
     assert "20000x20000" in capsys.readouterr().err
@@ -566,11 +591,13 @@ def test_png_over_the_pixel_limit_is_refused_before_inflating(tmp_path, capsys, 
 def test_ppm_over_the_pixel_limit_is_refused(tmp_path):
     path = tmp_path / "big.ppm"
     path.write_bytes(b"P6\n20000 20000\n255\n" + bytes(30))
-    with pytest.raises(ImageDecodeError, match=f"limit of {MAX_PIXELS} pixels"):
+    message = f"{path}: PPM of 20000x20000 pixels is over the limit of {MAX_PIXELS} pixels"
+    with pytest.raises(DataFormatError, match=exactly(message)):
         load_image(path)
     # at the limit the header passes and the short pixel data is what fails
     path.write_bytes(b"P6\n%d 1\n255\n" % MAX_PIXELS + bytes(30))
-    with pytest.raises(ImageDecodeError, match="truncated"):
+    message = f"{path}: PPM pixel data truncated: want {3 * MAX_PIXELS} bytes, have 30"
+    with pytest.raises(DataFormatError, match=exactly(message)):
         load_image(path)
 
 
@@ -618,7 +645,7 @@ def test_a_file_over_the_byte_limit_is_refused(tmp_path, monkeypatch, capsys, na
     with open(path, "ab") as fh:
         fh.write(b"\0")  # a PPM's trailing bytes are read, and count
     message = f"{path}: file is over the limit of {limit} bytes"
-    with pytest.raises(ImageDecodeError, match=re.escape(message)):
+    with pytest.raises(DataFormatError, match=exactly(message)):
         read_image(path)
     assert decompose_exit_code(path, tmp_path) == 2
     assert message in capsys.readouterr().err
@@ -653,7 +680,8 @@ def test_a_pipe_is_read_in_chunks_up_to_the_byte_limit(tmp_path, monkeypatch):
         path, writer = fifo_holding(tmp_path, data + extra)
         try:
             if refused:
-                with pytest.raises(ImageDecodeError, match="over the limit"):
+                message = f"{path}: file is over the limit of {len(data)} bytes"
+                with pytest.raises(DataFormatError, match=exactly(message)):
                     read_image(path)
             else:
                 assert np.array_equal(read_image(path), want)

@@ -570,6 +570,15 @@ def test_attenuation_spec_rejects_bad_values():
         AttenuationSpec(mode="gaussian")
 
 
+def test_constant_damping_refuses_a_seed_it_would_ignore():
+    # it was accepted and ignored; the CLI already refused --seed with --const-gamma
+    with pytest.raises(
+        ValueError, match=r"^seed must be 0 in constant mode, which draws nothing, got 7$"
+    ):
+        AttenuationSpec(0.5, seed=7, mode="constant")
+    assert AttenuationSpec(0.5, seed=0, mode="constant").seed == 0
+
+
 @pytest.mark.parametrize("gamma", [True, "0.5", None, 0.5j])
 def test_attenuation_spec_names_a_gamma_that_is_not_a_real_number(gamma):
     # True once ran at gamma 1, and "0.5" raised a bare TypeError
@@ -588,6 +597,20 @@ def test_every_split_names_a_cutoff_that_is_not_a_real_number(cutoff):
         lambda: gaussian_masks(4, 5, cutoff),
     ):
         with pytest.raises(ValueError, match="^cutoff must be a real number, got"):
+            call()
+
+
+@pytest.mark.parametrize("cutoff", [10**400, -(10**400)], ids=["int-past-float", "negative"])
+def test_every_split_names_a_cutoff_that_a_float_cannot_hold(cutoff):
+    # each raised a bare OverflowError from the float conversion
+    img = random_image(np.random.default_rng(20), 4, 5)
+    for call in (
+        lambda: decompose(img, cutoff),
+        lambda: decompose_attenuated(img, cutoff, AttenuationSpec(0.5)),
+        lambda: filter_branch(image_spectrum(img), cutoff, "low"),
+        lambda: gaussian_masks(4, 5, cutoff),
+    ):
+        with pytest.raises(ValueError, match="^cutoff must be a real number a float can hold$"):
             call()
 
 

@@ -18,12 +18,12 @@ from freqfuse import spectral
 from freqfuse.harness import imageio, sweep
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
-from freqfuse.harness.imageio import ImageError, load_image, read_image, save_image
+from freqfuse.harness.imageio import load_image, read_image, save_image
 from freqfuse.harness.oracle import CaptionOracle
 from freqfuse.harness.sweep import SweepConfig, SweepResult, SweepRow, run_sweep
 from freqfuse.spectral import decompose, filter_branch
 from oracles import build_png
-from util import cosine_image, natural_image, random_image, traced_peak, write_jsonl
+from util import cosine_image, exactly, natural_image, random_image, traced_peak, write_jsonl
 
 
 def mock_command(*extra):
@@ -490,7 +490,7 @@ def test_a_sweep_with_a_png_matches_decoding_each_image_with_load_image(
 def fork_decoders(monkeypatch, n):
     """Have a sweep that lists a PNG see n usable CPUs, whatever the
     machine's count: it forks n decoders, or one per image if fewer."""
-    monkeypatch.setattr(sweep, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(sweep, "usable_cpus", lambda: n)
 
 
 def recorded_decoders(monkeypatch):
@@ -774,7 +774,7 @@ import os, signal, sys
 from freqfuse.harness import sweep
 from freqfuse.harness.cli import main
 os.register_at_fork(after_in_child=lambda: os.kill(os.getpid(), signal.SIGINT))
-sweep._usable_cpus = lambda: 2
+sweep.usable_cpus = lambda: 2
 sys.exit(main(["sweep", "--config", sys.argv[1]]))
 """
 
@@ -853,7 +853,7 @@ def test_the_decoder_stops_at_its_first_error(tmp_path, monkeypatch):
         fork_decoders(monkeypatch, n)
         exit_codes.clear()
         log.write_text("")
-        with pytest.raises(ImageError, match=re.escape(f"{bad}: not a P6 PPM or PNG file")):
+        with pytest.raises(DataFormatError, match=exactly(f"{bad}: not a P6 PPM or PNG file")):
             run_sweep(config)
         assert exit_codes == [0] * n
         assert sorted(log.read_text().splitlines()) == [config.images[i] for i in reads]
@@ -934,7 +934,7 @@ def dying_save(image, path):
     save(image, path)
 
 sweep.read_image, sweep.save_image = slow_read, dying_save
-sweep._usable_cpus = lambda: n
+sweep.usable_cpus = lambda: n
 main(["sweep", "--config", sys.argv[1]])
 """
 

@@ -1,10 +1,14 @@
 """Checks on the source itself: it parses as the oldest Python that
-pyproject.toml allows, only harness/formats.py parses JSON, and only
-spectral.py imports threads."""
+pyproject.toml allows, only harness/formats.py parses JSON, only
+spectral.py imports threads, and every name the benchmark's tracer wraps
+exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+from freqfuse.harness.oracle import CaptionOracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,3 +93,34 @@ def test_only_spectral_starts_threads():
         for line in _thread_imports(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert not elsewhere, f"threads imported outside spectral.py: {sorted(elsewhere)}"
+
+
+def _literal_tables(path, names):
+    """The literal values assigned to each of names at the top of a module,
+    read without importing it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in names
+    }
+
+
+def test_every_name_the_tracer_wraps_exists():
+    """bench/tracing.py wraps functions and CaptionOracle methods by name;
+    a rename would break only a traced benchmark run."""
+    tables = _literal_tables(ROOT / "bench" / "tracing.py", {"FUNCTIONS", "ORACLE_METHODS"})
+    assert set(tables) == {"FUNCTIONS", "ORACLE_METHODS"}
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in tables["FUNCTIONS"]
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    missing += [
+        f"CaptionOracle.{attr}"
+        for attr, _ in tables["ORACLE_METHODS"]
+        if attr not in vars(CaptionOracle)
+    ]
+    assert not missing, f"bench/tracing.py wraps names that do not exist: {missing}"

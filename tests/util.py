@@ -1,9 +1,15 @@
 """Shared helpers for harness tests."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
+
+
+def exactly(message):
+    """A pytest.raises match= pattern for message and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 def write_jsonl(path, records):
