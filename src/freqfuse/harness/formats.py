@@ -157,10 +157,8 @@ def load_pope_records(path):
     records = []
     for at, record in _jsonl(path):
         rid = json_field(record, "id", str, at)
-        predicted = json_field(record, "predicted", str, at)
-        gold = json_field(record, "gold", str, at)
-        try:
-            records.append(PopeRecord(id=rid, predicted=predicted, gold=gold))
+        try:  # PopeRecord's own check refuses a missing or non-string answer
+            records.append(PopeRecord(rid, record.get("predicted"), record.get("gold")))
         except ValueError as exc:
             raise DataFormatError(f"{at}: {exc}") from None
     if not records:

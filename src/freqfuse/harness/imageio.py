@@ -89,18 +89,21 @@ def read_image(path) -> np.ndarray:
     read."""
     try:
         with open(path, "rb") as fh:
-            data = _read_capped(fh)
-        if data[:2] == b"P6":
-            return _decode_ppm(data)
-        if data[: len(PNG_SIGNATURE)] == PNG_SIGNATURE:
-            return _decode_png(data)
-        raise DataFormatError("not a P6 PPM or PNG file")
+            head = fh.read(len(PNG_SIGNATURE))
+            if head[:2] == b"P6":
+                decode = _decode_ppm
+            elif head == PNG_SIGNATURE:
+                decode = _decode_png
+            else:
+                raise DataFormatError("not a P6 PPM or PNG file")
+            data = _read_capped(fh, head)
+        return decode(data)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _read_capped(fh):
-    """All of fh, which must open with a P6 or PNG signature and hold at most
+def _read_capped(fh, head):
+    """All of fh, whose first bytes, head, are read, if it holds at most
     MAX_FILE_BYTES, else DataFormatError.
 
     read(n) allocates n bytes before it reads, so the file is asked for the
@@ -108,9 +111,6 @@ def _read_capped(fh):
     outruns its size is read on in chunks. A seekable file is read again
     from its start, so its bytes come in one piece, not copied to join them.
     """
-    head = fh.read(len(PNG_SIGNATURE))
-    if head[:2] != b"P6" and head != PNG_SIGNATURE:
-        raise DataFormatError("not a P6 PPM or PNG file")
     if fh.seekable():
         fh.seek(0)
         parts, size = [], 0

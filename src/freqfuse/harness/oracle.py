@@ -16,8 +16,8 @@ The harness does its I/O on the calling thread with a selector: POSIX only.
 Mock modes give the sweep deterministic stand-ins for a captioning model.
 """
 
+import contextlib
 import json
-import numbers
 import os
 import selectors
 import shlex
@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..spectral import check_real, shown
 from .formats import MAX_LINE, decode_utf8, json_field, json_lines, parse_json
 from .imageio import load_image
 
@@ -45,6 +46,31 @@ class OracleError(Exception):
     line-delimited JSON contract; the mock's bad request lines too."""
 
 
+def check_timeout(timeout):
+    """ValueError unless timeout passes check_real and is positive and finite."""
+    with contextlib.suppress(ValueError):  # check_real's refusal, reworded below
+        if 0 < check_real("timeout", timeout) <= sys.float_info.max:  # NaN fails
+            return
+    raise ValueError("timeout must be a positive, finite number of seconds, "
+                     f"got {shown(timeout)}")
+
+
+def parse_command(command):
+    """The argv, maybe empty, of a command string split as a shell would, or of
+    a list or tuple of strings and paths; else ValueError."""
+    argv = list(command) if isinstance(command, (list, tuple)) else None
+    if isinstance(command, str):
+        with contextlib.suppress(ValueError):  # an unclosed quote or a trailing backslash
+            argv = shlex.split(command)
+    if argv is None:
+        raise ValueError("oracle must be a command string with closed quotes or a list "
+                         f"of arguments, got {shown(command)}")
+    if not all(isinstance(arg, (str, os.PathLike)) for arg in argv):
+        raise ValueError("oracle command arguments must be strings or paths, "
+                         f"got {shown(argv)}")
+    return argv
+
+
 class CaptionOracle:
     """One spawned oracle process handling any number of batches.
 
@@ -55,19 +81,10 @@ class CaptionOracle:
     """
 
     def __init__(self, command, timeout=DEFAULT_TIMEOUT, prompt=DEFAULT_PROMPT):
-        real = isinstance(timeout, numbers.Real) and not isinstance(timeout, bool)
-        # the comparison is exact: an int past the largest float is refused too
-        if not (real and 0 < timeout <= sys.float_info.max):  # NaN too
-            raise ValueError(
-                f"timeout must be a positive, finite number of seconds, got {timeout!r}"
-            )
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        check_timeout(timeout)
+        argv = parse_command(command)
         if not argv:
             raise OracleError("oracle command is empty")
-        if not all(isinstance(arg, (str, os.PathLike)) for arg in argv):
-            raise ValueError(
-                f"oracle command arguments must be strings or paths, got {argv!r}"
-            )
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -267,7 +284,7 @@ def mock_oracle_loop(
     threshold and like "fixed" once the image has been damped below it.
     """
     if mode not in MOCK_MODES:
-        raise ValueError(f"unknown mock mode {mode!r}")
+        raise ValueError(f"unknown mock mode {shown(mode)}")
     ground_truth = dict(ground_truth or {})
     for where, request in json_lines(stdin, "stdin", OracleError):
         rid = json_field(request, "id", str, where, OracleError)

@@ -23,10 +23,7 @@ import contextlib
 import dataclasses
 import fcntl
 import itertools
-import math
-import numbers
 import os
-import shlex
 import signal
 import tempfile
 from dataclasses import dataclass
@@ -35,7 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from ..metrics import CaptionRecord, SynonymTable, chair, extract_objects
-from ..spectral import BRANCHES, filter_branch, image_spectrum, usable_cpus
+from ..spectral import (
+    BRANCHES, check_real, filter_branch, image_spectrum, shown, usable_cpus
+)
 from .formats import (
     DataFormatError,
     bundled_synonyms_path,
@@ -44,51 +43,27 @@ from .formats import (
     read_json,
 )
 from .imageio import float_pixels, read_image, save_image
-from .oracle import DEFAULT_PROMPT, DEFAULT_TIMEOUT, CaptionOracle
+from .oracle import (
+    DEFAULT_PROMPT, DEFAULT_TIMEOUT, CaptionOracle, check_timeout, parse_command
+)
 
 
 def _label(cutoff):
     return f"{cutoff:g}"
 
 
-def _number(x):
-    # a real number that a float can hold
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
-        return False
-    try:
-        float(x)
-    except OverflowError:
-        return False
-    return True
-
-
 def _path(x):
     return isinstance(x, (str, os.PathLike))
 
 
-def _list_of(ok):
-    return lambda x: isinstance(x, (list, tuple)) and all(map(ok, x))
-
-
-def _command(x):
-    if isinstance(x, str):
-        try:
-            x = shlex.split(x)
-        except ValueError:  # an unclosed quote or a trailing backslash
-            return False
-    return _list_of(_path)(x) and len(x) > 0
-
-
-# (field, test, what the test asks for) for every field but mode
+# (field, test, what the test asks for); oracle and timeout take CaptionOracle's rules
 _FIELD_TYPES = (
-    ("cutoffs", _list_of(_number), "a list of numbers a float can hold"),
-    ("images", _list_of(_path), "a list of paths"),
-    ("oracle", _command,
-     "a non-empty command string with closed quotes or a non-empty list of arguments"),
+    ("mode", lambda x: x in BRANCHES, "'low' or 'high'"),
+    ("cutoffs", lambda x: isinstance(x, (list, tuple)), "a list of numbers"),
+    ("images", lambda x: isinstance(x, (list, tuple)) and all(map(_path, x)),
+     "a list of paths"),
     ("ground_truth", _path, "a path"),
     ("synonyms", lambda x: x is None or _path(x), "a path"),
-    ("timeout", lambda x: _number(x) and 0 < x < math.inf,
-     "a positive, finite number of seconds"),
     ("prompt", lambda x: isinstance(x, str), "a string"),
 )
 
@@ -106,13 +81,14 @@ class SweepConfig:
 
     def __post_init__(self):
         # every field is checked here, before any file is read or the oracle starts
-        if self.mode not in BRANCHES:
-            raise ValueError(f"mode must be 'low' or 'high', got {self.mode!r}")
         for key, ok, expected in _FIELD_TYPES:
             value = getattr(self, key)
             if not ok(value):
-                raise ValueError(f"{key} must be {expected}, got {value!r}")
-        cutoffs = tuple(float(c) for c in self.cutoffs)
+                raise ValueError(f"{key} must be {expected}, got {shown(value)}")
+        if not parse_command(self.oracle):
+            raise ValueError(f"oracle must be a non-empty command, got {shown(self.oracle)}")
+        check_timeout(self.timeout)
+        cutoffs = tuple(check_real("cutoffs", c) for c in self.cutoffs)
         if not cutoffs:
             raise ValueError("cutoffs must be non-empty")
         if not all(c > 0 for c in cutoffs):  # NaN too

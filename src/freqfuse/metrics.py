@@ -15,6 +15,8 @@ positive class.
 
 from dataclasses import dataclass
 
+from .spectral import shown
+
 # a-z and 0-9 stay, every other byte becomes a space. The UTF-8 bytes of a
 # non-ASCII character (and, under surrogatepass, of a lone surrogate) are
 # all >= 0x80, so each separates tokens, as in re.findall(r"[a-z0-9]+", ...)
@@ -42,6 +44,10 @@ class SynonymTable:
     """
 
     def __init__(self, mapping):
+        if not isinstance(mapping, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
+        ):
+            raise ValueError("a synonym table must map strings to strings")
         self._by_tokens = {}
         canon = {}
         for surface, target in mapping.items():
@@ -85,10 +91,6 @@ class SynonymTable:
         from .harness.formats import DataFormatError, read_json
 
         mapping = read_json(path)
-        if not isinstance(mapping, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
-        ):
-            raise DataFormatError(f"{path}: synonym file must map strings to strings")
         try:
             return cls(mapping)
         except ValueError as exc:
@@ -170,7 +172,7 @@ class PopeRecord:
         for field in ("predicted", "gold"):
             value = getattr(self, field)
             if value not in ("yes", "no"):
-                raise ValueError(f"{field} must be 'yes' or 'no', got {value!r}")
+                raise ValueError(f"{field} must be 'yes' or 'no', got {shown(value)}")
 
 
 @dataclass(frozen=True)

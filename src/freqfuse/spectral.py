@@ -90,12 +90,19 @@ class AttenuationSpec:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.mode not in (MODE_RANDOM, MODE_CONSTANT):
-            raise ValueError(f"unknown attenuation mode {self.mode!r}")
+            raise ValueError(f"unknown attenuation mode {shown(self.mode)}")
         check_int("seed", self.seed, 0)
         if self.mode == MODE_CONSTANT and self.seed:
-            raise ValueError(
-                f"seed must be 0 in constant mode, which draws nothing, got {self.seed!r}"
-            )
+            raise ValueError("seed must be 0 in constant mode, which draws nothing, "
+                             f"got {shown(self.seed)}")
+
+
+def shown(value):
+    """repr(value), or its type where Python cannot print it (an int of over 4300 digits)."""
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return f"<{type(value).__name__} too long to print>"
 
 
 def check_int(field, value, least):
@@ -103,17 +110,17 @@ def check_int(field, value, least):
     >= least; a bool is refused, though Python counts it an int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         bound = "a non-negative int" if least == 0 else f"an int >= {least}"
-        raise ValueError(f"{field} must be {bound}, got {value!r}")
+        raise ValueError(f"{field} must be {bound}, got {shown(value)}")
 
 
 def check_real(field, value):
-    """ValueError naming field unless value is a real number, Python's or
-    numpy's, that a float can hold; a bool is refused, though Python counts
-    it a number. The caller checks the range."""
+    """float(value), or ValueError naming field unless value is a real
+    number, Python's or numpy's, that a float can hold; a bool is refused,
+    though Python counts it a number. The caller checks the range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{field} must be a real number, got {value!r}")
+        raise ValueError(f"{field} must be a real number, got {shown(value)}")
     try:
-        float(value)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{field} must be a real number a float can hold") from None
 
@@ -424,7 +431,7 @@ def filter_branch(spectrum: ImageSpectrum, cutoff: float, which: str) -> np.ndar
     its mask is built in the call, then one inverse. spectrum is unchanged.
     The branch is float32 for a complex64 spectrum, float64 otherwise."""
     if which not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {which!r}")
+        raise ValueError(f"branch must be one of {BRANCHES}, got {shown(which)}")
     h, w = spectrum.shape
     real = spectrum.half.real.dtype  # a float64 mask would upcast the product
     # a copy to weight: the spectrum is the caller's, for every cutoff of a sweep

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freqfuse.encoder import EncoderConfig, patch_tokens, projection_matrix
+from util import UNPRINTABLE, unprintable
 
 
 def reference_tokens(image, cfg):
@@ -120,3 +121,12 @@ def test_config_takes_numpy_integer_sizes():
 def test_config_checks_its_seed_where_it_is_stored(seed):
     with pytest.raises(ValueError, match="projection_seed must be a non-negative int"):
         EncoderConfig(2, 4, projection_seed=seed)
+
+
+# each raised Python's own "Exceeds the limit (4300 digits)" ValueError,
+# which names no field, in place of its own refusal
+@pytest.mark.parametrize("field", ["patch_size", "dim", "projection_seed"])
+@pytest.mark.parametrize("value", [-UNPRINTABLE, [UNPRINTABLE]], ids=["negative", "list"])
+def test_a_refused_value_too_long_to_print_is_named_by_its_type(field, value):
+    with pytest.raises(ValueError, match=unprintable(field)):
+        EncoderConfig(**{"patch_size": 2, "dim": 2, field: value})

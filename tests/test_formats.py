@@ -169,7 +169,7 @@ def test_ground_truth_rejects_duplicate_ids(tmp_path):
     [
         (b'{"dog": "\xff"}', "not valid UTF-8"),
         (b"", "invalid JSON (Expecting value)"),
-        (b'["dog"]', "synonym file must map strings to strings"),
+        (b'["dog"]', "a synonym table must map strings to strings"),
         (b'{"car": "vehicle", "vehicle": "car"}',
          "canonical class 'vehicle' is mapped away to 'car'"),
     ],

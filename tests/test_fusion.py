@@ -17,6 +17,7 @@ from freqfuse.fusion import (
     stable_softmax,
 )
 from oracles import central_difference, naive_fit, naive_gradient_check
+from util import UNPRINTABLE, unprintable
 
 
 def random_instance(dim, length, seed):
@@ -402,3 +403,32 @@ def test_fit_rejects_bad_lr(lr):
     dataset = make_teacher_problem(2, 3, 44)
     with pytest.raises(ValueError, match="lr"):
         fit_demo(dataset, init_params(2, 45), steps=2, lr=lr)
+
+
+def fit(steps, lr):
+    return fit_demo(make_teacher_problem(2, 3, 44), init_params(2, 45), steps, lr)
+
+
+# each raised Python's own "Exceeds the limit (4300 digits)" ValueError,
+# which names no argument, in place of its own refusal
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        pytest.param("dim", lambda v: init_params(-v, 0), id="init_params-dim"),
+        pytest.param("dim", lambda v: init_params([v], 0), id="init_params-dim-list"),
+        pytest.param("seed", lambda v: init_params(4, -v), id="init_params-seed"),
+        pytest.param("seed", lambda v: init_params(4, [v]), id="init_params-seed-list"),
+        pytest.param("steps", lambda v: fit(-v, 0.1), id="fit_demo-steps"),
+        pytest.param("steps", lambda v: fit([v], 0.1), id="fit_demo-steps-list"),
+        pytest.param("lr", lambda v: fit(1, [v]), id="fit_demo-lr-list"),
+        pytest.param("positions", lambda v: gradient_check(4, -v, 0),
+                     id="gradient_check-positions"),
+        pytest.param("positions", lambda v: gradient_check(4, [v], 0),
+                     id="gradient_check-positions-list"),
+        pytest.param("seed", lambda v: gradient_check(4, 2, -v), id="gradient_check-seed"),
+        pytest.param("tol", lambda v: gradient_check(4, 2, 0, [v]), id="gradient_check-tol-list"),
+    ],
+)
+def test_a_refused_value_too_long_to_print_is_named_by_its_type(field, call):
+    with pytest.raises(ValueError, match=unprintable(field)):
+        call(UNPRINTABLE)

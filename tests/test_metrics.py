@@ -20,6 +20,7 @@ from freqfuse.metrics import (
     pope_f1,
 )
 from oracles import naive_extract_objects, naive_tokenize, recount_chair, recount_pope
+from util import UNPRINTABLE, exactly, unprintable
 
 FIXTURE_TABLE = SynonymTable(
     {
@@ -65,6 +66,15 @@ def test_canonical_closure_added_automatically():
     table = SynonymTable({"sports car": "car"})
     assert table.canonicalize("car") == "car"
     assert table.canonical_classes == frozenset({"car"})
+
+
+@pytest.mark.parametrize(
+    "mapping", [["dog"], {"dog": 5}, {5: "dog"}, {"dog": None}], ids=repr
+)
+def test_a_table_that_does_not_map_strings_to_strings_is_refused(mapping):
+    # {"dog": 5} raised a bare AttributeError from the tokenizer
+    with pytest.raises(ValueError, match=exactly("a synonym table must map strings to strings")):
+        SynonymTable(mapping)
 
 
 def test_rejects_canonical_mapped_away():
@@ -375,3 +385,12 @@ def test_pope_rejects_bad_answers_and_empty():
         PopeRecord("1", "maybe", "yes")
     with pytest.raises(ValueError):
         pope_f1([])
+
+
+# each raised Python's own "Exceeds the limit (4300 digits)" ValueError,
+# which names no field, in place of its own refusal
+@pytest.mark.parametrize("field", ["predicted", "gold"])
+@pytest.mark.parametrize("value", [UNPRINTABLE, [UNPRINTABLE]], ids=["int", "list"])
+def test_a_refused_answer_too_long_to_print_is_named_by_its_type(field, value):
+    with pytest.raises(ValueError, match=unprintable(field)):
+        PopeRecord(**{"id": "1", "predicted": "yes", "gold": "no", field: value})

@@ -24,7 +24,7 @@ from freqfuse.harness.oracle import (
     object_sentence,
 )
 from oracles import naive_batch
-from util import exactly, random_image, traced_peak, write_jsonl
+from util import UNPRINTABLE, exactly, random_image, traced_peak, unprintable, write_jsonl
 
 
 def child(script):
@@ -239,6 +239,43 @@ def test_an_argument_that_is_not_a_string_or_path_is_refused_before_spawning(arg
     message = f"oracle command arguments must be strings or paths, got {command!r}"
     with pytest.raises(ValueError, match=exactly(message)):
         CaptionOracle(command)
+
+
+@pytest.mark.parametrize("command", [5, None, "python 'x", "python x\\"])
+def test_a_command_that_is_not_a_string_or_list_or_is_not_closed_is_refused(command):
+    # 5 raised a bare TypeError and "python 'x" shlex's "No closing quotation"
+    message = (
+        "oracle must be a command string with closed quotes or a list of arguments, "
+        f"got {command!r}"
+    )
+    with pytest.raises(ValueError, match=exactly(message)):
+        CaptionOracle(command)
+
+
+# each raised Python's own "Exceeds the limit (4300 digits)" ValueError,
+# which names no argument, in place of its own refusal; no_child_left
+# fails the test if the child was started
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        pytest.param("timeout", lambda v: CaptionOracle(child("pass"), timeout=v), id="timeout"),
+        pytest.param("timeout", lambda v: CaptionOracle(child("pass"), timeout=-v),
+                     id="timeout-negative"),
+        pytest.param("timeout", lambda v: CaptionOracle(child("pass"), timeout=[v]),
+                     id="timeout-list"),
+        pytest.param("oracle", lambda v: CaptionOracle(v), id="command"),
+        pytest.param("arguments", lambda v: CaptionOracle([v]), id="command-list"),
+        pytest.param("arguments", lambda v: CaptionOracle([sys.executable, [v]]),
+                     id="argument-list"),
+        pytest.param("mode", lambda v: mock_oracle_loop(v, io.BytesIO(), io.StringIO()),
+                     id="mock-mode"),
+        pytest.param("mode", lambda v: mock_oracle_loop([v], io.BytesIO(), io.StringIO()),
+                     id="mock-mode-list"),
+    ],
+)
+def test_a_refused_value_too_long_to_print_is_named_by_its_type(field, call):
+    with pytest.raises(ValueError, match=unprintable(field)):
+        call(UNPRINTABLE)
 
 
 def test_timeout(tmp_path):

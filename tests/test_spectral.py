@@ -31,7 +31,7 @@ from oracles import (
     naive_gaussian_low_mask,
     naive_weight,
 )
-from util import traced_peak
+from util import UNPRINTABLE, traced_peak, unprintable
 
 
 def random_image(rng, h, w):
@@ -612,6 +612,39 @@ def test_every_split_names_a_cutoff_that_a_float_cannot_hold(cutoff):
     ):
         with pytest.raises(ValueError, match="^cutoff must be a real number a float can hold$"):
             call()
+
+
+_SPECTRUM = image_spectrum(np.full((4, 5, 3), 0.5))
+
+
+# each raised Python's own "Exceeds the limit (4300 digits)" ValueError,
+# which names no argument, in place of its own refusal
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        pytest.param("h", lambda v: gaussian_masks(-v, 5, 3.0), id="masks-h"),
+        pytest.param("h", lambda v: gaussian_masks([v], 5, 3.0), id="masks-h-list"),
+        pytest.param("w", lambda v: attenuation_matrix(4, -v, AttenuationSpec(0.5)),
+                     id="attenuation_matrix-w"),
+        pytest.param("cutoff", lambda v: gaussian_masks(4, 5, [v]), id="masks-cutoff-list"),
+        pytest.param("cutoff", lambda v: decompose(np.zeros((4, 5, 3)), [v]),
+                     id="decompose-cutoff-list"),
+        pytest.param("gamma", lambda v: AttenuationSpec([v]), id="spec-gamma-list"),
+        pytest.param("seed", lambda v: AttenuationSpec(0.5, seed=-v), id="spec-seed"),
+        pytest.param("seed", lambda v: AttenuationSpec(0.5, seed=[v]), id="spec-seed-list"),
+        pytest.param("seed", lambda v: AttenuationSpec(0.5, seed=v, mode="constant"),
+                     id="spec-constant-seed"),
+        pytest.param("mode", lambda v: AttenuationSpec(0.5, mode=v), id="spec-mode"),
+        pytest.param("mode", lambda v: AttenuationSpec(0.5, mode=[v]), id="spec-mode-list"),
+        pytest.param("branch", lambda v: filter_branch(_SPECTRUM, 3.0, v),
+                     id="filter_branch-which"),
+        pytest.param("branch", lambda v: filter_branch(_SPECTRUM, 3.0, [v]),
+                     id="filter_branch-which-list"),
+    ],
+)
+def test_a_refused_value_too_long_to_print_is_named_by_its_type(field, call):
+    with pytest.raises(ValueError, match=unprintable(field)):
+        call(UNPRINTABLE)
 
 
 def test_real_number_arguments_take_numpy_scalars():

@@ -19,11 +19,19 @@ from freqfuse.harness import imageio, sweep
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
 from freqfuse.harness.imageio import load_image, read_image, save_image
-from freqfuse.harness.oracle import CaptionOracle
+from freqfuse.harness.oracle import CaptionOracle, OracleError
 from freqfuse.harness.sweep import SweepConfig, SweepResult, SweepRow, run_sweep
 from freqfuse.spectral import decompose, filter_branch
 from oracles import build_png
-from util import cosine_image, exactly, natural_image, random_image, traced_peak, write_jsonl
+from util import (
+    UNPRINTABLE,
+    cosine_image,
+    exactly,
+    natural_image,
+    random_image,
+    traced_peak,
+    write_jsonl,
+)
 
 
 def mock_command(*extra):
@@ -168,6 +176,47 @@ def test_config_from_json_rejects_bad_field_types(tmp_path, key, value):
         SweepConfig.from_json(path)
     # the CLI reports it as a data error before any oracle starts
     assert main(["sweep", "--config", str(path)]) == 2
+
+
+# each raised Python's own "Exceeds the limit (4300 digits)" ValueError,
+# which names no field, in place of its own refusal
+@pytest.mark.parametrize(
+    "key",
+    ["mode", "cutoffs", "images", "oracle", "ground_truth", "synonyms", "timeout", "prompt"],
+)
+@pytest.mark.parametrize("value", [UNPRINTABLE, [UNPRINTABLE]], ids=["int", "list"])
+def test_a_refused_value_too_long_to_print_names_its_field(key, value):
+    fields = dict(mode="low", cutoffs=[5], images=["a.ppm"], oracle="x", ground_truth="g")
+    with pytest.raises(ValueError, match=f"^{key} ") as refused:
+        SweepConfig(**{**fields, key: value})
+    assert re.search(r"<(int|list) too long to print>$|a float can hold$", str(refused.value))
+
+
+TAKEN_COMMAND = [sys.executable, "-c", ""]
+
+
+# one list of timeouts and commands for both, so that the rule they share
+# cannot drift apart again: each is taken by both or refused by both
+@pytest.mark.parametrize(
+    "key, value, taken",
+    [("timeout", t, False)
+     for t in (0, -1, float("nan"), float("inf"), True, "5", 10**400)]
+    + [("oracle", c, False) for c in ("", [], "python 'x", [sys.executable, 1], 5)]
+    + [("timeout", 60, True), ("oracle", TAKEN_COMMAND, True)],
+)
+def test_sweep_config_and_caption_oracle_take_the_same_timeouts_and_commands(key, value, taken):
+    given = {"timeout": 60, "oracle": TAKEN_COMMAND, key: value}
+    try:
+        SweepConfig(mode="low", cutoffs=[5], images=["a.ppm"], ground_truth="g", **given)
+        config_takes = True
+    except ValueError:
+        config_takes = False
+    try:
+        with CaptionOracle(given["oracle"], timeout=given["timeout"]):
+            oracle_takes = True
+    except (ValueError, OracleError):
+        oracle_takes = False
+    assert config_takes == oracle_takes == taken
 
 
 # sweep runs

@@ -1,12 +1,14 @@
 """Checks on the source itself: it parses as the oldest Python that
 pyproject.toml allows, only harness/formats.py parses JSON, only
-spectral.py imports threads, and every name the benchmark's tracer wraps
-exists."""
+spectral.py imports threads or numbers, only harness/oracle.py imports
+shlex, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 from freqfuse.harness.oracle import CaptionOracle
 
@@ -63,10 +65,9 @@ def test_only_formats_parses_json():
     assert not elsewhere, f"json.loads called outside harness/formats.py: {sorted(elsewhere)}"
 
 
-def _thread_imports(tree):
-    """Line numbers of the imports of threading or concurrent.futures in a
-    module, in any form."""
-    wanted = ("threading", "concurrent")
+def _imports(tree, wanted):
+    """Line numbers of the imports of the top-level modules wanted, or of
+    their submodules, in a module, in any form."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -80,19 +81,38 @@ def _thread_imports(tree):
     return lines
 
 
+def _imported_only_in(owner, wanted):
+    """Where a module of src/freqfuse other than owner imports one of wanted,
+    as "<module>:<line>"; owner must import one."""
+    package = ROOT / "src" / "freqfuse"
+    assert _imports(ast.parse((package / owner).read_text(encoding="utf-8")), wanted)
+    return sorted(
+        f"{path.relative_to(package)}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        if path != package / owner
+        for line in _imports(ast.parse(path.read_text(encoding="utf-8")), wanted)
+    )
+
+
 def test_only_spectral_starts_threads():
     """The transforms' one worker thread lives in spectral.py; no other
     module imports threading or concurrent.futures."""
-    package = ROOT / "src" / "freqfuse"
-    spectral = package / "spectral.py"
-    assert _thread_imports(ast.parse(spectral.read_text(encoding="utf-8")))
-    elsewhere = {
-        f"{path.relative_to(package)}:{line}"
-        for path in sorted(package.rglob("*.py"))
-        if path != spectral
-        for line in _thread_imports(ast.parse(path.read_text(encoding="utf-8")))
-    }
-    assert not elsewhere, f"threads imported outside spectral.py: {sorted(elsewhere)}"
+    elsewhere = _imported_only_in("spectral.py", ("threading", "concurrent"))
+    assert not elsewhere, f"threads imported outside spectral.py: {elsewhere}"
+
+
+@pytest.mark.parametrize(
+    "owner, module",
+    [
+        # check_real is the one rule for a real number
+        ("spectral.py", "numbers"),
+        # parse_command is the one parser of a captioner command
+        ("harness/oracle.py", "shlex"),
+    ],
+)
+def test_one_module_owns_each_input_rule(owner, module):
+    elsewhere = _imported_only_in(owner, (module,))
+    assert not elsewhere, f"{module} imported outside {owner}: {elsewhere}"
 
 
 def _literal_tables(path, names):

@@ -12,6 +12,16 @@ def exactly(message):
     return f"^{re.escape(message)}$"
 
 
+# more digits than Python prints: repr() and str() of it raise ValueError
+UNPRINTABLE = 10**5000
+
+
+def unprintable(field):
+    """A pytest.raises match= pattern for a refusal that names field and
+    shows the refused value, too long to print, by its type."""
+    return rf"\b{re.escape(field)}\b.*<(int|list) too long to print>$"
+
+
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
