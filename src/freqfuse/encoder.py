@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import check_int, validate_image
+from .spectral import check_int, check_size, validate_image
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,8 @@ class EncoderConfig:
     projection_seed: int = 0
 
     def __post_init__(self):
-        check_int("patch_size", self.patch_size, 1)
-        check_int("dim", self.dim, 1)
+        check_size("patch_size", self.patch_size)
+        check_size("dim", self.dim)
         check_int("projection_seed", self.projection_seed, 0)
 
 

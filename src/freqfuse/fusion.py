@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import check_int, check_real
+from .spectral import check_int, check_real, check_size
 
 _CHECK_ELEMENTS = 2**16  # elements per batched array in gradient_check
 
@@ -68,7 +68,7 @@ class FusionGradients:
 
 def init_params(dim: int, seed: int) -> FusionParams:
     """Three dim x dim matrices, entries i.i.d. uniform +-1/sqrt(dim)."""
-    check_int("dim", dim, 1)
+    check_size("dim", dim)
     check_int("seed", seed, 0)
     bound = 1.0 / np.sqrt(dim)
     rng = np.random.default_rng(seed)
@@ -250,7 +250,7 @@ def gradient_check(dim: int, positions: int, seed: int, tol: float = 1e-4):
     of a tensor's entries is one _forward call on stacked copies of that
     tensor, +eps at one entry each and then -eps, the other five broadcast.
     """
-    check_int("positions", positions, 1)
+    check_size("positions", positions)
     check_real("tol", tol)
     if not 0 < tol < np.inf:  # NaN too
         raise ValueError(f"tol must be > 0 and finite, got {tol}")

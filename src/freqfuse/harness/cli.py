@@ -16,9 +16,11 @@ from ..fusion import fuse_sequence, gradient_check, init_params
 from ..metrics import SynonymTable, chair, pope_f1
 from ..spectral import (
     DEFAULT_CUTOFF,
+    MAX_SIZE,
     AttenuationSpec,
     decompose,
     decompose_attenuated,
+    shown,
 )
 from .formats import (
     bundled_synonyms_path,
@@ -59,6 +61,14 @@ def _at_least(parser, low, **flags):
     for name, value in flags.items():
         if value < low:
             parser.error(f"--{name} must be at least {low}, got {value}")
+
+
+def _sizes(parser, **flags):
+    """Each flag a size that becomes an array dimension: 1 to MAX_SIZE."""
+    _at_least(parser, 1, **flags)
+    for name, value in flags.items():
+        if value > MAX_SIZE:
+            parser.error(f"--{name} must be at most {MAX_SIZE}, got {shown(value)}")
 
 
 def cmd_decompose(parser, args):
@@ -103,7 +113,7 @@ def cmd_decompose(parser, args):
 
 def cmd_gradcheck(parser, args):
     _at_least(parser, 0, seed=args.seed)
-    _at_least(parser, 1, dim=args.dim, positions=args.positions)
+    _sizes(parser, dim=args.dim, positions=args.positions)
     if not 0 < args.tol < np.inf:  # NaN too
         parser.error(f"--tol must be positive and finite, got {args.tol:g}")
     ok, worst = gradient_check(args.dim, args.positions, args.seed, args.tol)
@@ -117,7 +127,7 @@ def cmd_gradcheck(parser, args):
 def cmd_fuse_demo(parser, args):
     _at_least(parser, 0, seed=args.seed)
     _positive(parser, "--cutoff", args.cutoff)
-    _at_least(parser, 1, patch=args.patch, dim=args.dim)
+    _sizes(parser, patch=args.patch, dim=args.dim)
     image = load_image(args.input)
     low, high = decompose(image, args.cutoff)
     cfg = EncoderConfig(patch_size=args.patch, dim=args.dim, projection_seed=args.seed)

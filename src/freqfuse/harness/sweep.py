@@ -21,10 +21,8 @@ all-or-nothing, a failure anywhere emits no partial rows.
 
 import contextlib
 import dataclasses
-import fcntl
 import itertools
 import os
-import signal
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,70 +208,26 @@ def _decoded(paths):
         yield map(read_image, paths)
         return
     # imported here: the captioner child imports this module, and loads no PNG
-    import multiprocessing
+    from .forks import forked
 
-    # fork, not the platform default, which becomes forkserver on Python 3.14
-    context = multiprocessing.get_context("fork")
     n = min(usable_cpus(), len(paths))
-    pipes, decoders = [], []
-    # SIGINT stays blocked across the forks, so that one arriving before a
-    # decoder ignores it stays pending there until _decode discards it; the
-    # parent's mask is back before the captioner starts, or a fork fails
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        for j in range(n):
-            from_decoder, results = context.Pipe(duplex=False)
-            pipes.append(from_decoder)
-            # only decoder j holds this end once the parent's is closed, so
-            # its exit is EOF here; decoders forked later never see it
-            with results:
-                # room for decoded images, so that the decoder goes on without
-                # waiting for each to be taken; Linux only, and up to the
-                # system's pipe size limit: elsewhere, or past it, it waits sooner
-                with contextlib.suppress(AttributeError, OSError):
-                    fcntl.fcntl(results.fileno(), fcntl.F_SETPIPE_SZ, DECODER_PIPE_BYTES)
-                # the paths reach the decoder through the fork: nothing is sent
-                decoder = context.Process(
-                    target=_decode, args=(paths[j::n], results, tuple(pipes))
-                )
-                decoder.start()
-                decoders.append(decoder)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    # the paths reach the decoders through the fork: nothing is sent
+    jobs = [(_decode, (paths[j::n],)) for j in range(n)]
+    with forked(jobs, DECODER_PIPE_BYTES) as (decoders, pipes):
         yield _received(paths, decoders, pipes)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for decoder in decoders:
-            decoder.kill()
-        for decoder in decoders:
-            decoder.join()
-            decoder.close()
-        for from_decoder in pipes:
-            from_decoder.close()
 
 
-def _decode(paths, results, parent_ends):
+def _decode(paths, results):
     """A decoder process: each path's pixels as read_image returns them,
     one message each, or at the first error the error and nothing more. It
-    runs read_image alone, no transform and no BLAS: a fork copies only the
-    calling thread, and a lock that another thread of the parent held then
-    stays held here."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
-    # blocked since the fork: a SIGINT pending from then is discarded
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-    # the parent's ends of this pipe and of every pipe forked before it: with
-    # them closed here, the parent's exit breaks every decoder's pipe
-    for end in parent_ends:
-        end.close()
-    try:
-        for path in paths:
-            try:
-                pixels = read_image(path)
-            except Exception as exc:  # the parent raises it, in the image's turn
-                results.send(exc)
-                return
-            results.send(pixels)
-    except BrokenPipeError:
-        return  # the parent is gone, and nobody is left to tell
+    runs read_image alone, no transform and no BLAS, as a forked child must."""
+    for path in paths:
+        try:
+            pixels = read_image(path)
+        except Exception as exc:  # the parent raises it, in the image's turn
+            results.send(exc)
+            return
+        results.send(pixels)
 
 
 def _received(paths, decoders, pipes):

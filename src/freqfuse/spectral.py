@@ -113,6 +113,20 @@ def check_int(field, value, least):
         raise ValueError(f"{field} must be {bound}, got {shown(value)}")
 
 
+# the most a size that becomes an array dimension may be: as many as the
+# pixels of the largest image harness.imageio reads (its MAX_PIXELS), so
+# no image read has a side longer
+MAX_SIZE = 1 << 25
+
+
+def check_size(field, value):
+    """check_int(field, value, 1), and ValueError naming field if value is
+    over MAX_SIZE: a size that becomes an array dimension."""
+    check_int(field, value, 1)
+    if value > MAX_SIZE:
+        raise ValueError(f"{field} must be at most {MAX_SIZE}, got {shown(value)}")
+
+
 def check_real(field, value):
     """float(value), or ValueError naming field unless value is a real
     number, Python's or numpy's, that a float can hold; a bool is refused,
@@ -170,8 +184,8 @@ def gaussian_masks(h: int, w: int, cutoff: float):
     (h//2, w//2), or 0 where that is under sqrt(float64 tiny) = 1.5e-154;
     high = 1 - low, exact per cell.
     """
-    check_int("h", h, 1)
-    check_int("w", w, 1)
+    check_size("h", h)
+    check_size("w", w)
     return _masks(np.arange(h) - h // 2, np.arange(w) - w // 2, cutoff, np.float64)
 
 
@@ -487,8 +501,8 @@ def _draw_gains(h, w, spec, count, split):
 
 def attenuation_matrix(h: int, w: int, spec: AttenuationSpec) -> np.ndarray:
     """Damping matrix per the spec: U(0, gamma) draws or the constant gamma."""
-    check_int("h", h, 1)
-    check_int("w", w, 1)
+    check_size("h", h)
+    check_size("w", w)
     return _draw_gains(h, w, spec, 1, _whole)[0]
 
 

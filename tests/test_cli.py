@@ -12,6 +12,7 @@ import pytest
 
 from freqfuse.harness.cli import main
 from freqfuse.harness.imageio import load_image, save_image
+from freqfuse.spectral import MAX_SIZE
 from oracles import naive_read_tokens
 from util import cosine_image, random_image, write_jsonl
 
@@ -264,6 +265,29 @@ def test_gradcheck_rejects_bad_dim(capsys):
     code, _, err = run(capsys, "gradcheck", "--dim", "0")
     assert code == 1
     assert "--dim" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("gradcheck", "--dim", "9" * 4000), "--dim"),
+        (("gradcheck", "--positions", str(MAX_SIZE + 1)), "--positions"),
+        (("fuse-demo", "--input", "ghost.ppm", "--patch", str(MAX_SIZE + 1),
+          "--out", "t.bin"), "--patch"),
+        (("fuse-demo", "--input", "ghost.ppm", "--dim", "9" * 4000, "--out", "t.bin"),
+         "--dim"),
+    ],
+    ids=["gradcheck-dim", "gradcheck-positions", "fuse-demo-patch", "fuse-demo-dim"],
+)
+def test_a_size_over_the_cap_is_a_usage_error(capsys, argv, flag):
+    # --dim of 4000 nines once exited 1 with a TypeError's traceback; the
+    # input does not exist: sizes are checked before any file is read
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    usage, error = err.rstrip("\n").rsplit("\n", 1)
+    assert usage.startswith(f"usage: freqfuse {argv[0]} [-h]")
+    value = argv[argv.index(flag) + 1]
+    assert error == f"freqfuse {argv[0]}: error: {flag} must be at most {MAX_SIZE}, got {value}"
 
 
 # fuse-demo

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freqfuse.encoder import EncoderConfig, patch_tokens, projection_matrix
+from freqfuse.spectral import MAX_SIZE
 from util import UNPRINTABLE, unprintable
 
 
@@ -129,4 +130,12 @@ def test_config_checks_its_seed_where_it_is_stored(seed):
 @pytest.mark.parametrize("value", [-UNPRINTABLE, [UNPRINTABLE]], ids=["negative", "list"])
 def test_a_refused_value_too_long_to_print_is_named_by_its_type(field, value):
     with pytest.raises(ValueError, match=unprintable(field)):
+        EncoderConfig(**{"patch_size": 2, "dim": 2, field: value})
+
+
+# 10**5000 raised a TypeError from np.sqrt in the projection
+@pytest.mark.parametrize("field", ["patch_size", "dim"])
+@pytest.mark.parametrize("value", [MAX_SIZE + 1, UNPRINTABLE], ids=["cap+1", "unprintable"])
+def test_a_size_over_the_cap_is_refused_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be at most {MAX_SIZE}, got "):
         EncoderConfig(**{"patch_size": 2, "dim": 2, field: value})

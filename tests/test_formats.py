@@ -1,12 +1,18 @@
 """JSONL record-file loader tests."""
 
+import functools
 import json
+import os
 import re
+import signal
+import threading
 import time
 import tracemalloc
 
 import pytest
 
+from freqfuse.harness import formats
+from freqfuse.harness.cli import main
 from freqfuse.harness.formats import (
     MAX_LINE,
     DataFormatError,
@@ -18,7 +24,7 @@ from freqfuse.harness.formats import (
     read_json,
 )
 from freqfuse.metrics import CaptionRecord, SynonymTable
-from util import write_jsonl
+from util import exactly, write_jsonl
 
 TABLE = SynonymTable({"dog": "dog", "cat": "cat", "puppy": "dog", "car": "car"})
 
@@ -287,3 +293,258 @@ def test_a_valid_captions_file_is_parsed_without_json_loads(tmp_path, monkeypatc
     assert calls == []
     assert parse_json("{} ", "x") == {}  # the counter sees the fall-through
     assert len(calls) == 1
+
+
+# the caption reader split into processes
+
+
+def split_reads(monkeypatch, parts):
+    """Have load_caption_records split a regular file of any size into
+    `parts` parts, whatever the machine's CPU count. Returns the list that
+    each read's part starts are appended to."""
+    monkeypatch.setattr(formats, "SPLIT_BYTES", 2)  # parts of one byte up
+    monkeypatch.setattr(formats, "usable_cpus", lambda: parts)
+    starts = []
+    part_starts = formats._part_starts
+
+    def recording(fh):
+        starts.append(part_starts(fh))
+        return starts[-1]
+
+    monkeypatch.setattr(formats, "_part_starts", recording)
+    return starts
+
+
+def _read(path):
+    """A read's records, with the first index at which each record's sets
+    were seen as objects, or its error's type and message."""
+    try:
+        records = load_caption_records(path, TABLE)
+    except Exception as exc:
+        return type(exc), str(exc)
+    first_seen = {}
+    sharing = [
+        first_seen.setdefault(id(s), len(first_seen))
+        for r in records
+        for s in (r.mentioned, r.ground_truth)
+    ]
+    return records, sharing
+
+
+# the caption-file tests above, each a function of tmp_path, by name
+CAPTION_FILE_TESTS = {
+    test.__name__: test
+    for test in [
+        test_load_caption_records,
+        test_records_share_one_frozenset_per_distinct_class_set,
+        test_caption_records_hold_under_200_bytes_each,
+        test_ground_truth_goes_through_synonyms,
+        test_unknown_ground_truth_class_is_an_error,
+        test_invalid_json_names_the_line,
+        test_missing_field_is_an_error,
+        test_empty_caption_file_is_an_error,
+        test_crlf_line_endings_load,
+        test_line_at_the_cap_loads,
+    ]
+}
+CAPTION_FILE_TESTS["test_undecodable_line_names_file_and_line[captions]"] = functools.partial(
+    test_undecodable_line_names_file_and_line,
+    load=lambda p: load_caption_records(p, TABLE),
+    record={"id": "a", "caption": "x", "ground_truth": []},
+)
+CAPTION_FILE_TESTS["test_line_over_the_cap_is_refused_quickly[cap+1]"] = functools.partial(
+    test_line_over_the_cap_is_refused_quickly, size=MAX_LINE + 1
+)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("name", CAPTION_FILE_TESTS)
+def test_the_caption_file_tests_hold_for_a_split_read(tmp_path, monkeypatch, name, parts):
+    split_reads(monkeypatch, parts)
+    CAPTION_FILE_TESTS[name](tmp_path)
+
+
+GOOD = {"id": "g", "caption": "a dog near a car", "ground_truth": ["dog", "puppy"]}
+# one bad line of each kind the reader refuses, with the message it gives
+BAD_LINES = {
+    "invalid-json": (b"{oops", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    "not-an-object": (b"[1, 2]", "expected a JSON object"),
+    "missing-field": (b'{"id": "b", "caption": "x"}', "field 'ground_truth' must be list"),
+    "non-string-class": (b'{"id": "b", "caption": "x", "ground_truth": [5]}',
+                         "ground-truth entries must be strings"),
+    "unknown-class": (b'{"id": "b", "caption": "x", "ground_truth": ["zebra"]}',
+                      "unknown object class 'zebra' (not in the synonym table)"),
+    "undecodable": (b'{"id": "\xff"}', "not valid UTF-8"),
+    "over-the-cap": (b"x" * (MAX_LINE + 1), f"line longer than {MAX_LINE} bytes"),
+}
+
+
+def _captions_file(path, lines):
+    """A captions file of lines (bytes, or records), each ended by "\n"."""
+    path.write_bytes(b"".join(
+        (line if isinstance(line, bytes) else json.dumps(line).encode()) + b"\n"
+        for line in lines
+    ))
+    return str(path)
+
+
+def _line_starts(path):
+    """The offset of each line of a file, and its size last."""
+    starts = [0]
+    with open(path, "rb") as fh:
+        for line in fh:
+            starts.append(starts[-1] + len(line))
+    return starts
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("kind", BAD_LINES)
+def test_a_bad_line_in_a_reader_process_part_is_refused_as_in_one_process(
+    tmp_path, monkeypatch, kind, parts
+):
+    line, message = BAD_LINES[kind]
+    # a blank line first, as line numbers count every line; enough good
+    # lines before the bad one that it starts in the last part
+    good = 20 + parts * len(line) // len(json.dumps(GOOD))
+    path = _captions_file(tmp_path / "caps.jsonl", [b"", *[GOOD] * good, line, GOOD])
+    refusal = (DataFormatError, f"{path}:{good + 2}: {message}")
+    assert _read(path) == refusal
+    starts = split_reads(monkeypatch, parts)
+    assert _read(path) == refusal
+    assert len(starts[0]) == parts
+    assert starts[0][-1] <= _line_starts(path)[good + 1]
+
+
+@pytest.mark.parametrize(
+    "bad, parts",
+    [((2, 6), (0, 1)), ((2, 10), (0, 2)), ((6, 10), (1, 2)), ((6, 7), (1, 1)),
+     ((10, 11), (2, 2))],
+    ids=["parent-child", "parent-last-child", "child-child", "one-child", "last-child"],
+)
+def test_of_bad_lines_in_two_parts_the_first_is_refused(tmp_path, monkeypatch, bad, parts):
+    # three parts of about four lines each
+    lines = [dict(GOOD, id=str(i)) for i in range(1, 13)]
+    for n in bad:
+        lines[n - 1] = dict(GOOD, id=str(n), ground_truth=[f"zebra{n}"])
+    path = _captions_file(tmp_path / "caps.jsonl", lines)
+    starts = split_reads(monkeypatch, 3)
+    first = bad[0]
+    with pytest.raises(DataFormatError, match=exactly(
+        f"{path}:{first}: unknown object class 'zebra{first}' (not in the synonym table)"
+    )):
+        load_caption_records(path, TABLE)
+    offsets = _line_starts(path)
+    assert len(starts[0]) == 3
+    assert tuple(sum(s <= offsets[n - 1] for s in starts[0]) - 1 for n in bad) == parts
+
+
+@pytest.mark.parametrize("size", [MAX_LINE + 100, 3 * MAX_LINE], ids=["cap+100", "3x-cap"])
+def test_a_line_over_the_cap_across_a_part_boundary_is_refused(tmp_path, monkeypatch, size):
+    # at cap+100, a part starts after the long line; at three times the cap,
+    # no newline is in reach of the boundary, and nothing after it is read
+    path = _captions_file(tmp_path / "caps.jsonl", [GOOD, _line_of(size).encode(), GOOD])
+    starts = split_reads(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(DataFormatError, match=exactly(
+        f"{path}:2: line longer than {MAX_LINE} bytes"
+    )):
+        load_caption_records(path, TABLE)
+    assert time.monotonic() - start < 1.0
+    assert len(starts[0]) == (2 if size < 2 * MAX_LINE else 1)
+
+
+@pytest.mark.parametrize("parts", [2, 3, 5])
+def test_blank_lines_at_a_part_boundary_keep_records_and_line_numbers(
+    tmp_path, monkeypatch, parts
+):
+    # runs of blank lines, "\r\n" ones too, where the parts meet
+    lines = []
+    for i in range(12):
+        lines += [dict(GOOD, id=str(i), caption=f"a cat and {i} dogs")] + [b"", b"\r"] * (i % 4)
+    path = _captions_file(tmp_path / "caps.jsonl", [*lines, b"", b"{oops"])
+    good = _captions_file(tmp_path / "good.jsonl", lines)
+    serial = _read(path), _read(good)
+    starts = split_reads(monkeypatch, parts)
+    assert (_read(path), _read(good)) == serial
+    assert serial[0][1].startswith(f"{path}:{len(lines) + 2}: invalid JSON")
+    assert all(len(s) == parts for s in starts)
+
+
+def test_a_split_read_gives_the_records_and_sharing_of_one_process(tmp_path, monkeypatch):
+    classes = ["dog", "cat", "car", "puppy"]
+    lines = [
+        {"id": f"c{i}",
+         "caption": " and ".join(f"a {classes[(i * k) % 4]}" for k in range(i % 5)),
+         "ground_truth": [classes[(i + k) % 4] for k in range(i % 3)]}
+        for i in range(300)
+    ]
+    path = _captions_file(tmp_path / "caps.jsonl", lines)
+    serial = _read(path)
+    assert len(serial[0]) == 300
+    for parts in (2, 3, 4):
+        starts = split_reads(monkeypatch, parts)
+        assert _read(path) == serial
+        assert [len(s) for s in starts] == [parts]
+
+
+def test_a_small_file_is_read_without_a_fork(tmp_path, monkeypatch):
+    monkeypatch.setattr(formats, "usable_cpus", lambda: 2)
+    lines = [GOOD] * (formats.SPLIT_BYTES // (len(json.dumps(GOOD)) + 1))
+    path = _captions_file(tmp_path / "caps.jsonl", lines)
+    assert os.path.getsize(path) < formats.SPLIT_BYTES
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert len(load_caption_records(path, TABLE)) == len(lines)
+    assert forks == []
+    path = _captions_file(tmp_path / "caps.jsonl", [*lines, GOOD])
+    assert os.path.getsize(path) >= formats.SPLIT_BYTES
+    assert len(load_caption_records(path, TABLE)) == len(lines) + 1
+    assert forks == [1]
+
+
+@pytest.mark.parametrize("halves", [2, 3, 7])
+def test_no_part_is_under_half_the_split_size(tmp_path, monkeypatch, halves):
+    # on 8 CPUs, a file of `halves` halves of SPLIT_BYTES (and a line more)
+    # is read in that many parts, not 8 parts that each cost a fork
+    monkeypatch.setattr(formats, "usable_cpus", lambda: 8)
+    line = len(json.dumps(GOOD)) + 1
+    lines = [GOOD] * (halves * (formats.SPLIT_BYTES // 2) // line + 1)
+    path = _captions_file(tmp_path / "caps.jsonl", lines)
+    with open(path, "rb") as fh:
+        starts = formats._part_starts(fh)
+    assert len(starts) == halves
+    assert min(b - a for a, b in zip(starts, starts[1:])) >= formats.SPLIT_BYTES // 2 - line
+
+
+def test_a_fifo_is_read_in_one_process(tmp_path, monkeypatch):
+    # a FIFO reports size 0: it is read as it comes, never split
+    fifo = tmp_path / "caps.fifo"
+    os.mkfifo(fifo)
+    text = "".join(json.dumps(dict(GOOD, id=str(i))) + "\n" for i in range(100))
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    starts = split_reads(monkeypatch, 2)
+    try:
+        records = load_caption_records(fifo, TABLE)
+    finally:
+        writer.join(10.0)
+    assert not writer.is_alive()
+    assert [r.id for r in records] == [str(i) for i in range(100)]
+    assert starts == [[0]]
+
+
+def _dies(path, table, start, size, results):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_reader_process_that_dies_is_a_data_error(tmp_path, monkeypatch, capsys):
+    path = _captions_file(tmp_path / "caps.jsonl", [GOOD] * 10)
+    split_reads(monkeypatch, 2)
+    monkeypatch.setattr(formats, "_send_part", _dies)
+    message = f"{path}: a caption reader process died (exit code {-signal.SIGKILL})"
+    with pytest.raises(DataFormatError, match=exactly(message)):
+        load_caption_records(path, TABLE)
+    assert main(["eval", "chair", "--captions", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # and no child is left running: the no_child_left fixture checks it

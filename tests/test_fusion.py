@@ -16,6 +16,7 @@ from freqfuse.fusion import (
     init_params,
     stable_softmax,
 )
+from freqfuse.spectral import MAX_SIZE
 from oracles import central_difference, naive_fit, naive_gradient_check
 from util import UNPRINTABLE, unprintable
 
@@ -432,3 +433,19 @@ def fit(steps, lr):
 def test_a_refused_value_too_long_to_print_is_named_by_its_type(field, call):
     with pytest.raises(ValueError, match=unprintable(field)):
         call(UNPRINTABLE)
+
+
+# 10**5000 raised a TypeError from np.sqrt
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        pytest.param("dim", lambda v: init_params(v, 0), id="init_params-dim"),
+        pytest.param("dim", lambda v: gradient_check(v, 2, 0), id="gradient_check-dim"),
+        pytest.param("positions", lambda v: gradient_check(4, v, 0),
+                     id="gradient_check-positions"),
+    ],
+)
+@pytest.mark.parametrize("value", [MAX_SIZE + 1, UNPRINTABLE], ids=["cap+1", "unprintable"])
+def test_a_size_over_the_cap_is_refused_by_name(field, call, value):
+    with pytest.raises(ValueError, match=f"^{field} must be at most {MAX_SIZE}, got "):
+        call(value)

@@ -974,3 +974,36 @@ def test_decompose_command_exits_promptly(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "low.ppm").exists() and (tmp_path / "high.ppm").exists()
+
+
+# 10**5000 failed inside numpy with "Maximum allowed size exceeded"
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda h, w: gaussian_masks(h, w, 3.0), id="gaussian_masks"),
+        pytest.param(lambda h, w: attenuation_matrix(h, w, AttenuationSpec(0.5)),
+                     id="attenuation_matrix"),
+    ],
+)
+@pytest.mark.parametrize("field", ["h", "w"])
+@pytest.mark.parametrize(
+    "value, shown",
+    [(spectral.MAX_SIZE + 1, str(spectral.MAX_SIZE + 1)),
+     (np.int64(spectral.MAX_SIZE + 1), repr(np.int64(spectral.MAX_SIZE + 1))),
+     (UNPRINTABLE, "<int too long to print>")],
+    ids=["cap+1", "numpy-cap+1", "unprintable"],
+)
+def test_a_size_over_the_cap_is_refused_by_name(call, field, value, shown):
+    sizes = {"h": 3, "w": 4, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be at most {spectral.MAX_SIZE}, got "):
+        call(sizes["h"], sizes["w"])
+    with pytest.raises(ValueError) as refused:
+        call(sizes["h"], sizes["w"])
+    assert str(refused.value).endswith(f"got {shown}")
+
+
+def test_a_size_at_the_cap_is_taken():
+    assert spectral.check_size("h", spectral.MAX_SIZE) is None
+    assert spectral.check_size("h", np.uint32(spectral.MAX_SIZE)) is None
+    with pytest.raises(ValueError, match="^h must be an int >= 1, got 0$"):
+        spectral.check_size("h", 0)

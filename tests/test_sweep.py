@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from freqfuse import spectral
-from freqfuse.harness import imageio, sweep
+from freqfuse.harness import forks, imageio, sweep
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import DataFormatError
 from freqfuse.harness.imageio import load_image, read_image, save_image
@@ -949,7 +949,7 @@ def test_the_decoder_returns_quietly_when_the_parent_is_gone(tmp_path):
     from_decoder.close()
     previous = signal.getsignal(signal.SIGINT)
     try:
-        assert sweep._decode([path], results, [from_decoder]) is None
+        assert forks._child(sweep._decode, ([path],), results, [from_decoder]) is None
     finally:
         signal.signal(signal.SIGINT, previous)
         results.close()

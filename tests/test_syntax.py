@@ -1,11 +1,15 @@
 """Checks on the source itself: it parses as the oldest Python that
 pyproject.toml allows, only harness/formats.py parses JSON, only
-spectral.py imports threads or numbers, only harness/oracle.py imports
-shlex, and every name the benchmark's tracer wraps exists."""
+spectral.py imports threads or numbers, only harness/forks.py imports
+multiprocessing, only harness/oracle.py imports shlex, the CLI's import
+starts no process or thread pool, and every name the benchmark's tracer
+wraps exists."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +103,28 @@ def test_only_spectral_starts_threads():
     module imports threading or concurrent.futures."""
     elsewhere = _imported_only_in("spectral.py", ("threading", "concurrent"))
     assert not elsewhere, f"threads imported outside spectral.py: {elsewhere}"
+
+
+def test_only_forks_imports_multiprocessing():
+    """Child processes are forked in harness/forks.py alone, through one
+    helper: the sweep's decoders and the caption reader's parts."""
+    elsewhere = _imported_only_in("harness/forks.py", ("multiprocessing",))
+    assert not elsewhere, f"multiprocessing imported outside harness/forks.py: {elsewhere}"
+
+
+def test_importing_the_cli_imports_no_process_or_thread_pool():
+    """The captioner child runs the CLI's mock-oracle, and its start-up is
+    over half a round of the benchmark's sweep-cutoffs: the fork helper,
+    multiprocessing and concurrent.futures are imported only when used."""
+    code = (
+        "import sys, freqfuse.harness.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent') or m == 'freqfuse.harness.forks'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize(
