@@ -297,6 +297,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # DataFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def run() -> None:

@@ -1,6 +1,6 @@
 """Forked child processes, each sending to the parent through a pipe of its own.
 
-The sweep's PNG decoders and the caption reader's parts run here: pure
+The sweep's PNG decoders and the caption readers run here: pure
 Python work that would leave the other CPUs idle. A fork copies only the
 calling thread, and a lock that another thread of the parent held (such as
 spectral's worker thread) stays held in the child, so a child runs only
@@ -27,11 +27,7 @@ def forked(jobs, pipe_bytes=None):
     if not jobs:  # nothing forked, nothing imported
         yield [], []
         return
-    # imported here: a read of a small captions file forks nothing
-    import multiprocessing
-
-    # fork, not the platform default, which becomes forkserver on Python 3.14
-    context = multiprocessing.get_context("fork")
+    context = _fork_context()
     children, ends = [], []
     # SIGINT stays blocked across the forks, so that one arriving before a
     # child ignores it stays pending there until _child discards it; the
@@ -66,6 +62,20 @@ def forked(jobs, pipe_bytes=None):
             child.close()
         for receiving in ends:
             receiving.close()
+
+
+def shared_counter():
+    """An integer from 0, in memory that every process forked after this
+    call shares, guarded by its get_lock(): a multiprocessing Value."""
+    return _fork_context().Value("q", 0)
+
+
+def _fork_context():
+    # imported here: a read of a small captions file forks nothing
+    import multiprocessing
+
+    # fork, not the platform default, which becomes forkserver on Python 3.14
+    return multiprocessing.get_context("fork")
 
 
 def _child(function, args, sending, parent_ends):

@@ -10,12 +10,13 @@ OracleError), with a message that starts with where it is:
 DataFormatError, a ValueError, is also the one error of bad input data
 elsewhere (an image imageio cannot read or write, a sweep config, a
 decoder or caption reader process that dies): every failure the CLI exits
-2 for. A large captions file is read in parts, one per usable CPU, by
-forked reader processes (see load_caption_records).
+2 for. A large captions file is read in chunks that this process and
+forked reader processes claim in turn (see load_caption_records).
 """
 
 import functools
 import importlib.resources
+import itertools
 import json
 import os
 import stat
@@ -25,12 +26,25 @@ from ..metrics import CaptionRecord, PopeRecord, extract_objects
 from ..spectral import usable_cpus
 
 MAX_LINE = 1 << 20  # bytes in one line of JSON, newline excluded
-# a regular captions file of at least this many bytes is read in parts, one
-# per usable CPU and none under half of it. Measured on 2 CPUs: a split
-# read costs about 5 ms more than one process on a tiny file, and the
-# crossover fell anywhere from 130 KB to 390 KB between runs; every run
-# read the split faster from 389 KB (3,300 captions) up
+# a regular captions file of at least this many bytes is read by more than
+# one process, one per usable CPU but none per under half of it. Measured on
+# 2 CPUs: a split read costs about 5 ms more than one process on a tiny
+# file, and the crossover fell anywhere from 130 KB to 390 KB between runs;
+# every run read the split faster from 389 KB (3,300 captions) up
 SPLIT_BYTES = 384 << 10
+# the processes of a split read claim chunks of this many bytes in turn, so
+# that the one that also builds the records claims fewer and all finish
+# together. On 2 CPUs, 32, 64 and 128 KiB chunks read and scored the
+# benchmark's 2.3 MB file in 118-128, 122-127 and 127 ms (medians of two
+# runs of 30 alternating calls): no size won past the noise. 64 KiB leaves
+# one process at most one chunk, about 6 ms, to finish alone, with half the
+# messages and claims of 32 KiB
+CHUNK_BYTES = 64 << 10
+# room in each reader's pipe for the messages of many chunks, so that a
+# reader seldom waits for this process to take them
+READER_PIPE_BYTES = 1 << 20
+# how long a claim waits on the shared counter's lock
+CLAIM_SECONDS = 10.0
 
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -156,68 +170,140 @@ def load_caption_records(path, table):
     share one frozenset per distinct class set, mentioned or ground truth:
     a file holds far fewer distinct sets than captions.
 
-    A regular file of SPLIT_BYTES or more is split at line starts into one
-    part per usable CPU, none under SPLIT_BYTES / 2 bytes: this process
-    reads the first part while a forked process reads each other part,
-    through the same reader and numbering lines as the whole file does, and
-    sends back its part's records or its first error. The records, their order and sharing, and the error raised
-    (the first bad line in the file) are those of a read in one process.
-    A process that dies is a DataFormatError naming the path.
+    A regular file of SPLIT_BYTES or more is read in chunks of CHUNK_BYTES,
+    split at line starts, by this process and by forked reader processes,
+    one per other usable CPU but none per under SPLIT_BYTES / 2 bytes of
+    file. Each process claims the next chunk in file order from one shared
+    counter and reads it through the same per-line reader; a reader sends
+    each chunk's records, or its first error, in one message, which this
+    process turns into records between its own chunks. The records, their
+    order and sharing, and the error raised (the first bad line in the file,
+    numbered as in the whole file) are those of a read in one process. A
+    reader that dies holding a chunk is a DataFormatError naming the path.
     """
-    # imported here: the captioner child imports this module, and reads no captions
-    from .forks import forked
-
     path = str(path)  # a str formats faster than a Path, once per line
-    shared = {}  # class set -> the first frozenset seen with it
     with open(path, "rb") as fh:
-        starts = _part_starts(fh)
-        sizes = [b - a for a, b in zip(starts, starts[1:])] + [None]  # None: to the end
-        jobs = [(_send_part, (path, table, *part)) for part in zip(starts[1:], sizes[1:])]
-        with forked(jobs) as (readers, pipes):
+        info = os.fstat(fh.fileno())
+        # a FIFO reports size 0; a file under SPLIT_BYTES gives no reader
+        processes = min(usable_cpus(), info.st_size // (SPLIT_BYTES // 2))
+        if stat.S_ISREG(info.st_mode) and processes > 1:
+            chunks = -(-info.st_size // CHUNK_BYTES)
+            records = _read_in_chunks(fh, path, table, chunks, processes - 1)
+        else:
+            shared = {}  # class set -> the first frozenset seen with it
             records = [
                 CaptionRecord(rid, shared.setdefault(m, m), shared.setdefault(g, g))
-                for rid, m, g in _captions(fh, path, table, 1, sizes[0])
+                for rid, m, g in _captions(fh, path, table, 1, None)
             ]
-            for reader, pipe in zip(readers, pipes):
-                ids, keys, sets = _received_part(path, reader, pipe)
-                keys = memoryview(keys).cast("I")
-                sets = [shared.setdefault(s, s) for s in sets]
-                records += map(
-                    CaptionRecord,
-                    ids,
-                    map(sets.__getitem__, keys[::2]),
-                    map(sets.__getitem__, keys[1::2]),
-                )
     if not records:
         raise DataFormatError(f"{path}: no caption records")
     return records
 
 
-def _part_starts(fh):
-    """The offset where each part of the open file fh starts, at a line
-    start: [0] for a file that is not regular or under SPLIT_BYTES, else
-    up to n parts, n the usable CPUs but at most one per SPLIT_BYTES / 2
-    bytes, the k-th starting at the first line start at or after its k / n
-    of the bytes, and none empty. fh is left at its start."""
-    info = os.fstat(fh.fileno())
-    if not stat.S_ISREG(info.st_mode):  # a FIFO, whose size is 0
-        return [0]
-    # a file under SPLIT_BYTES gives n <= 1: one part
-    n = min(usable_cpus(), info.st_size // (SPLIT_BYTES // 2))
-    starts = [0]
-    for k in range(1, n):
-        share = info.st_size * k // n
-        if share <= starts[-1]:
-            continue  # inside the line the last part starts with
-        fh.seek(share - 1)
-        rest = fh.readline(MAX_LINE + 1)  # of the line that holds byte share - 1
-        # no newline: the last line, or one over the cap that the part
-        # holding its start refuses; nothing after it is read
-        if not rest.endswith(b"\n") or share - 1 + len(rest) == info.st_size:
-            break
-        starts.append(share - 1 + len(rest))
-    fh.seek(0)
-    return starts
+def _read_in_chunks(fh, path, table, chunks, readers):
+    """The records of the open regular file fh, read in `chunks` chunks by
+    this process and `readers` forked ones (see load_caption_records)."""
+    # imported here: the captioner child imports this module, and reads no captions
+    from .forks import forked, shared_counter
+
+    claim = functools.partial(_claim, shared_counter(), chunks)  # before the forks
+    pieces = [None] * chunks  # each chunk's records, or its error
+    shared = {}  # class set -> the first frozenset seen with it
+    jobs = [(_read_chunks, (path, table, claim))] * readers
+    with forked(jobs, READER_PIPE_BYTES) as (children, pipes):
+        sets = [[] for _ in pipes]  # the class sets each reader has sent, by key
+        sending = dict(enumerate(pipes))  # the pipes not at their end
+
+        def take(to_the_end):
+            """Turn the messages that have arrived into pieces, or with
+            to_the_end, every message up to each pipe's end."""
+            for j, pipe in list(sending.items()):
+                try:
+                    while to_the_end or pipe.poll():
+                        k, *message = pipe.recv()
+                        if len(message) == 1:  # the reader's error
+                            pieces[k] = message[0]
+                            continue
+                        ids, keys, new_sets = message
+                        sets[j] += [shared.setdefault(s, s) for s in new_sets]
+                        keys = memoryview(keys).cast("I")
+                        pieces[k] = list(map(
+                            CaptionRecord,
+                            ids,
+                            map(sets[j].__getitem__, keys[::2]),
+                            map(sets[j].__getitem__, keys[1::2]),
+                        ))
+                except EOFError:  # the reader has exited
+                    del sending[j]
+
+        for k in iter(claim, None):
+            try:
+                pieces[k] = [
+                    CaptionRecord(rid, shared.setdefault(m, m), shared.setdefault(g, g))
+                    for rid, m, g in _chunk(fh, path, table, k)
+                ]
+            except DataFormatError as exc:
+                pieces[k] = exc
+                claim(stop=True)  # no chunk after this one counts
+            take(to_the_end=False)
+        take(to_the_end=True)
+        records = []
+        for piece in pieces:  # up to the first error, every chunk was claimed
+            if piece is None:  # by a reader that died before it sent it
+                for reader in children:
+                    reader.join(1.0)
+                code = next((c.exitcode for c in children if c.exitcode), None)
+                raise DataFormatError(
+                    f"{path}: a caption reader process died (exit code {code})"
+                )
+            if isinstance(piece, BaseException):
+                raise piece
+            records += piece
+    return records
+
+
+def _claim(counter, chunks, stop=False):
+    """The next chunk index from the shared counter, or None once all
+    `chunks` are claimed; with stop, None, and no chunk is claimed after.
+    None too if the counter stays locked for CLAIM_SECONDS: only a process
+    killed while it held the lock holds it that long."""
+    lock = counter.get_lock()
+    if not lock.acquire(timeout=CLAIM_SECONDS):
+        return None
+    k = counter.value
+    counter.value = chunks if stop else k + 1
+    lock.release()
+    return None if stop or k >= chunks else k
+
+
+def _chunk(fh, where, table, k):
+    """(id, mentioned classes, ground-truth classes) of each caption in
+    chunk k of the regular file fh: the lines that start in its bytes
+    k * CHUNK_BYTES up to (k + 1) * CHUNK_BYTES. A refused line is numbered
+    as in the whole file."""
+    start = k * CHUNK_BYTES
+    if start:
+        fh.seek(start - 1)
+        # the rest of the line that holds byte start - 1, up to the chunk's end
+        rest = fh.readline(CHUNK_BYTES)
+        if not rest.endswith(b"\n"):
+            return  # no line starts in this chunk
+        start += len(rest) - 1
+    size = (k + 1) * CHUNK_BYTES - start
+    try:
+        yield from _captions(fh, where, table, 1, size)
+    except DataFormatError:
+        # numbered from the chunk's first line: read again, numbered from
+        # the lines before it, counted by newlines as json_lines reads them,
+        # the same line is refused with its number in the file
+        fh.seek(0)
+        before = sum(
+            fh.read(min(MAX_LINE, start - offset)).count(b"\n")
+            for offset in range(0, start, MAX_LINE)
+        )
+        for _ in _captions(fh, where, table, before + 1, size):
+            pass
+        raise
 
 
 def _captions(fh, where, table, first, size):
@@ -232,42 +318,34 @@ def _captions(fh, where, table, first, size):
         yield rid, mentioned, canonical_set(gt_names, table, at)
 
 
-def _send_part(path, table, start, size, results):
-    """A caption reader process: its part's captions, or the first error
-    in them, in one message. The captions are sent as (ids, keys, sets):
-    each one's id; two keys each, the indices in sets of its mentioned and
-    its ground-truth classes; and the part's distinct class sets."""
+def _read_chunks(path, table, claim, results):
+    """A caption reader process: one message per chunk it claims, until
+    none is left or one is refused. The message is (k, ids, keys, sets):
+    the chunk's index, its caption ids, two keys per caption, the indices
+    of its mentioned and its ground-truth classes in the list of class sets
+    this reader has sent, and the chunk's sets that no earlier message
+    held; or (k, error), its last."""
+    index = {}  # class set -> key
     try:
-        with open(path, "rb") as fh:
-            # the lines before the part, counted by newlines, as json_lines reads them
-            before = 0
-            for offset in range(0, start, MAX_LINE):
-                before += fh.read(min(MAX_LINE, start - offset)).count(b"\n")
-            ids, keys, index = [], [], {}
-            for rid, mentioned, ground_truth in _captions(fh, path, table, before + 1, size):
-                ids.append(rid)
-                keys.append(index.setdefault(mentioned, len(index)))
-                keys.append(index.setdefault(ground_truth, len(index)))
+        fh = open(path, "rb")
+    except OSError:
+        return  # gone since this process's parent opened it, which reads on
+    with fh:
+        for k in iter(claim, None):
+            sent = len(index)
+            try:
+                ids, keys = [], []
+                for rid, mentioned, ground_truth in _chunk(fh, path, table, k):
+                    ids.append(rid)
+                    keys.append(index.setdefault(mentioned, len(index)))
+                    keys.append(index.setdefault(ground_truth, len(index)))
+            except Exception as exc:  # the parent raises it, in the chunk's turn
+                claim(stop=True)
+                results.send((k, exc))
+                return
             # the keys as unsigned ints of 4 bytes, not one object each
-            part = ids, struct.pack(f"{len(keys)}I", *keys), list(index)
-    except Exception as exc:  # the parent raises it, in the part's turn
-        part = exc
-    results.send(part)
-
-
-def _received_part(path, reader, pipe):
-    """A reader process's part, as received in its one message, or its
-    error, raised."""
-    try:
-        part = pipe.recv()
-    except EOFError:
-        reader.join(1.0)
-        raise DataFormatError(
-            f"{path}: a caption reader process died (exit code {reader.exitcode})"
-        ) from None
-    if isinstance(part, BaseException):
-        raise part
-    return part
+            keys = struct.pack(f"{len(keys)}I", *keys)
+            results.send((k, ids, keys, list(itertools.islice(index, sent, None))))
 
 
 def load_pope_records(path):

@@ -198,18 +198,19 @@ def chair(records) -> ChairReport:
     if not records:
         raise ValueError("no caption records to score")
     total_mentions = 0
-    bad_mentions = 0
     bad_captions = 0
     true_mentions = 0
     total_gt = 0
     for rec in records:
-        hallucinated = rec.mentioned - rec.ground_truth
-        total_mentions += len(rec.mentioned)
-        bad_mentions += len(hallucinated)
-        if hallucinated:
+        # one set operation: every mention not in the ground truth is hallucinated
+        mentions = len(rec.mentioned)
+        true = len(rec.mentioned & rec.ground_truth)
+        total_mentions += mentions
+        true_mentions += true
+        if mentions > true:
             bad_captions += 1
-        true_mentions += len(rec.mentioned & rec.ground_truth)
         total_gt += len(rec.ground_truth)
+    bad_mentions = total_mentions - true_mentions
     precision = _ratio(true_mentions, total_mentions)
     recall = _ratio(true_mentions, total_gt)
     f1 = _ratio(2 * precision * recall, precision + recall)

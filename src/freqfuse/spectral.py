@@ -378,7 +378,7 @@ def _damped_weight(mask, gain, split):
     mask is a half-grid mask from _half_masks and gain a centered (h, w)
     draw. With g = mask * gain, the weight is (g(k) + g(-k)) / 2, the
     filter that the real part of a complex inverse applies, so irfft2 gives
-    it exactly. The mask is even, so only the gain is gathered at -k. The
+    it exactly. The mask is even, so only the gain is read at -k. The
     weight is built by rows as split parts them, in arrays allocated here:
     memory a worker thread allocates and frees stays in its own malloc
     arena, where this thread cannot reuse it, and raised the decompose
@@ -386,20 +386,18 @@ def _damped_weight(mask, gain, split):
     """
     h, w = gain.shape
     # unshifted cell (r, c) is centered cell ((r + h//2) % h, (c + w//2) % w),
-    # and its mirror (-r, -c) is centered cell ((h//2 - r) % h, (w//2 - c) % w);
-    # one take per axis is faster than indexing both at once
-    rows, cols = np.arange(h), np.arange(w // 2 + 1)
-    at = ((rows + h // 2) % h, (cols + w // 2) % w)
-    mirror_at = ((h // 2 - rows) % h, (w // 2 - cols) % w)
+    # and its mirror (-r, -c) is centered cell ((h//2 - r) % h, (w//2 - c) % w),
+    # which is cell ((r + h - 1 - h//2) % h, c) of the gain flipped on both
+    # axes from column w//2. So the columns are slices, w//2 up (then column
+    # 0 for an even w) and w//2 down, and the rows are rolled
+    up = w - w // 2  # columns w//2 .. w - 1
     weight, mirror = np.empty((2, h, w // 2 + 1))
-    gathered = np.empty((h, w))
 
     def build(part):
-        # the indices are in range: "clip" only spares the copy of out that
-        # the default "raise" makes
-        for (r, c), out in ((at, weight), (mirror_at, mirror)):
-            gain.take(r[part], axis=0, out=gathered[part], mode="clip")
-            gathered[part].take(c, axis=1, out=out[part], mode="clip")
+        _roll_rows(weight[:, :up], gain[:, w // 2:], h // 2, part)
+        if up <= w // 2:  # an even w
+            _roll_rows(weight[:, up], gain[:, 0], h // 2, part)
+        _roll_rows(mirror, gain[::-1, w // 2::-1], h - 1 - h // 2, part)
         g, m = weight[part], mask[part]
         g *= m
         mirror[part] *= m
@@ -408,6 +406,16 @@ def _damped_weight(mask, gain, split):
 
     split(build, h)
     return weight[:, :, None]
+
+
+def _roll_rows(out, rows, shift, part):
+    """out[r] = rows[(r + shift) % h] for each r in the slice part, h the
+    number of rows: two slice copies, with no gather and no temporary."""
+    h = len(rows)
+    start = (part.start + shift) % h
+    n = min(part.stop - part.start, h - start)
+    out[part.start:part.start + n] = rows[start:start + n]
+    out[part.start + n:part.stop] = rows[:part.stop - part.start - n]
 
 
 def _branch(half, weight, w, split):

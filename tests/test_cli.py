@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from freqfuse.harness import cli
 from freqfuse.harness.cli import main
 from freqfuse.harness.imageio import load_image, save_image
 from freqfuse.spectral import MAX_SIZE
@@ -288,6 +289,31 @@ def test_a_size_over_the_cap_is_a_usage_error(capsys, argv, flag):
     assert usage.startswith(f"usage: freqfuse {argv[0]} [-h]")
     value = argv[argv.index(flag) + 1]
     assert error == f"freqfuse {argv[0]}: error: {flag} must be at most {MAX_SIZE}, got {value}"
+
+
+def test_an_array_too_large_for_memory_is_a_data_error():
+    # --dim 40000 once exited 1 with numpy's traceback. The address space is
+    # capped in a child process only, at 2 GiB: the weights need 11.9 GiB
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from freqfuse.harness.cli import main\n"
+        "sys.exit(main(['gradcheck', '--dim', '40000']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (
+        b"error: out of memory: Unable to allocate 11.9 GiB for an array with"
+        b" shape (40000, 40000) and data type float64\n"
+    )
+
+
+def test_a_memory_error_without_a_message_is_a_data_error(capsys, monkeypatch):
+    def runs_out(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gradient_check", runs_out)
+    assert run(capsys, "gradcheck") == (2, "", "error: out of memory\n")
 
 
 # fuse-demo

@@ -295,24 +295,76 @@ def test_a_valid_captions_file_is_parsed_without_json_loads(tmp_path, monkeypatc
     assert len(calls) == 1
 
 
-# the caption reader split into processes
+# the caption reader split into chunks, claimed by several processes
+
+DEADLINE_S = 5  # seconds for one split-read test; each takes well under one
+CHUNK = 256  # bytes in a chunk of a split-read test: about three GOOD lines
 
 
-def split_reads(monkeypatch, parts):
-    """Have load_caption_records split a regular file of any size into
-    `parts` parts, whatever the machine's CPU count. Returns the list that
-    each read's part starts are appended to."""
-    monkeypatch.setattr(formats, "SPLIT_BYTES", 2)  # parts of one byte up
-    monkeypatch.setattr(formats, "usable_cpus", lambda: parts)
-    starts = []
-    part_starts = formats._part_starts
+@pytest.fixture
+def deadline():
+    """Fail the test, rather than hang, if it runs over DEADLINE_S: a split
+    read waits on pipes and on a counter that its processes share."""
 
-    def recording(fh):
-        starts.append(part_starts(fh))
-        return starts[-1]
+    def expired(signum, frame):
+        pytest.fail(f"the test ran over its {DEADLINE_S} s deadline")
 
-    monkeypatch.setattr(formats, "_part_starts", recording)
-    return starts
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(DEADLINE_S)  # a forked child does not inherit the alarm
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def chunked(monkeypatch, tmp_path, deadline):
+    """chunked(processes, chunk_bytes=CHUNK, in_turn=False) has
+    load_caption_records read a regular file of any size in chunks of
+    chunk_bytes, by that many processes whatever the machine's CPU count.
+    With in_turn, this process claims the chunks k with k % processes == 0
+    and the readers the others. Returns a function that gives the
+    (chunk index, "parent" or "reader") of each chunk read since its last
+    call, in the order they were claimed."""
+    log = tmp_path / "chunks.log"
+    log.touch()
+    parent = os.getpid()
+    chunk, claim = formats._chunk, formats._claim
+
+    def logged(fh, where, table, k):
+        with open(log, "a") as out:  # one short append: whole across processes
+            out.write(f"{k} {'parent' if os.getpid() == parent else 'reader'}\n")
+        return chunk(fh, where, table, k)
+
+    def split(processes, chunk_bytes=CHUNK, in_turn=False):
+        monkeypatch.setattr(formats, "SPLIT_BYTES", 2)  # a reader per byte up
+        monkeypatch.setattr(formats, "usable_cpus", lambda: processes)
+        monkeypatch.setattr(formats, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(formats, "_chunk", logged)
+        if in_turn:
+            monkeypatch.setattr(formats, "_claim", functools.partial(
+                _claim_in_turn, claim, parent, processes
+            ))
+        return read_chunks
+
+    def read_chunks():
+        entries = [line.split() for line in log.read_text().splitlines()]
+        log.write_text("")
+        return [(int(k), who) for k, who in entries]
+
+    return split
+
+
+def _claim_in_turn(claim, parent, processes, counter, chunks, stop=False):
+    """claim, but chunk k only by the parent if k % processes == 0, and
+    only by a reader if not."""
+    while True:
+        with counter.get_lock():  # a reentrant lock: claim takes it again
+            k = counter.value
+            if stop or k >= chunks or (k % processes == 0) == (os.getpid() == parent):
+                return claim(counter, chunks, stop)
+        time.sleep(0.001)
 
 
 def _read(path):
@@ -357,10 +409,10 @@ CAPTION_FILE_TESTS["test_line_over_the_cap_is_refused_quickly[cap+1]"] = functoo
 )
 
 
-@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("processes", [2, 3])
 @pytest.mark.parametrize("name", CAPTION_FILE_TESTS)
-def test_the_caption_file_tests_hold_for_a_split_read(tmp_path, monkeypatch, name, parts):
-    split_reads(monkeypatch, parts)
+def test_the_caption_file_tests_hold_for_a_chunked_read(tmp_path, chunked, name, processes):
+    chunked(processes, chunk_bytes=48)  # several chunks even in a two-line file
     CAPTION_FILE_TESTS[name](tmp_path)
 
 
@@ -397,80 +449,95 @@ def _line_starts(path):
     return starts
 
 
-@pytest.mark.parametrize("parts", [2, 3])
+def _owner(k, processes):
+    """Who claims chunk k of a read in turn."""
+    return "parent" if k % processes == 0 else "reader"
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("owner", ["parent", "reader"])
 @pytest.mark.parametrize("kind", BAD_LINES)
-def test_a_bad_line_in_a_reader_process_part_is_refused_as_in_one_process(
-    tmp_path, monkeypatch, kind, parts
+def test_a_bad_line_in_a_chunk_is_refused_as_in_one_process(
+    tmp_path, chunked, kind, owner, processes
 ):
     line, message = BAD_LINES[kind]
-    # a blank line first, as line numbers count every line; enough good
-    # lines before the bad one that it starts in the last part
-    good = 20 + parts * len(line) // len(json.dumps(GOOD))
-    path = _captions_file(tmp_path / "caps.jsonl", [b"", *[GOOD] * good, line, GOOD])
+    # a blank line first, as line numbers count every line; then enough
+    # good lines that the bad one starts in a chunk after the first that
+    # `owner` claims
+    path = tmp_path / "caps.jsonl"
+    for good in range(6, 40):
+        _captions_file(path, [b"", *[GOOD] * good, line, GOOD])
+        k = _line_starts(path)[good + 1] // CHUNK
+        if k > 1 and _owner(k, processes) == owner:
+            break
     refusal = (DataFormatError, f"{path}:{good + 2}: {message}")
-    assert _read(path) == refusal
-    starts = split_reads(monkeypatch, parts)
-    assert _read(path) == refusal
-    assert len(starts[0]) == parts
-    assert starts[0][-1] <= _line_starts(path)[good + 1]
+    assert _read(str(path)) == refusal
+    read_chunks = chunked(processes, in_turn=True)
+    assert _read(str(path)) == refusal
+    assert (k, owner) in read_chunks()
 
 
-@pytest.mark.parametrize(
-    "bad, parts",
-    [((2, 6), (0, 1)), ((2, 10), (0, 2)), ((6, 10), (1, 2)), ((6, 7), (1, 1)),
-     ((10, 11), (2, 2))],
-    ids=["parent-child", "parent-last-child", "child-child", "one-child", "last-child"],
-)
-def test_of_bad_lines_in_two_parts_the_first_is_refused(tmp_path, monkeypatch, bad, parts):
-    # three parts of about four lines each
-    lines = [dict(GOOD, id=str(i)) for i in range(1, 13)]
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("owners", [("parent", "reader"), ("reader", "parent"),
+                                    ("reader", "reader"), ("parent", "parent")])
+def test_of_bad_lines_in_two_chunks_the_first_is_refused(tmp_path, chunked, owners, processes):
+    # lines of one length, three to a chunk
+    lines = [dict(GOOD, id=f"{i:03d}") for i in range(1, 31)]
+    size = len(json.dumps(lines[0])) + 1
+    read_chunks = chunked(processes, chunk_bytes=3 * size, in_turn=True)
+    # the middle line of the first chunk after the first that each owner claims
+    first = next(k for k in range(1, 9) if _owner(k, processes) == owners[0])
+    second = next(k for k in range(first + 1, 10) if _owner(k, processes) == owners[1])
+    bad = [3 * k + 2 for k in (first, second)]
     for n in bad:
-        lines[n - 1] = dict(GOOD, id=str(n), ground_truth=[f"zebra{n}"])
+        lines[n - 1] = dict(lines[n - 1], ground_truth=[f"zebra{n}"])
     path = _captions_file(tmp_path / "caps.jsonl", lines)
-    starts = split_reads(monkeypatch, 3)
-    first = bad[0]
+    n = bad[0]
     with pytest.raises(DataFormatError, match=exactly(
-        f"{path}:{first}: unknown object class 'zebra{first}' (not in the synonym table)"
+        f"{path}:{n}: unknown object class 'zebra{n}' (not in the synonym table)"
     )):
         load_caption_records(path, TABLE)
-    offsets = _line_starts(path)
-    assert len(starts[0]) == 3
-    assert tuple(sum(s <= offsets[n - 1] for s in starts[0]) - 1 for n in bad) == parts
+    claimed = read_chunks()
+    assert (first, owners[0]) in claimed
+    # the second is read, or left unclaimed once the first is refused
+    assert {who for k, who in claimed if k == second} <= {owners[1]}
 
 
 @pytest.mark.parametrize("size", [MAX_LINE + 100, 3 * MAX_LINE], ids=["cap+100", "3x-cap"])
-def test_a_line_over_the_cap_across_a_part_boundary_is_refused(tmp_path, monkeypatch, size):
-    # at cap+100, a part starts after the long line; at three times the cap,
-    # no newline is in reach of the boundary, and nothing after it is read
+def test_a_line_over_the_cap_across_chunk_boundaries_is_refused(tmp_path, chunked, size):
+    # the long line spans chunks that no line starts in; at cap+100, the next
+    # line starts in a chunk of its own
     path = _captions_file(tmp_path / "caps.jsonl", [GOOD, _line_of(size).encode(), GOOD])
-    starts = split_reads(monkeypatch, 2)
+    chunked(2, chunk_bytes=64 << 10)
     start = time.monotonic()
     with pytest.raises(DataFormatError, match=exactly(
         f"{path}:2: line longer than {MAX_LINE} bytes"
     )):
         load_caption_records(path, TABLE)
     assert time.monotonic() - start < 1.0
-    assert len(starts[0]) == (2 if size < 2 * MAX_LINE else 1)
 
 
-@pytest.mark.parametrize("parts", [2, 3, 5])
-def test_blank_lines_at_a_part_boundary_keep_records_and_line_numbers(
-    tmp_path, monkeypatch, parts
+@pytest.mark.parametrize("processes", [2, 3, 5])
+def test_blank_lines_and_long_lines_at_chunk_boundaries_keep_records_and_line_numbers(
+    tmp_path, chunked, processes
 ):
-    # runs of blank lines, "\r\n" ones too, where the parts meet
+    # runs of blank lines, "\r\n" ones too, and lines longer than a chunk,
+    # where the chunks meet
     lines = []
     for i in range(12):
-        lines += [dict(GOOD, id=str(i), caption=f"a cat and {i} dogs")] + [b"", b"\r"] * (i % 4)
+        caption = f"a cat and {i} dogs" + " and a car" * (30 * (i % 5 == 3))
+        lines += [dict(GOOD, id=str(i), caption=caption)] + [b"", b"\r"] * (i % 4)
     path = _captions_file(tmp_path / "caps.jsonl", [*lines, b"", b"{oops"])
     good = _captions_file(tmp_path / "good.jsonl", lines)
     serial = _read(path), _read(good)
-    starts = split_reads(monkeypatch, parts)
-    assert (_read(path), _read(good)) == serial
     assert serial[0][1].startswith(f"{path}:{len(lines) + 2}: invalid JSON")
-    assert all(len(s) == parts for s in starts)
+    for chunk_bytes in range(40, 140, 7):
+        read_chunks = chunked(processes, chunk_bytes)
+        assert (_read(path), _read(good)) == serial
+        assert len({k for k, _ in read_chunks()}) > processes
 
 
-def test_a_split_read_gives_the_records_and_sharing_of_one_process(tmp_path, monkeypatch):
+def test_a_chunked_read_gives_the_records_and_sharing_of_one_process(tmp_path, chunked):
     classes = ["dog", "cat", "car", "puppy"]
     lines = [
         {"id": f"c{i}",
@@ -481,10 +548,22 @@ def test_a_split_read_gives_the_records_and_sharing_of_one_process(tmp_path, mon
     path = _captions_file(tmp_path / "caps.jsonl", lines)
     serial = _read(path)
     assert len(serial[0]) == 300
-    for parts in (2, 3, 4):
-        starts = split_reads(monkeypatch, parts)
-        assert _read(path) == serial
-        assert [len(s) for s in starts] == [parts]
+    for processes in (2, 3, 4):
+        for in_turn in (False, True):
+            read_chunks = chunked(processes, in_turn=in_turn)
+            assert _read(path) == serial
+            readers = {who for _, who in read_chunks()}
+            assert readers == {"parent", "reader"} or not in_turn
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_every_chunk_is_read_once(tmp_path, chunked, processes):
+    path = _captions_file(tmp_path / "caps.jsonl", [GOOD] * 200)
+    chunks = -(-os.path.getsize(path) // CHUNK)
+    read_chunks = chunked(processes)
+    for _ in range(3):
+        assert len(load_caption_records(path, TABLE)) == 200
+        assert sorted(k for k, _ in read_chunks()) == list(range(chunks))
 
 
 def test_a_small_file_is_read_without_a_fork(tmp_path, monkeypatch):
@@ -504,47 +583,95 @@ def test_a_small_file_is_read_without_a_fork(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("halves", [2, 3, 7])
-def test_no_part_is_under_half_the_split_size(tmp_path, monkeypatch, halves):
-    # on 8 CPUs, a file of `halves` halves of SPLIT_BYTES (and a line more)
-    # is read in that many parts, not 8 parts that each cost a fork
+def test_no_reader_is_forked_for_under_half_the_split_size(
+    tmp_path, monkeypatch, deadline, halves
+):
+    # on 8 CPUs, a file of `halves` halves of SPLIT_BYTES is read by that
+    # many processes, and a file a line shorter by one fewer, not by 8
+    # processes that each cost a fork
     monkeypatch.setattr(formats, "usable_cpus", lambda: 8)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     line = len(json.dumps(GOOD)) + 1
-    lines = [GOOD] * (halves * (formats.SPLIT_BYTES // 2) // line + 1)
-    path = _captions_file(tmp_path / "caps.jsonl", lines)
-    with open(path, "rb") as fh:
-        starts = formats._part_starts(fh)
-    assert len(starts) == halves
-    assert min(b - a for a, b in zip(starts, starts[1:])) >= formats.SPLIT_BYTES // 2 - line
+    lines = [GOOD] * -(-halves * (formats.SPLIT_BYTES // 2) // line)
+    for n in (len(lines) - 1, len(lines)):
+        forks.clear()
+        path = _captions_file(tmp_path / "caps.jsonl", lines[:n])
+        assert len(load_caption_records(path, TABLE)) == n
+        assert len(forks) == os.path.getsize(path) // (formats.SPLIT_BYTES // 2) - 1
+    assert len(forks) == halves - 1
 
 
-def test_a_fifo_is_read_in_one_process(tmp_path, monkeypatch):
+def test_a_fifo_is_read_in_one_process(tmp_path, monkeypatch, chunked):
     # a FIFO reports size 0: it is read as it comes, never split
     fifo = tmp_path / "caps.fifo"
     os.mkfifo(fifo)
     text = "".join(json.dumps(dict(GOOD, id=str(i))) + "\n" for i in range(100))
     writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
     writer.start()
-    starts = split_reads(monkeypatch, 2)
+    read_chunks = chunked(2)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     try:
         records = load_caption_records(fifo, TABLE)
     finally:
         writer.join(10.0)
     assert not writer.is_alive()
     assert [r.id for r in records] == [str(i) for i in range(100)]
-    assert starts == [[0]]
+    assert read_chunks() == []
+    assert forks == []
 
 
-def _dies(path, table, start, size, results):
-    os.kill(os.getpid(), signal.SIGKILL)
+def test_a_reader_killed_after_it_claims_a_chunk_is_a_data_error(
+    tmp_path, monkeypatch, chunked, capsys
+):
+    # two chunks: this process claims the first, and the reader the second,
+    # and dies on it
+    path = _captions_file(tmp_path / "caps.jsonl", [GOOD] * 6)
+    read_chunks = chunked(2, chunk_bytes=os.path.getsize(path) // 2, in_turn=True)
+    chunk = formats._chunk
 
+    def dies_in_a_reader(fh, where, table, k):
+        if k == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chunk(fh, where, table, k)
 
-def test_a_reader_process_that_dies_is_a_data_error(tmp_path, monkeypatch, capsys):
-    path = _captions_file(tmp_path / "caps.jsonl", [GOOD] * 10)
-    split_reads(monkeypatch, 2)
-    monkeypatch.setattr(formats, "_send_part", _dies)
+    monkeypatch.setattr(formats, "_chunk", dies_in_a_reader)
     message = f"{path}: a caption reader process died (exit code {-signal.SIGKILL})"
     with pytest.raises(DataFormatError, match=exactly(message)):
         load_caption_records(path, TABLE)
     assert main(["eval", "chair", "--captions", path]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert read_chunks() == [(0, "parent")] * 2  # the reader dies before it logs
     # and no child is left running: the no_child_left fixture checks it
+
+
+def test_a_reader_killed_holding_the_counters_lock_is_a_data_error(
+    tmp_path, monkeypatch, chunked
+):
+    # the reader takes the lock and dies before this process's second
+    # claim, which gives up after CLAIM_SECONDS
+    path = _captions_file(tmp_path / "caps.jsonl", [GOOD] * 20)
+    read_chunks = chunked(2)
+    monkeypatch.setattr(formats, "CLAIM_SECONDS", 0.5)
+    chunk = formats._chunk
+
+    def slow_first_chunk(fh, where, table, k):
+        time.sleep(0.5 * (k == 0))
+        return chunk(fh, where, table, k)
+
+    def dies_holding_the_lock(path, table, claim, results):
+        claim.args[0].get_lock().acquire()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(formats, "_chunk", slow_first_chunk)
+    monkeypatch.setattr(formats, "_read_chunks", dies_holding_the_lock)
+    start = time.monotonic()
+    with pytest.raises(DataFormatError, match=exactly(
+        f"{path}: a caption reader process died (exit code {-signal.SIGKILL})"
+    )):
+        load_caption_records(path, TABLE)
+    assert time.monotonic() - start < 2.0
+    assert read_chunks() == [(0, "parent")]

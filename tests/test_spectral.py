@@ -286,7 +286,8 @@ def test_half_grid_weight_matches_the_full_grid_oracle(h, w, cutoff, seed):
     for full, half in zip(gaussian_masks(h, w, cutoff), spectral._half_masks(h, w, cutoff)):
         assert np.array_equal(half[:, :, None], naive_weight(full, 1.0))
         want = naive_weight(full, gain[:, :, None])
-        assert np.array_equal(spectral._damped_weight(half, gain, spectral._whole), want)
+        for split in (spectral._whole, spectral._halves):  # rows in one part or two
+            assert np.array_equal(spectral._damped_weight(half, gain, split), want)
 
 
 def test_one_mask_build_per_split(monkeypatch):
