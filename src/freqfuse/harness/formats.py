@@ -8,10 +8,10 @@ error class, DataFormatError unless it passes another (the oracle's
 OracleError), with a message that starts with where it is:
 "<path>", "<path>:<line>", "oracle line <n>" or "stdin:<line>".
 DataFormatError, a ValueError, is also the one error of bad input data
-elsewhere (an image imageio cannot read or write, a sweep config, a
-decoder or caption reader process that dies): every failure the CLI exits
-2 for. A large captions file is read in chunks that this process and
-forked reader processes claim in turn (see load_caption_records).
+elsewhere (an image imageio cannot read or write, a sweep config, an image
+decoder process that dies): every failure the CLI exits 2 for. A large
+captions file is read in chunks by this process and forked reader
+processes (see load_caption_records).
 """
 
 import functools
@@ -32,19 +32,14 @@ MAX_LINE = 1 << 20  # bytes in one line of JSON, newline excluded
 # file, and the crossover fell anywhere from 130 KB to 390 KB between runs;
 # every run read the split faster from 389 KB (3,300 captions) up
 SPLIT_BYTES = 384 << 10
-# the processes of a split read claim chunks of this many bytes in turn, so
-# that the one that also builds the records claims fewer and all finish
-# together. On 2 CPUs, 32, 64 and 128 KiB chunks read and scored the
-# benchmark's 2.3 MB file in 118-128, 122-127 and 127 ms (medians of two
-# runs of 30 alternating calls): no size won past the noise. 64 KiB leaves
-# one process at most one chunk, about 6 ms, to finish alone, with half the
-# messages and claims of 32 KiB
+# a split read is made in chunks of this many bytes, so that the process
+# that also builds the records reads fewer and all finish together. On 2
+# CPUs, 32, 64 and 128 KiB chunks read and scored the benchmark's 2.3 MB
+# file in 118-128, 122-127 and 127 ms (medians of two runs of 30
+# alternating calls): no size won past the noise. 64 KiB leaves one process
+# at most one chunk, about 6 ms, to finish alone, with half the messages of
+# 32 KiB
 CHUNK_BYTES = 64 << 10
-# room in each reader's pipe for the messages of many chunks, so that a
-# reader seldom waits for this process to take them
-READER_PIPE_BYTES = 1 << 20
-# how long a claim waits on the shared counter's lock
-CLAIM_SECONDS = 10.0
 
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -173,13 +168,16 @@ def load_caption_records(path, table):
     A regular file of SPLIT_BYTES or more is read in chunks of CHUNK_BYTES,
     split at line starts, by this process and by forked reader processes,
     one per other usable CPU but none per under SPLIT_BYTES / 2 bytes of
-    file. Each process claims the next chunk in file order from one shared
-    counter and reads it through the same per-line reader; a reader sends
-    each chunk's records, or its first error, in one message, which this
-    process turns into records between its own chunks. The records, their
-    order and sharing, and the error raised (the first bad line in the file,
-    numbered as in the whole file) are those of a read in one process. A
-    reader that dies holding a chunk is a DataFormatError naming the path.
+    file. Reader j of n has a fixed share, chunks j, j + n, j + 2n, ... up
+    the file, and sends each chunk's records, or its first refusal and
+    nothing more, in one message; this process reads down from the last
+    chunk each chunk that no reader has sent, waits on a reader only for
+    the chunk it is reading, and turns the readers' messages into records
+    between its own chunks. It reads no chunk after a refusal it knows of.
+    The records, their order and sharing, and the error raised (the first
+    bad line in the file, numbered as in the whole file) are those of a
+    read in one process; so are they when a reader dies, since this
+    process reads the chunks it did not send.
     """
     path = str(path)  # a str formats faster than a Path, once per line
     with open(path, "rb") as fh:
@@ -204,76 +202,68 @@ def _read_in_chunks(fh, path, table, chunks, readers):
     """The records of the open regular file fh, read in `chunks` chunks by
     this process and `readers` forked ones (see load_caption_records)."""
     # imported here: the captioner child imports this module, and reads no captions
-    from .forks import forked, shared_counter
+    from .forks import forked
 
-    claim = functools.partial(_claim, shared_counter(), chunks)  # before the forks
-    pieces = [None] * chunks  # each chunk's records, or its error
+    pieces = [None] * chunks  # each chunk's records, or its refusal
     shared = {}  # class set -> the first frozenset seen with it
-    jobs = [(_read_chunks, (path, table, claim))] * readers
-    with forked(jobs, READER_PIPE_BYTES) as (children, pipes):
+    shares = [range(j, chunks, readers) for j in range(readers)]
+    # the empty class set index becomes each reader's own through the fork
+    send = functools.partial(_sent_chunk, path, table, {})
+    with forked(send, shares) as (_, pipes):
         sets = [[] for _ in pipes]  # the class sets each reader has sent, by key
-        sending = dict(enumerate(pipes))  # the pipes not at their end
+        reading = list(range(readers))  # the chunk each reader sends next
+        end = chunks  # the first chunk a reader refused: none from it on counts
 
-        def take(to_the_end):
-            """Turn the messages that have arrived into pieces, or with
-            to_the_end, every message up to each pipe's end."""
-            for j, pipe in list(sending.items()):
-                try:
-                    while to_the_end or pipe.poll():
-                        k, *message = pipe.recv()
-                        if len(message) == 1:  # the reader's error
-                            pieces[k] = message[0]
-                            continue
-                        ids, keys, new_sets = message
-                        sets[j] += [shared.setdefault(s, s) for s in new_sets]
-                        keys = memoryview(keys).cast("I")
-                        pieces[k] = list(map(
-                            CaptionRecord,
-                            ids,
-                            map(sets[j].__getitem__, keys[::2]),
-                            map(sets[j].__getitem__, keys[1::2]),
-                        ))
-                except EOFError:  # the reader has exited
-                    del sending[j]
-
-        for k in iter(claim, None):
+        def take(j):
+            """Reader j's next message, waited for, made into its chunk's
+            piece. A reader that exits, or fails other than by refusing a
+            line, has stopped: this process reads what it did not send."""
+            nonlocal end
+            k = reading[j]
+            reading[j] = chunks  # stopped, unless it sent chunk k's records
             try:
-                pieces[k] = [
-                    CaptionRecord(rid, shared.setdefault(m, m), shared.setdefault(g, g))
-                    for rid, m, g in _chunk(fh, path, table, k)
-                ]
-            except DataFormatError as exc:
-                pieces[k] = exc
-                claim(stop=True)  # no chunk after this one counts
-            take(to_the_end=False)
-        take(to_the_end=True)
-        records = []
-        for piece in pieces:  # up to the first error, every chunk was claimed
-            if piece is None:  # by a reader that died before it sent it
-                for reader in children:
-                    reader.join(1.0)
-                code = next((c.exitcode for c in children if c.exitcode), None)
-                raise DataFormatError(
-                    f"{path}: a caption reader process died (exit code {code})"
-                )
-            if isinstance(piece, BaseException):
-                raise piece
-            records += piece
+                message = pipes[j].recv()
+            except EOFError:
+                return
+            if isinstance(message, DataFormatError):
+                pieces[k] = message
+                end = min(end, k)
+            elif not isinstance(message, BaseException):
+                ids, keys, new_sets = message
+                sets[j] += [shared.setdefault(s, s) for s in new_sets]
+                keys = memoryview(keys).cast("I")
+                pieces[k] = list(map(
+                    CaptionRecord,
+                    ids,
+                    map(sets[j].__getitem__, keys[::2]),
+                    map(sets[j].__getitem__, keys[1::2]),
+                ))
+                reading[j] = k + readers
+
+        # down from the last chunk: each chunk that no reader has sent is
+        # read here, but for one that its reader is reading, which is waited for
+        for k in reversed(range(chunks)):
+            if pieces[k] is not None or k >= end:
+                continue
+            for j, pipe in enumerate(pipes):  # the messages that have arrived
+                while reading[j] < chunks and pipe.poll():
+                    take(j)
+            if reading[k % readers] == k and k < end:
+                take(k % readers)
+            if pieces[k] is None and k < end:
+                try:
+                    pieces[k] = [
+                        CaptionRecord(rid, shared.setdefault(m, m), shared.setdefault(g, g))
+                        for rid, m, g in _chunk(fh, path, table, k)
+                    ]
+                except DataFormatError as exc:  # every chunk before it is still read
+                    pieces[k] = exc
+    records = []
+    for piece in pieces:  # every chunk before the first refused one is read
+        if isinstance(piece, DataFormatError):
+            raise piece
+        records += piece
     return records
-
-
-def _claim(counter, chunks, stop=False):
-    """The next chunk index from the shared counter, or None once all
-    `chunks` are claimed; with stop, None, and no chunk is claimed after.
-    None too if the counter stays locked for CLAIM_SECONDS: only a process
-    killed while it held the lock holds it that long."""
-    lock = counter.get_lock()
-    if not lock.acquire(timeout=CLAIM_SECONDS):
-        return None
-    k = counter.value
-    counter.value = chunks if stop else k + 1
-    lock.release()
-    return None if stop or k >= chunks else k
 
 
 def _chunk(fh, where, table, k):
@@ -282,8 +272,8 @@ def _chunk(fh, where, table, k):
     k * CHUNK_BYTES up to (k + 1) * CHUNK_BYTES. A refused line is numbered
     as in the whole file."""
     start = k * CHUNK_BYTES
+    fh.seek(max(start - 1, 0))
     if start:
-        fh.seek(start - 1)
         # the rest of the line that holds byte start - 1, up to the chunk's end
         rest = fh.readline(CHUNK_BYTES)
         if not rest.endswith(b"\n"):
@@ -318,34 +308,22 @@ def _captions(fh, where, table, first, size):
         yield rid, mentioned, canonical_set(gt_names, table, at)
 
 
-def _read_chunks(path, table, claim, results):
-    """A caption reader process: one message per chunk it claims, until
-    none is left or one is refused. The message is (k, ids, keys, sets):
-    the chunk's index, its caption ids, two keys per caption, the indices
-    of its mentioned and its ground-truth classes in the list of class sets
-    this reader has sent, and the chunk's sets that no earlier message
-    held; or (k, error), its last."""
-    index = {}  # class set -> key
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        return  # gone since this process's parent opened it, which reads on
-    with fh:
-        for k in iter(claim, None):
-            sent = len(index)
-            try:
-                ids, keys = [], []
-                for rid, mentioned, ground_truth in _chunk(fh, path, table, k):
-                    ids.append(rid)
-                    keys.append(index.setdefault(mentioned, len(index)))
-                    keys.append(index.setdefault(ground_truth, len(index)))
-            except Exception as exc:  # the parent raises it, in the chunk's turn
-                claim(stop=True)
-                results.send((k, exc))
-                return
-            # the keys as unsigned ints of 4 bytes, not one object each
-            keys = struct.pack(f"{len(keys)}I", *keys)
-            results.send((k, ids, keys, list(itertools.islice(index, sent, None))))
+def _sent_chunk(path, table, index, k):
+    """Chunk k as a caption reader process sends it: (ids, keys, sets), its
+    caption ids, two keys per caption, the indices of its mentioned and its
+    ground-truth classes in the list of class sets this reader has sent
+    (index, class set -> key, is the reader's own), and the chunk's sets
+    that no earlier message held."""
+    sent = len(index)
+    ids, keys = [], []
+    with open(path, "rb") as fh:  # a file offset of its own
+        for rid, mentioned, ground_truth in _chunk(fh, path, table, k):
+            ids.append(rid)
+            keys.append(index.setdefault(mentioned, len(index)))
+            keys.append(index.setdefault(ground_truth, len(index)))
+    # the keys as unsigned ints of 4 bytes, not one object each
+    keys = struct.pack(f"{len(keys)}I", *keys)
+    return ids, keys, list(itertools.islice(index, sent, None))
 
 
 def load_pope_records(path):

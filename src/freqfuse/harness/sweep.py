@@ -188,10 +188,6 @@ def _exports(config, ids, images, directory):
         del spectrum  # before the next image's spectrum is taken
 
 
-# the default pipe size limit on Linux: a 375x500 image is 0.54 MiB
-DECODER_PIPE_BYTES = 1 << 20
-
-
 @contextlib.contextmanager
 def _decoded(paths):
     """An iterator over each path's pixels, as read_image returns them.
@@ -211,23 +207,10 @@ def _decoded(paths):
     from .forks import forked
 
     n = min(usable_cpus(), len(paths))
-    # the paths reach the decoders through the fork: nothing is sent
-    jobs = [(_decode, (paths[j::n],)) for j in range(n)]
-    with forked(jobs, DECODER_PIPE_BYTES) as (decoders, pipes):
+    # a decoder runs read_image alone, no transform and no BLAS, as a forked
+    # child must
+    with forked(read_image, [paths[j::n] for j in range(n)]) as (decoders, pipes):
         yield _received(paths, decoders, pipes)
-
-
-def _decode(paths, results):
-    """A decoder process: each path's pixels as read_image returns them,
-    one message each, or at the first error the error and nothing more. It
-    runs read_image alone, no transform and no BLAS, as a forked child must."""
-    for path in paths:
-        try:
-            pixels = read_image(path)
-        except Exception as exc:  # the parent raises it, in the image's turn
-            results.send(exc)
-            return
-        results.send(pixels)
 
 
 def _received(paths, decoders, pipes):

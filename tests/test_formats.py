@@ -1,5 +1,6 @@
 """JSONL record-file loader tests."""
 
+import contextlib
 import functools
 import json
 import os
@@ -11,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from freqfuse.harness import formats
+from freqfuse.harness import formats, forks
 from freqfuse.harness.cli import main
 from freqfuse.harness.formats import (
     MAX_LINE,
@@ -295,7 +296,7 @@ def test_a_valid_captions_file_is_parsed_without_json_loads(tmp_path, monkeypatc
     assert len(calls) == 1
 
 
-# the caption reader split into chunks, claimed by several processes
+# the caption reader split into chunks, read by several processes
 
 DEADLINE_S = 5  # seconds for one split-read test; each takes well under one
 CHUNK = 256  # bytes in a chunk of a split-read test: about three GOOD lines
@@ -304,7 +305,7 @@ CHUNK = 256  # bytes in a chunk of a split-read test: about three GOOD lines
 @pytest.fixture
 def deadline():
     """Fail the test, rather than hang, if it runs over DEADLINE_S: a split
-    read waits on pipes and on a counter that its processes share."""
+    read waits on its readers' pipes."""
 
     def expired(signum, frame):
         pytest.fail(f"the test ran over its {DEADLINE_S} s deadline")
@@ -320,32 +321,43 @@ def deadline():
 
 @pytest.fixture
 def chunked(monkeypatch, tmp_path, deadline):
-    """chunked(processes, chunk_bytes=CHUNK, in_turn=False) has
+    """chunked(processes, chunk_bytes=CHUNK, readers_stop=None) has
     load_caption_records read a regular file of any size in chunks of
     chunk_bytes, by that many processes whatever the machine's CPU count.
-    With in_turn, this process claims the chunks k with k % processes == 0
-    and the readers the others. Returns a function that gives the
-    (chunk index, "parent" or "reader") of each chunk read since its last
-    call, in the order they were claimed."""
+
+    With readers_stop, a function of a chunk index, a reader exits when it
+    reaches a chunk k for which readers_stop(k) is true, sending nothing
+    for it, and this process goes on only once every reader has exited. So
+    the readers read their shares up to those chunks, and this process
+    every chunk they did not send: see _owner. Returns a function that
+    gives the (chunk index, "parent" or "reader") of each chunk read since
+    its last call, in the order read."""
     log = tmp_path / "chunks.log"
     log.touch()
     parent = os.getpid()
-    chunk, claim = formats._chunk, formats._claim
+    chunk, forked = formats._chunk, forks.forked
 
-    def logged(fh, where, table, k):
-        with open(log, "a") as out:  # one short append: whole across processes
-            out.write(f"{k} {'parent' if os.getpid() == parent else 'reader'}\n")
-        return chunk(fh, where, table, k)
+    @contextlib.contextmanager
+    def readers_first(messages, shares):
+        with forked(messages, shares) as (children, pipes):
+            for child in children:
+                child.join()
+            yield children, pipes
 
-    def split(processes, chunk_bytes=CHUNK, in_turn=False):
+    def split(processes, chunk_bytes=CHUNK, readers_stop=None):
+        def logged(fh, where, table, k):
+            reader = os.getpid() != parent
+            if reader and readers_stop is not None and readers_stop(k):
+                os._exit(0)
+            with open(log, "a") as out:  # one short append: whole across processes
+                out.write(f"{k} {'reader' if reader else 'parent'}\n")
+            return chunk(fh, where, table, k)
+
         monkeypatch.setattr(formats, "SPLIT_BYTES", 2)  # a reader per byte up
         monkeypatch.setattr(formats, "usable_cpus", lambda: processes)
         monkeypatch.setattr(formats, "CHUNK_BYTES", chunk_bytes)
         monkeypatch.setattr(formats, "_chunk", logged)
-        if in_turn:
-            monkeypatch.setattr(formats, "_claim", functools.partial(
-                _claim_in_turn, claim, parent, processes
-            ))
+        monkeypatch.setattr(forks, "forked", forked if readers_stop is None else readers_first)
         return read_chunks
 
     def read_chunks():
@@ -356,15 +368,11 @@ def chunked(monkeypatch, tmp_path, deadline):
     return split
 
 
-def _claim_in_turn(claim, parent, processes, counter, chunks, stop=False):
-    """claim, but chunk k only by the parent if k % processes == 0, and
-    only by a reader if not."""
-    while True:
-        with counter.get_lock():  # a reentrant lock: claim takes it again
-            k = counter.value
-            if stop or k >= chunks or (k % processes == 0) == (os.getpid() == parent):
-                return claim(counter, chunks, stop)
-        time.sleep(0.001)
+def _owner(k, processes, readers_stop):
+    """Who reads chunk k under chunked's readers_stop: its reader, unless
+    that reader stops at k or at a chunk of its share before k."""
+    share = range(k % (processes - 1), k + 1, processes - 1)
+    return "parent" if any(map(readers_stop, share)) else "reader"
 
 
 def _read(path):
@@ -429,6 +437,8 @@ BAD_LINES = {
     "undecodable": (b'{"id": "\xff"}', "not valid UTF-8"),
     "over-the-cap": (b"x" * (MAX_LINE + 1), f"line longer than {MAX_LINE} bytes"),
 }
+# readers_stop for chunked: every chunk is read by its reader, or by the parent
+READ_BY = {"reader": lambda k: False, "parent": lambda k: True}
 
 
 def _captions_file(path, lines):
@@ -449,45 +459,59 @@ def _line_starts(path):
     return starts
 
 
-def _owner(k, processes):
-    """Who claims chunk k of a read in turn."""
-    return "parent" if k % processes == 0 else "reader"
+def test_chunk_0_is_read_from_the_file_start_after_other_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(formats, "CHUNK_BYTES", CHUNK)
+    path = _captions_file(tmp_path / "caps.jsonl", [dict(GOOD, id=str(i)) for i in range(20)])
+    with open(path, "rb") as fh:
+        fresh = list(formats._chunk(fh, path, TABLE, 0))
+    with open(path, "rb") as fh:
+        assert list(formats._chunk(fh, path, TABLE, 1))
+        assert list(formats._chunk(fh, path, TABLE, 0)) == fresh
+    assert [rid for rid, _, _ in fresh] == ["0", "1", "2", "3"]
 
 
 @pytest.mark.parametrize("processes", [2, 3])
-@pytest.mark.parametrize("owner", ["parent", "reader"])
+@pytest.mark.parametrize("owner", READ_BY)
 @pytest.mark.parametrize("kind", BAD_LINES)
 def test_a_bad_line_in_a_chunk_is_refused_as_in_one_process(
     tmp_path, chunked, kind, owner, processes
 ):
     line, message = BAD_LINES[kind]
     # a blank line first, as line numbers count every line; then enough
-    # good lines that the bad one starts in a chunk after the first that
-    # `owner` claims
+    # good lines that the bad one starts after the second chunk
     path = tmp_path / "caps.jsonl"
-    for good in range(6, 40):
-        _captions_file(path, [b"", *[GOOD] * good, line, GOOD])
-        k = _line_starts(path)[good + 1] // CHUNK
-        if k > 1 and _owner(k, processes) == owner:
-            break
+    good = 8
+    _captions_file(path, [b"", *[GOOD] * good, line, GOOD])
+    k = _line_starts(path)[good + 1] // CHUNK
+    assert k > 1
     refusal = (DataFormatError, f"{path}:{good + 2}: {message}")
     assert _read(str(path)) == refusal
-    read_chunks = chunked(processes, in_turn=True)
+    read_chunks = chunked(processes, readers_stop=READ_BY[owner])
     assert _read(str(path)) == refusal
     assert (k, owner) in read_chunks()
 
 
-@pytest.mark.parametrize("processes", [2, 3])
-@pytest.mark.parametrize("owners", [("parent", "reader"), ("reader", "parent"),
-                                    ("reader", "reader"), ("parent", "parent")])
-def test_of_bad_lines_in_two_chunks_the_first_is_refused(tmp_path, chunked, owners, processes):
-    # lines of one length, three to a chunk
+@pytest.mark.parametrize("processes, stops, first, second", [
+    # the chunks' owners: both readers
+    (2, (), 2, 5),
+    # both the parent
+    (2, range(10), 2, 5),
+    # a reader, then the parent
+    (2, range(5, 10), 2, 6),
+    (3, (), 2, 5),
+    (3, range(10), 2, 5),
+    (3, range(5, 10), 2, 6),
+    # the parent, then a reader
+    (3, range(0, 10, 2), 2, 3),
+])
+def test_of_bad_lines_in_two_chunks_the_first_is_refused(
+    tmp_path, chunked, processes, stops, first, second
+):
+    # lines of one length, three to a chunk, ten chunks
     lines = [dict(GOOD, id=f"{i:03d}") for i in range(1, 31)]
     size = len(json.dumps(lines[0])) + 1
-    read_chunks = chunked(processes, chunk_bytes=3 * size, in_turn=True)
-    # the middle line of the first chunk after the first that each owner claims
-    first = next(k for k in range(1, 9) if _owner(k, processes) == owners[0])
-    second = next(k for k in range(first + 1, 10) if _owner(k, processes) == owners[1])
+    read_chunks = chunked(processes, chunk_bytes=3 * size, readers_stop=stops.__contains__)
+    # the middle line of each chunk
     bad = [3 * k + 2 for k in (first, second)]
     for n in bad:
         lines[n - 1] = dict(lines[n - 1], ground_truth=[f"zebra{n}"])
@@ -497,10 +521,32 @@ def test_of_bad_lines_in_two_chunks_the_first_is_refused(tmp_path, chunked, owne
         f"{path}:{n}: unknown object class 'zebra{n}' (not in the synonym table)"
     )):
         load_caption_records(path, TABLE)
-    claimed = read_chunks()
-    assert (first, owners[0]) in claimed
-    # the second is read, or left unclaimed once the first is refused
-    assert {who for k, who in claimed if k == second} <= {owners[1]}
+    read = read_chunks()
+    assert {who for k, who in read if k == first} == {_owner(first, processes, stops.__contains__)}
+    # the second is read by its owner, or left unread once the first is refused
+    assert {who for k, who in read if k == second} <= {_owner(second, processes, stops.__contains__)}
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_the_parent_reads_no_chunk_past_a_refusal_it_has_received(tmp_path, chunked, processes):
+    # a refusal in chunk 2, then over 4,000 chunks, most in a line over the
+    # cap, that this process would otherwise read down from the end
+    lines = [dict(GOOD, id=f"{i:03d}") for i in range(1, 31)]
+    size = len(json.dumps(lines[0])) + 1
+    lines[7] = dict(lines[7], ground_truth=["zebra"])  # line 8, in chunk 2
+    lines[20] = b"{oops"
+    lines.insert(25, _line_of(MAX_LINE + 1).encode())
+    path = _captions_file(tmp_path / "caps.jsonl", lines)
+    read_chunks = chunked(processes, chunk_bytes=3 * size, readers_stop=READ_BY["reader"])
+    assert os.path.getsize(path) // (3 * size) > 4000
+    with pytest.raises(DataFormatError, match=exactly(
+        f"{path}:8: unknown object class 'zebra' (not in the synonym table)"
+    )):
+        load_caption_records(path, TABLE)
+    read = read_chunks()
+    assert [k for k, who in read if who == "parent"] == []
+    # the refusing reader stops at its refusal; another reads on
+    assert [k for k, _ in read if k % (processes - 1) == 0] == list(range(0, 3, processes - 1))
 
 
 @pytest.mark.parametrize("size", [MAX_LINE + 100, 3 * MAX_LINE], ids=["cap+100", "3x-cap"])
@@ -548,22 +594,77 @@ def test_a_chunked_read_gives_the_records_and_sharing_of_one_process(tmp_path, c
     path = _captions_file(tmp_path / "caps.jsonl", lines)
     serial = _read(path)
     assert len(serial[0]) == 300
+    read_by = dict(READ_BY, both=lambda k: k >= 30)
     for processes in (2, 3, 4):
-        for in_turn in (False, True):
-            read_chunks = chunked(processes, in_turn=in_turn)
+        read_chunks = chunked(processes)
+        assert _read(path) == serial
+        assert read_chunks()
+        for owner, stop in read_by.items():
+            read_chunks = chunked(processes, readers_stop=stop)
             assert _read(path) == serial
-            readers = {who for _, who in read_chunks()}
-            assert readers == {"parent", "reader"} or not in_turn
+            assert {who for _, who in read_chunks()} == (
+                {"parent", "reader"} if owner == "both" else {owner}
+            )
 
 
 @pytest.mark.parametrize("processes", [2, 3])
-def test_every_chunk_is_read_once(tmp_path, chunked, processes):
+def test_every_chunk_is_read_and_the_parent_reads_the_end_of_each_share(
+    tmp_path, chunked, processes
+):
+    # readers may read on past where they meet this process, until killed
     path = _captions_file(tmp_path / "caps.jsonl", [GOOD] * 200)
     chunks = -(-os.path.getsize(path) // CHUNK)
     read_chunks = chunked(processes)
     for _ in range(3):
         assert len(load_caption_records(path, TABLE)) == 200
-        assert sorted(k for k, _ in read_chunks()) == list(range(chunks))
+        read = read_chunks()
+        assert {k for k, _ in read} == set(range(chunks))
+        parents = [k for k, who in read if who == "parent"]
+        assert parents == sorted(set(parents), reverse=True)
+        for j in range(processes - 1):
+            share = range(j, chunks, processes - 1)
+            ends = [k for k in share if k in parents]
+            assert ends == list(share[len(share) - len(ends):])
+            assert {k for k, who in read if who == "reader"} >= set(share[:len(share) - len(ends)])
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_the_parent_waits_for_the_chunk_a_reader_is_reading(
+    tmp_path, monkeypatch, chunked, processes
+):
+    # each reader holds its first chunk from `meet` on until this process has
+    # read every chunk after those, and this process reads nothing until each
+    # reader holds its chunk: this process then waits for them, and reads
+    # none of them itself
+    path = _captions_file(tmp_path / "caps.jsonl", [GOOD] * 200)
+    chunks = -(-os.path.getsize(path) // CHUNK)
+    readers, meet = processes - 1, 30
+    held = range(meet, meet + readers)
+    log = tmp_path / "chunks.log"
+    read_chunks = chunked(processes)
+    logged = formats._chunk
+
+    def logs(entries):
+        return set(entries) <= {tuple(line.split()) for line in log.read_text().splitlines()}
+
+    def wait(until):
+        while not until():
+            time.sleep(0.005)
+
+    def meeting(fh, where, table, k):
+        if k in held:  # in its reader
+            records = logged(fh, where, table, k)
+            wait(lambda: logs((str(i), "parent") for i in range(held.stop, chunks)))
+            return records
+        if k == chunks - 1:  # in this process, its first chunk
+            wait(lambda: logs((str(i), "reader") for i in held))
+        return logged(fh, where, table, k)
+
+    monkeypatch.setattr(formats, "_chunk", meeting)
+    assert len(load_caption_records(path, TABLE)) == 200
+    read = read_chunks()
+    assert sorted(k for k, who in read if who == "parent") == list(range(held.stop, chunks))
+    assert {k for k, who in read if who == "reader"} >= set(range(held.stop))
 
 
 def test_a_small_file_is_read_without_a_fork(tmp_path, monkeypatch):
@@ -624,54 +725,27 @@ def test_a_fifo_is_read_in_one_process(tmp_path, monkeypatch, chunked):
     assert forks == []
 
 
-def test_a_reader_killed_after_it_claims_a_chunk_is_a_data_error(
-    tmp_path, monkeypatch, chunked, capsys
+@pytest.mark.parametrize("processes", [2, 3])
+def test_a_reader_that_dies_leaves_the_records_and_output_of_one_process(
+    tmp_path, monkeypatch, chunked, capsys, processes
 ):
-    # two chunks: this process claims the first, and the reader the second,
-    # and dies on it
-    path = _captions_file(tmp_path / "caps.jsonl", [GOOD] * 6)
-    read_chunks = chunked(2, chunk_bytes=os.path.getsize(path) // 2, in_turn=True)
-    chunk = formats._chunk
+    path = _captions_file(tmp_path / "caps.jsonl", [dict(GOOD, id=str(i)) for i in range(30)])
+    serial = _read(path)
+    assert main(["eval", "chair", "--captions", path]) == 0
+    output = capsys.readouterr()
+    # each reader reads its first chunk, and dies on its second
+    read_chunks = chunked(processes, readers_stop=READ_BY["reader"])
+    logged, parent = formats._chunk, os.getpid()
 
     def dies_in_a_reader(fh, where, table, k):
-        if k == 1:
+        if k >= processes - 1 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return chunk(fh, where, table, k)
+        return logged(fh, where, table, k)
 
     monkeypatch.setattr(formats, "_chunk", dies_in_a_reader)
-    message = f"{path}: a caption reader process died (exit code {-signal.SIGKILL})"
-    with pytest.raises(DataFormatError, match=exactly(message)):
-        load_caption_records(path, TABLE)
-    assert main(["eval", "chair", "--captions", path]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert read_chunks() == [(0, "parent")] * 2  # the reader dies before it logs
+    assert _read(path) == serial
+    read = read_chunks()
+    assert sorted(k for k, who in read if who == "reader") == list(range(processes - 1))
+    assert main(["eval", "chair", "--captions", path]) == 0
+    assert capsys.readouterr() == output
     # and no child is left running: the no_child_left fixture checks it
-
-
-def test_a_reader_killed_holding_the_counters_lock_is_a_data_error(
-    tmp_path, monkeypatch, chunked
-):
-    # the reader takes the lock and dies before this process's second
-    # claim, which gives up after CLAIM_SECONDS
-    path = _captions_file(tmp_path / "caps.jsonl", [GOOD] * 20)
-    read_chunks = chunked(2)
-    monkeypatch.setattr(formats, "CLAIM_SECONDS", 0.5)
-    chunk = formats._chunk
-
-    def slow_first_chunk(fh, where, table, k):
-        time.sleep(0.5 * (k == 0))
-        return chunk(fh, where, table, k)
-
-    def dies_holding_the_lock(path, table, claim, results):
-        claim.args[0].get_lock().acquire()
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(formats, "_chunk", slow_first_chunk)
-    monkeypatch.setattr(formats, "_read_chunks", dies_holding_the_lock)
-    start = time.monotonic()
-    with pytest.raises(DataFormatError, match=exactly(
-        f"{path}: a caption reader process died (exit code {-signal.SIGKILL})"
-    )):
-        load_caption_records(path, TABLE)
-    assert time.monotonic() - start < 2.0
-    assert read_chunks() == [(0, "parent")]

@@ -938,9 +938,24 @@ def test_the_decoder_runs_ahead_only_as_far_as_the_pipe_holds(tmp_path, monkeypa
         assert run_sweep(config).to_csv() == csv
         # the image taken, and per decoder the images its pipe holds and one
         # being written
-        limit = 1 + n * (sweep.DECODER_PIPE_BYTES // (3 * h * w) + 1)
+        limit = 1 + n * (forks.PIPE_BYTES // (3 * h * w) + 1)
         assert counts[0] <= limit < len(config.images)
         assert len(log.read_text().splitlines()) == len(config.images)
+
+
+def test_a_child_sends_one_message_per_item_or_its_first_error(tmp_path):
+    from_child, sending = multiprocessing.Pipe(duplex=False)
+    previous = signal.getsignal(signal.SIGINT)
+    try:
+        assert forks._child(lambda x: 10 // x, [5, 2, 0, 1], sending, []) is None
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        sending.close()
+    assert [from_child.recv(), from_child.recv()] == [2, 5]
+    assert isinstance(from_child.recv(), ZeroDivisionError)
+    with pytest.raises(EOFError):
+        from_child.recv()
+    from_child.close()
 
 
 def test_the_decoder_returns_quietly_when_the_parent_is_gone(tmp_path):
@@ -949,7 +964,7 @@ def test_the_decoder_returns_quietly_when_the_parent_is_gone(tmp_path):
     from_decoder.close()
     previous = signal.getsignal(signal.SIGINT)
     try:
-        assert forks._child(sweep._decode, ([path],), results, [from_decoder]) is None
+        assert forks._child(sweep.read_image, [path], results, [from_decoder]) is None
     finally:
         signal.signal(signal.SIGINT, previous)
         results.close()

@@ -1,9 +1,9 @@
 """Checks on the source itself: it parses as the oldest Python that
 pyproject.toml allows, only harness/formats.py parses JSON, only
 spectral.py imports threads or numbers, only harness/forks.py imports
-multiprocessing, only harness/oracle.py imports shlex, the CLI's import
-starts no process or thread pool, and every name the benchmark's tracer
-wraps exists."""
+multiprocessing, no process shares memory or a lock with another, only
+harness/oracle.py imports shlex, the CLI's import starts no process or
+thread pool, and every name the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -110,6 +110,46 @@ def test_only_forks_imports_multiprocessing():
     helper: the sweep's decoders and the caption reader's parts."""
     elsewhere = _imported_only_in("harness/forks.py", ("multiprocessing",))
     assert not elsewhere, f"multiprocessing imported outside harness/forks.py: {elsewhere}"
+
+
+# what multiprocessing shares between processes: memory, locks and managers
+SHARED_STATE = {
+    "Value", "Array", "RawValue", "RawArray", "Lock", "RLock", "Manager",
+    "sharedctypes", "managers", "shared_memory",
+}
+
+
+def _shared_state(tree):
+    """Line numbers where a module names one of SHARED_STATE, as an
+    attribute of anything but threading or in an import from
+    multiprocessing."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            threading = isinstance(node.value, ast.Name) and node.value.id == "threading"
+            names = set() if threading else {node.attr}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("multiprocessing"):
+            names = {a.name for a in node.names} | set(node.module.split("."))
+        elif isinstance(node, ast.Import):
+            names = {p for a in node.names if a.name.startswith("multiprocessing") for p in a.name.split(".")}
+        else:
+            continue
+        if names & SHARED_STATE:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_process_shares_memory_or_locks():
+    """A forked child gets its share of the work through the fork and gives
+    back through its pipe alone: no src/ module uses multiprocessing's shared
+    memory, locks or managers."""
+    package = ROOT / "src" / "freqfuse"
+    shared = sorted(
+        f"{path.relative_to(package)}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        for line in _shared_state(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert not shared, f"state shared between processes: {shared}"
 
 
 def test_importing_the_cli_imports_no_process_or_thread_pool():
